@@ -4,89 +4,12 @@ Pipeline: parse pcap captures, split them into bidirectional 5-tuple
 sessions, clean each packet, build one chained graph per session, and
 classify graphs with stacked simplified graph convolutions, pooling,
 and a softmax head. Training is implemented from scratch with exact
-hand-derived gradients, Adam, and early stopping.
+hand-derived gradients, Adam, and early stopping. The command line is
+`cgnn.cli`; each stage lives in its own module.
 """
 
-from . import errors
-from .dataset import Dataset, load_dataset, parse_dataset, save_dataset
-from .graph import (BatchedGraph, ChainedGraph, ChainPropagation,
-                    batch_graphs, build_chain_graph, propagation_matrix,
-                    split_dataset, truncate_graph)
-from .metrics import (EvalReport, classification_report, confusion_matrix,
-                      format_report, normalized_confusion,
-                      report_from_confusion, write_heatmap_csv)
-from .model import (Checkpoint, CgnnModel, ForwardCache, ModelDims, avg_pool,
-                    fc_softmax, forward, init_model, load_checkpoint,
-                    parse_checkpoint, pool, predict_labels, predict_probs,
-                    relu, save_checkpoint, sgc_layer, softmax)
-from .pcap import PcapFile, PcapRecord, parse_pcap
-from .preprocess import (CleanPacket, FiveTuple, SessionSplit, clean_packet,
-                         decode_frame, split_sessions, standardize,
-                         vectorize)
-from .train import (AdamState, Prediction, TrainConfig, TrainReport,
-                    adam_step, backward, cross_entropy, evaluate,
-                    evaluate_loss, fit, predict)
+from .dataset import parse_dataset
+from .model import ModelDims, init_model, load_checkpoint, save_checkpoint
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdamState",
-    "BatchedGraph",
-    "ChainPropagation",
-    "ChainedGraph",
-    "Checkpoint",
-    "CgnnModel",
-    "CleanPacket",
-    "Dataset",
-    "EvalReport",
-    "FiveTuple",
-    "ForwardCache",
-    "ModelDims",
-    "PcapFile",
-    "PcapRecord",
-    "Prediction",
-    "SessionSplit",
-    "TrainConfig",
-    "TrainReport",
-    "adam_step",
-    "avg_pool",
-    "backward",
-    "batch_graphs",
-    "build_chain_graph",
-    "classification_report",
-    "clean_packet",
-    "confusion_matrix",
-    "cross_entropy",
-    "decode_frame",
-    "errors",
-    "evaluate",
-    "evaluate_loss",
-    "fc_softmax",
-    "fit",
-    "format_report",
-    "forward",
-    "init_model",
-    "load_checkpoint",
-    "load_dataset",
-    "normalized_confusion",
-    "parse_checkpoint",
-    "parse_dataset",
-    "parse_pcap",
-    "pool",
-    "predict",
-    "predict_labels",
-    "predict_probs",
-    "propagation_matrix",
-    "relu",
-    "report_from_confusion",
-    "save_checkpoint",
-    "save_dataset",
-    "sgc_layer",
-    "softmax",
-    "split_dataset",
-    "split_sessions",
-    "standardize",
-    "truncate_graph",
-    "vectorize",
-    "write_heatmap_csv",
-]
+__all__ = ["ModelDims", "init_model", "load_checkpoint", "parse_dataset",
+           "save_checkpoint"]

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -23,65 +20,51 @@ from .dataset import (DATASET_MAGIC, Dataset, load_dataset, parse_dataset,
                       save_dataset)
 from .errors import (BadMagic, CgnnError, ConfigError, DimsMismatch,
                      EmptyDataset, EmptySplit, NoLabels, NoSessions)
-from .graph import (ChainedGraph, build_chain_graph, split_dataset,
-                    truncate_graph)
+from .graph import ChainedGraph, split_dataset
 from .ioutil import atomic_write_bytes
 from .metrics import classification_report, format_report, write_heatmap_csv
 from .model import (CHECKPOINT_MAGIC, ModelDims, load_checkpoint,
-                    parse_checkpoint, save_checkpoint)
-from .pcap import PcapRecord, parse_pcap
-from .preprocess import FiveTuple, clean_packet, split_sessions
-from .train import TrainConfig, fit, predict
+                    parse_checkpoint, predict_probs, save_checkpoint)
+from .pcap import parse_pcap
+from .preprocess import IngestStats, graphs_from_records
+from .train import TrainConfig, fit
 
 CHECKPOINT_NAME = "best.cgm1"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Every knob of the pipeline, with the recommended defaults."""
+def _field_specs(cls, skip: tuple[str, ...] = ()) -> list[tuple]:
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name], f.default)
+            for f in dataclasses.fields(cls) if f.name not in skip]
 
-    # model shape
-    p: int = 1500
-    d1: int = 516
-    d2: int = 256
-    layers: int = 2
-    k1: int = 1
-    k2: int = 1
-    pooling: str = "avg"
-    standardize: bool = False
-    # preprocessing
-    fraction: float = 1.0
-    drop_dns: bool = False
-    # optimization
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 32
-    max_epochs: int = 400
-    patience: int = 20
-    seed: int = 0
-    split_seed: int = 0
 
-    def to_dims(self, p: int, m: int) -> ModelDims:
-        return ModelDims(p=p, d1=self.d1, d2=self.d2, m=m,
-                         layers=self.layers, k1=self.k1, k2=self.k2,
-                         pooling=self.pooling, standardize=self.standardize)
+def _pick(cls, cfg, **extra):
+    """An instance of dataclass cls with its fields taken from cfg,
+    except those given in extra."""
+    return cls(**{f.name: getattr(cfg, f.name)
+                  for f in dataclasses.fields(cls) if f.name not in extra},
+               **extra)
 
-    def to_train_config(self) -> TrainConfig:
-        return TrainConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                           eps=self.eps, batch_size=self.batch_size,
-                           max_epochs=self.max_epochs, patience=self.patience,
-                           seed=self.seed)
 
-    def validate(self) -> None:
-        self.to_dims(self.p, 2).validate()
-        self.to_train_config().validate()
-        if not 0 < self.fraction <= 1:
-            raise ConfigError(f"fraction must lie in (0, 1], "
-                              f"got {self.fraction}")
-        if self.seed < 0 or self.split_seed < 0:
-            raise ConfigError("seeds cannot be negative")
+def _validate(cfg) -> None:
+    _pick(ModelDims, cfg, m=2).validate()
+    _pick(TrainConfig, cfg).validate()
+    if not 0 < cfg.fraction <= 1:
+        raise ConfigError(f"fraction must lie in (0, 1], got {cfg.fraction}")
+    if cfg.seed < 0 or cfg.split_seed < 0:
+        raise ConfigError("seeds cannot be negative")
+
+
+# Every knob of the pipeline, with the recommended defaults: the model
+# shape (the class count m comes from the dataset), preprocessing, the
+# optimizer, and the dataset split.
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    _field_specs(ModelDims, skip=("m",))
+    + [("fraction", float, 1.0), ("drop_dns", bool, False)]
+    + _field_specs(TrainConfig)
+    + [("split_seed", int, 0)],
+    namespace={"validate": _validate}, frozen=True)
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
@@ -144,72 +127,6 @@ def parse_config_file(path: Path | str,
     return parse_config_text(Path(path).read_text(encoding="utf-8"), base)
 
 
-@dataclass
-class IngestStats:
-    """Counts of what preprocessing kept and dropped."""
-
-    files: int = 0
-    sessions: int = 0
-    vertices: int = 0
-    skipped: int = 0  # frames that could not join any session
-    discarded_empty: int = 0  # packets with no transport payload
-    dropped_sessions: int = 0  # sessions whose packets were all discarded
-    dropped_dns: int = 0
-
-    def add(self, other: "IngestStats") -> None:
-        for f in dataclasses.fields(self):
-            setattr(self, f.name,
-                    getattr(self, f.name) + getattr(other, f.name))
-
-    def describe(self) -> str:
-        return (f"{self.sessions} sessions, {self.vertices} vertices, "
-                f"skipped {self.skipped} frames, discarded "
-                f"{self.discarded_empty} empty packets, dropped "
-                f"{self.dropped_sessions} empty sessions, dropped "
-                f"{self.dropped_dns} DNS packets")
-
-
-def graphs_from_records(records: list[PcapRecord], label: int, p: int,
-                        fraction: float = 1.0, drop_dns: bool = False,
-                        ) -> tuple[list[ChainedGraph], list[FiveTuple],
-                                   IngestStats]:
-    """Full ingest of parsed records: sessions, cleaning, graphs."""
-    split = split_sessions(records, drop_dns=drop_dns)
-    stats = IngestStats(skipped=split.skipped, dropped_dns=split.dropped_dns)
-    graphs: list[ChainedGraph] = []
-    keys: list[FiveTuple] = []
-    for key, session in split.sessions.items():
-        cleaned = []
-        for record in session:
-            packet = clean_packet(record, p)
-            if packet is None:
-                stats.discarded_empty += 1
-            else:
-                cleaned.append(packet)
-        if not cleaned:
-            stats.dropped_sessions += 1
-            continue
-        graph = truncate_graph(build_chain_graph(cleaned, label), fraction)
-        graphs.append(graph)
-        keys.append(key)
-        stats.sessions += 1
-        stats.vertices += graph.n
-    return graphs, keys, stats
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        try:
-            threads = int(os.environ.get("CGNN_THREADS", "1"))
-        except ValueError:
-            raise ConfigError("CGNN_THREADS must be an integer")
-    if threads < 1:
-        raise ConfigError(f"thread count must be positive, got {threads}")
-    return threads
-
-
 def _resolve_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config is not None:
@@ -231,14 +148,16 @@ def _ingest_file(path: Path, label: int, cfg: RunConfig):
             pcap.records, label, cfg.p, cfg.fraction, cfg.drop_dns)
     except CgnnError as exc:
         raise type(exc)(f"{path}: {exc}")
+    if pcap.truncated:
+        print(f"warning: {path} ends mid-record; kept what parsed",
+              file=sys.stderr)
     stats.files = 1
-    return graphs, stats, pcap.truncated, path
+    return graphs, stats
 
 
 def cmd_preprocess(args) -> int:
     cfg = _resolve_config(args)
     print(format_config(cfg))
-    threads = _resolve_threads(args)
     root = Path(args.root)
     if not root.is_dir():
         raise NoLabels(f"{root} is not a directory")
@@ -246,32 +165,16 @@ def cmd_preprocess(args) -> int:
     if not labels:
         raise NoLabels(f"no label directories under {root}")
 
-    tasks = []
+    all_graphs: list[ChainedGraph] = []
+    per_label = [IngestStats() for _ in labels]
     for label_id, name in enumerate(labels):
         for path in sorted((root / name).glob("*.pcap")):
-            tasks.append((path, label_id))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda t: _ingest_file(t[0], t[1], cfg), tasks))
-    else:
-        results = [_ingest_file(path, label_id, cfg)
-                   for path, label_id in tasks]
-
-    all_graphs: list[ChainedGraph] = []
-    per_label = {label_id: IngestStats() for label_id in range(len(labels))}
-    for (graphs, stats, truncated, path), (_, label_id) in zip(results,
-                                                               tasks):
-        if truncated:
-            print(f"warning: {path} ends mid-record; kept what parsed",
-                  file=sys.stderr)
-        all_graphs.extend(graphs)
-        per_label[label_id].add(stats)
+            graphs, stats = _ingest_file(path, label_id, cfg)
+            all_graphs.extend(graphs)
+            per_label[label_id].add(stats)
 
     total = IngestStats()
-    for label_id, name in enumerate(labels):
-        stats = per_label[label_id]
+    for label_id, (name, stats) in enumerate(zip(labels, per_label)):
         print(f"label {name} (id {label_id}): {stats.files} files, "
               f"{stats.describe()}")
         if stats.sessions == 0:
@@ -307,8 +210,8 @@ def cmd_train(args) -> int:
     print(f"split: {len(train_set)} train, {len(valid_set)} validation, "
           f"{len(test_set)} test")
 
-    dims = cfg.to_dims(dataset.p, dataset.num_classes)
-    model, report = fit(train_set, valid_set, dims, cfg.to_train_config(),
+    dims = _pick(ModelDims, cfg, p=dataset.p, m=dataset.num_classes)
+    model, report = fit(train_set, valid_set, dims, _pick(TrainConfig, cfg),
                         log=print)
 
     out_dir = Path(args.out)
@@ -361,9 +264,8 @@ def cmd_evaluate(args) -> int:
         if not graphs:
             raise EmptyDataset(f"{args.data} holds no graphs")
 
-    predictions = predict(model, graphs)
     true = [g.label for g in graphs]
-    pred = [p.label for p in predictions]
+    pred = predict_probs(model, graphs).argmax(axis=1)
     report = classification_report(true, pred, dataset.label_names,
                                    weighted=args.weighted)
     print(format_report(report))
@@ -391,14 +293,14 @@ def cmd_predict(args) -> int:
         raise NoSessions(f"no sessions survived cleaning in {pcap_path} "
                          f"({stats.describe()})")
 
-    predictions = predict(model, graphs)
     rows = []
-    for key, graph, pred in zip(keys, graphs, predictions):
-        name = checkpoint.label_names[pred.label]
-        confidence = pred.probs[pred.label]
-        print(f"{key} [{graph.n} packets] -> {name} ({confidence:.4f})")
-        probs = ",".join(f"{v:.6f}" for v in pred.probs)
-        rows.append(f"{pred.graph_id},{name},{probs}")
+    probs = predict_probs(model, graphs)
+    for graph_id, (key, graph, dist) in enumerate(zip(keys, graphs, probs)):
+        label = int(dist.argmax())
+        name = checkpoint.label_names[label]
+        print(f"{key} [{graph.n} packets] -> {name} ({dist[label]:.4f})")
+        columns = ",".join(f"{v:.6f}" for v in dist)
+        rows.append(f"{graph_id},{name},{columns}")
     if args.csv:
         header = "graph_id,label," + ",".join(checkpoint.label_names)
         atomic_write_bytes(args.csv,
@@ -427,10 +329,9 @@ def cmd_inspect(args) -> int:
         checkpoint = parse_checkpoint(data)
         dims = checkpoint.model.dims
         total = sum(w.size for w in checkpoint.model.params())
-        print(f"checkpoint: p={dims.p} d1={dims.d1} d2={dims.d2} "
-              f"m={dims.m} layers={dims.layers} k1={dims.k1} k2={dims.k2} "
-              f"pooling={dims.pooling} standardize="
-              f"{_format_value(dims.standardize)}")
+        print("checkpoint: " + " ".join(
+            f"{f.name}={_format_value(getattr(dims, f.name))}"
+            for f in dataclasses.fields(dims)))
         print(f"labels: {', '.join(checkpoint.label_names)}")
         print(f"parameters: {total}")
         return 0
@@ -440,8 +341,6 @@ def cmd_inspect(args) -> int:
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None,
                      help="key=value config file; flags override it")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: CGNN_THREADS or 1)")
     for f in dataclasses.fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
         if _FIELD_TYPES[f.name] is bool:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import EmptyDataset, EmptySession, MixedFeatureWidth, \
     ShapeMismatch
-from .preprocess import CleanPacket
 
 
 @dataclass
@@ -36,13 +35,13 @@ class ChainedGraph:
         return self.features.shape[1]
 
 
-def build_chain_graph(packets: Sequence[CleanPacket],
+def build_chain_graph(packets: Sequence[np.ndarray],
                       label: int) -> ChainedGraph:
-    """One graph from a session's cleaned packets: row i = packet i."""
+    """One graph from a session's cleaned (p,) packet vectors: row i =
+    packet i."""
     if not packets:
         raise EmptySession("cannot build a graph from zero packets")
-    return ChainedGraph(features=np.stack([pkt.data for pkt in packets]),
-                        label=label)
+    return ChainedGraph(features=np.stack(packets), label=label)
 
 
 def truncate_graph(graph: ChainedGraph,

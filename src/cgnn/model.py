@@ -85,14 +85,6 @@ class CgnnModel:
     W: np.ndarray
     b: np.ndarray
 
-    @property
-    def theta1(self) -> np.ndarray:
-        return self.thetas[0]
-
-    @property
-    def theta2(self) -> np.ndarray:
-        return self.thetas[1]
-
     def params(self) -> list[np.ndarray]:
         """All trainable arrays, in a fixed flattening order."""
         return [*self.thetas, self.W, self.b]
@@ -187,12 +179,6 @@ def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
     raise ConfigError(f"pooling must be one of {POOLING_KINDS}, got {kind!r}")
 
 
-def avg_pool(x: np.ndarray, offsets: np.ndarray,
-             lengths: np.ndarray) -> np.ndarray:
-    """Mean of each graph's vertex rows (the default pooling)."""
-    return pool(x, offsets, lengths, "avg")[0]
-
-
 @dataclass
 class ForwardCache:
     """Everything the backward pass reuses from one forward pass."""
@@ -235,19 +221,14 @@ def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
 
 def predict_probs(model: CgnnModel, graphs: list[ChainedGraph],
                   batch_size: int = 256) -> np.ndarray:
-    """Class distributions for a list of graphs, shape (len(graphs), m)."""
+    """Class distributions for a list of graphs, shape (len(graphs), m):
+    row i belongs to graphs[i]."""
     parts = []
     for start in range(0, len(graphs), batch_size):
         batch = batch_graphs(graphs[start:start + batch_size])
         parts.append(forward(model, batch).probs)
     return np.concatenate(parts) if parts else \
         np.zeros((0, model.dims.m), dtype=np.float32)
-
-
-def predict_labels(model: CgnnModel, graphs: list[ChainedGraph],
-                   batch_size: int = 256) -> np.ndarray:
-    """Most probable class id for each graph."""
-    return predict_probs(model, graphs, batch_size).argmax(axis=1)
 
 
 def save_checkpoint(model: CgnnModel, label_names: list[str],

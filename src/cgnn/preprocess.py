@@ -10,12 +10,13 @@ The surviving bytes are cut or zero-padded to a fixed length p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DecodeError
+from .graph import ChainedGraph, build_chain_graph, truncate_graph
 from .pcap import PcapRecord
 
 ETHERNET_HEADER_LEN = 14
@@ -176,21 +177,10 @@ def vectorize(data: bytes, p: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class CleanPacket:
-    """One cleaned packet as a fixed-length feature vector."""
-
-    data: np.ndarray  # (p,) uint8
-    original_payload_len: int
-
-    @property
-    def p(self) -> int:
-        return self.data.shape[0]
-
-
 def clean_packet(record: PcapRecord | bytes,
-                 p: int = DEFAULT_FEATURE_LEN) -> CleanPacket | None:
-    """Clean one captured frame and fix it to p feature bytes.
+                 p: int = DEFAULT_FEATURE_LEN) -> np.ndarray | None:
+    """Clean one captured frame and fix it to p feature bytes, a uint8
+    vector of shape (p,).
 
     Returns None when the packet is discarded (no transport payload) or
     is not an IPv4 TCP/UDP frame at all; raises DecodeError when headers
@@ -203,8 +193,7 @@ def clean_packet(record: PcapRecord | bytes,
     cleaned = clean_bytes(packet)
     if cleaned is None:
         return None
-    return CleanPacket(data=vectorize(cleaned, p),
-                       original_payload_len=len(packet.payload))
+    return vectorize(cleaned, p)
 
 
 @dataclass
@@ -214,10 +203,6 @@ class SessionSplit:
     sessions: dict[FiveTuple, list[PcapRecord]] = field(default_factory=dict)
     skipped: int = 0  # non-IPv4, non-TCP/UDP, fragments, malformed
     dropped_dns: int = 0
-
-    @property
-    def packet_count(self) -> int:
-        return sum(len(records) for records in self.sessions.values())
 
 
 def split_sessions(records: Iterable[PcapRecord], *,
@@ -246,6 +231,55 @@ def split_sessions(records: Iterable[PcapRecord], *,
     return split
 
 
-def standardize(features: np.ndarray) -> np.ndarray:
-    """Map raw byte values into [0, 1] as float32."""
-    return features.astype(np.float32) / np.float32(255.0)
+
+@dataclass
+class IngestStats:
+    """Counts of what preprocessing kept and dropped."""
+
+    files: int = 0
+    sessions: int = 0
+    vertices: int = 0
+    skipped: int = 0  # frames that could not join any session
+    discarded_empty: int = 0  # packets with no transport payload
+    dropped_sessions: int = 0  # sessions whose packets were all discarded
+    dropped_dns: int = 0
+
+    def add(self, other: "IngestStats") -> None:
+        for f in fields(self):
+            setattr(self, f.name,
+                    getattr(self, f.name) + getattr(other, f.name))
+
+    def describe(self) -> str:
+        return (f"{self.sessions} sessions, {self.vertices} vertices, "
+                f"skipped {self.skipped} frames, discarded "
+                f"{self.discarded_empty} empty packets, dropped "
+                f"{self.dropped_sessions} empty sessions, dropped "
+                f"{self.dropped_dns} DNS packets")
+
+
+def graphs_from_records(records: list[PcapRecord], label: int, p: int,
+                        fraction: float = 1.0, drop_dns: bool = False,
+                        ) -> tuple[list[ChainedGraph], list[FiveTuple],
+                                   IngestStats]:
+    """Full ingest of parsed records: sessions, cleaning, graphs."""
+    split = split_sessions(records, drop_dns=drop_dns)
+    stats = IngestStats(skipped=split.skipped, dropped_dns=split.dropped_dns)
+    graphs: list[ChainedGraph] = []
+    keys: list[FiveTuple] = []
+    for key, session in split.sessions.items():
+        cleaned = []
+        for record in session:
+            packet = clean_packet(record, p)
+            if packet is None:
+                stats.discarded_empty += 1
+            else:
+                cleaned.append(packet)
+        if not cleaned:
+            stats.dropped_sessions += 1
+            continue
+        graph = truncate_graph(build_chain_graph(cleaned, label), fraction)
+        graphs.append(graph)
+        keys.append(key)
+        stats.sessions += 1
+        stats.vertices += graph.n
+    return graphs, keys, stats

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import (ConfigError, EmptyDataset, EmptySplit, LabelOutOfRange,
                      NonFiniteInput)
 from .graph import BatchedGraph, ChainedGraph, batch_graphs
-from .model import CgnnModel, ForwardCache, ModelDims, forward, init_model
+from .model import (CgnnModel, ForwardCache, ModelDims, forward,
+                    init_model, predict_probs)
 
 LOSS_FLOOR = 1e-12  # keeps log() finite when a probability collapses
 
@@ -149,21 +150,10 @@ def evaluate(model: CgnnModel, graphs: list[ChainedGraph],
     """Mean cross entropy and accuracy over a whole list of graphs."""
     if not graphs:
         raise EmptyDataset("cannot evaluate zero graphs")
-    total = 0.0
-    correct = 0
-    for start in range(0, len(graphs), batch_size):
-        part = graphs[start:start + batch_size]
-        batch = batch_graphs(part)
-        cache = forward(model, batch)
-        total += cross_entropy(cache.probs, batch.labels) * len(part)
-        correct += int((cache.probs.argmax(axis=1) == batch.labels).sum())
-    return total / len(graphs), correct / len(graphs)
-
-
-def evaluate_loss(model: CgnnModel, graphs: list[ChainedGraph],
-                  batch_size: int = 256) -> float:
-    """Mean cross entropy over a whole list of graphs."""
-    return evaluate(model, graphs, batch_size)[0]
+    probs = predict_probs(model, graphs, batch_size)
+    labels = np.array([g.label for g in graphs], dtype=np.int64)
+    correct = int((probs.argmax(axis=1) == labels).sum())
+    return cross_entropy(probs, labels), correct / len(graphs)
 
 
 def fit(train_graphs: list[ChainedGraph], valid_graphs: list[ChainedGraph],
@@ -236,25 +226,3 @@ def fit(train_graphs: list[ChainedGraph], valid_graphs: list[ChainedGraph],
                 break
 
     return best, report
-
-
-@dataclass
-class Prediction:
-    """Classification of one graph."""
-
-    graph_id: int
-    label: int
-    probs: np.ndarray  # (m,)
-
-
-def predict(model: CgnnModel, graphs: list[ChainedGraph],
-            batch_size: int = 256) -> list[Prediction]:
-    """Classify each graph: most probable class, ties to the lowest id."""
-    out = []
-    for start in range(0, len(graphs), batch_size):
-        batch = batch_graphs(graphs[start:start + batch_size])
-        probs = forward(model, batch).probs
-        for row, dist in enumerate(probs):
-            out.append(Prediction(graph_id=start + row,
-                                  label=int(dist.argmax()), probs=dist))
-    return out

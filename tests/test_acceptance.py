@@ -147,7 +147,7 @@ def test_criterion_5_golden_capture_cleaning(capsys):
     checks.append(split.skipped == 1)
     session = next(iter(split.sessions.values()))
     checks.append([r.data for r in session] == frames[:3])
-    vector = clean_packet(session[0], p=200).data
+    vector = clean_packet(session[0], p=200)
     expected = vectorize(expected_tcp_clean(payload), 200)
     # expected_tcp_clean assumes the default ports, so rebuild for 50000.
     raw = bytearray(clean_bytes(decode_frame(frames[0])))

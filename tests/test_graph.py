@@ -12,7 +12,6 @@ from cgnn.errors import (EmptyDataset, EmptySession, MixedFeatureWidth,
 from cgnn.graph import (ChainPropagation, ChainedGraph, batch_graphs,
                         build_chain_graph, propagation_matrix, split_dataset,
                         truncate_graph)
-from cgnn.preprocess import CleanPacket
 
 from conftest import random_graphs
 
@@ -97,13 +96,13 @@ def test_batch_propagation_rejects_empty():
 
 # --- graph construction ----------------------------------------------------
 
-def _packets(rows: list[bytes], p: int) -> list[CleanPacket]:
+def _packets(rows: list[bytes], p: int) -> list[np.ndarray]:
     out = []
     for row in rows:
         data = np.zeros(p, dtype=np.uint8)
         head = np.frombuffer(row[:p], dtype=np.uint8)
         data[:head.size] = head
-        out.append(CleanPacket(data=data, original_payload_len=len(row)))
+        out.append(data)
     return out
 
 

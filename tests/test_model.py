@@ -12,10 +12,10 @@ from cgnn.errors import (BadMagic, ConfigError, CorruptLength, DimsMismatch,
                          EmptySegment, NonFiniteInput, ShapeMismatch,
                          VersionMismatch)
 from cgnn.graph import ChainPropagation, ChainedGraph, batch_graphs
-from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims, avg_pool,
-                        fc_softmax, forward, init_model, load_checkpoint,
-                        parse_checkpoint, pool, predict_labels, predict_probs,
-                        relu, save_checkpoint, sgc_layer, softmax)
+from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims, fc_softmax,
+                        forward, init_model, load_checkpoint,
+                        parse_checkpoint, pool, predict_probs, relu,
+                        save_checkpoint, sgc_layer, softmax)
 
 from conftest import random_graphs
 
@@ -59,7 +59,7 @@ def test_init_same_seed_same_weights():
 def test_init_different_seeds_differ():
     a = init_model(TINY_DIMS, seed=0)
     b = init_model(TINY_DIMS, seed=1)
-    assert not np.array_equal(a.theta1, b.theta1)
+    assert not np.array_equal(a.thetas[0], b.thetas[0])
 
 
 def test_init_bias_is_zero_and_dtype_float32():
@@ -71,8 +71,8 @@ def test_init_bias_is_zero_and_dtype_float32():
 
 def test_init_shapes_follow_dims():
     model = init_model(TINY_DIMS, seed=0)
-    assert model.theta1.shape == (6, 5)
-    assert model.theta2.shape == (5, 4)
+    assert model.thetas[0].shape == (6, 5)
+    assert model.thetas[1].shape == (5, 4)
     assert model.W.shape == (4, 2)
     assert model.b.shape == (2,)
 
@@ -81,7 +81,7 @@ def test_init_respects_uniform_bound():
     model = init_model(ModelDims(), seed=0)
     limit = math.sqrt(6.0 / (1500 + 516))
     assert limit == pytest.approx(0.05455, abs=1e-4)
-    values = model.theta1
+    values = model.thetas[0]
     assert np.abs(values).max() <= limit
     # With 774k samples the observed extreme sits essentially at the bound.
     assert np.abs(values).max() > 0.99 * limit
@@ -149,14 +149,14 @@ def test_sgc_layer_rejects_width_mismatch():
 
 def test_avg_pool_two_rows():
     x = np.array([[1.0, 3.0], [3.0, 5.0]])
-    out = avg_pool(x, np.array([0, 2]), np.array([2]))
+    out = pool(x, np.array([0, 2]), np.array([2]), "avg")[0]
     assert out.tolist() == [[2.0, 4.0]]
 
 
 def test_avg_pool_single_row_passthrough():
     x = np.array([[7.0, -1.0]])
-    assert avg_pool(x, np.array([0, 1]), np.array([1])).tolist() \
-        == [[7.0, -1.0]]
+    out = pool(x, np.array([0, 1]), np.array([1]), "avg")[0]
+    assert out.tolist() == [[7.0, -1.0]]
 
 
 def test_pool_variants_on_known_rows():
@@ -186,7 +186,7 @@ def test_avg_pool_brute_force_oracle(rng):
     lengths = np.array([3, 1, 5, 2])
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     x = rng.standard_normal((offsets[-1], 4))
-    out = avg_pool(x, offsets, lengths)
+    out = pool(x, offsets, lengths, "avg")[0]
     for g in range(4):
         expected = x[offsets[g]:offsets[g + 1]].mean(axis=0)
         assert np.abs(out[g] - expected).max() <= 1e-12
@@ -318,8 +318,6 @@ def test_predict_probs_and_labels(rng):
     assert probs.shape == (10, 2)
     whole = predict_probs(model, graphs, batch_size=100)
     assert np.abs(probs - whole).max() <= 1e-6
-    labels = predict_labels(model, graphs)
-    assert np.array_equal(labels, probs.argmax(axis=1))
 
 
 def test_predict_probs_empty_list():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from cgnn.errors import DecodeError
-from cgnn.preprocess import (FiveTuple, CleanPacket, clean_packet,
-                             decode_frame, clean_bytes, split_sessions,
-                             standardize, vectorize)
+from cgnn.preprocess import (FiveTuple, clean_packet, decode_frame,
+                             clean_bytes, split_sessions, vectorize)
 
 from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, records_of,
                       tcp, tcp_frame, udp_frame)
@@ -42,23 +41,6 @@ def test_vectorize_length_always_p(rng):
 def test_vectorize_rejects_nonpositive_length():
     with pytest.raises(ValueError):
         vectorize(b"abc", 0)
-
-
-# --- standardize ---------------------------------------------------------
-
-def test_standardize_known_values():
-    out = standardize(np.array([0, 255, 51], dtype=np.uint8))
-    assert out.dtype == np.float32
-    assert np.allclose(out, [0.0, 1.0, 0.2])
-
-
-def test_standardize_zero_vector_unchanged():
-    assert (standardize(np.zeros(5, dtype=np.uint8)) == 0).all()
-
-
-def test_standardize_midpoint():
-    assert abs(float(standardize(np.array([128], np.uint8))[0])
-               - 128 / 255) < 1e-7
 
 
 # --- cleaning golden layouts --------------------------------------------
@@ -143,17 +125,16 @@ def test_ip_options_kept_and_addresses_zeroed():
 
 def test_clean_packet_returns_fixed_length_vector():
     packet = clean_packet(tcp_frame(PAYLOAD), 32)
-    assert isinstance(packet, CleanPacket)
-    assert packet.data.shape == (32,)
-    assert packet.data.dtype == np.uint8
-    assert bytes(packet.data) == expected_tcp_clean(PAYLOAD)[:32]
-    assert packet.original_payload_len == len(PAYLOAD)
+    assert isinstance(packet, np.ndarray)
+    assert packet.shape == (32,)
+    assert packet.dtype == np.uint8
+    assert bytes(packet) == expected_tcp_clean(PAYLOAD)[:32]
 
 
 def test_clean_packet_pads_to_p():
     packet = clean_packet(tcp_frame(b"a"), 128)
     cleaned = expected_tcp_clean(b"a")
-    assert bytes(packet.data) == cleaned + b"\x00" * (128 - len(cleaned))
+    assert bytes(packet) == cleaned + b"\x00" * (128 - len(cleaned))
 
 
 # --- frame skipping and errors -------------------------------------------

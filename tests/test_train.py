@@ -10,9 +10,10 @@ import pytest
 from cgnn.errors import (ConfigError, EmptyDataset, EmptySplit,
                          LabelOutOfRange, NonFiniteInput)
 from cgnn.graph import ChainedGraph, batch_graphs
-from cgnn.model import CgnnModel, ModelDims, forward, init_model
+from cgnn.model import (CgnnModel, ModelDims, forward, init_model,
+                        predict_probs)
 from cgnn.train import (AdamState, TrainConfig, adam_step, backward,
-                        cross_entropy, evaluate, evaluate_loss, fit, predict)
+                        cross_entropy, evaluate, fit)
 
 from conftest import random_graphs
 
@@ -316,7 +317,7 @@ def test_fit_returns_weights_of_the_best_epoch(rng):
     assert report.best_val_loss == min(report.val_losses)
     assert report.best_epoch == report.val_losses.index(
         report.best_val_loss) + 1
-    returned_loss = evaluate_loss(model, valid)
+    returned_loss, _ = evaluate(model, valid)
     assert abs(returned_loss - report.best_val_loss) <= 1e-12
 
 
@@ -389,14 +390,18 @@ def test_predict_breaks_ties_toward_lowest_class():
     model.W[:] = 0
     model.b[:] = 0
     graphs = [ChainedGraph(np.zeros((2, 4), np.uint8), 1)]
-    predictions = predict(model, graphs)
-    assert predictions[0].label == 0
-    assert predictions[0].probs.shape == (3,)
+    probs = predict_probs(model, graphs)
+    assert probs.shape == (1, 3)
+    assert probs.argmax(axis=1).tolist() == [0]
 
 
 def test_predict_numbers_graphs_across_batches(rng):
     model = init_model(TINY_DIMS, seed=0)
     graphs = random_graphs(rng, 7, p=6)
-    predictions = predict(model, graphs, batch_size=3)
-    assert [pred.graph_id for pred in predictions] == list(range(7))
-    assert predict(model, []) == []
+    probs = predict_probs(model, graphs, batch_size=3)
+    labels = probs.argmax(axis=1)
+    for graph_id, graph in enumerate(graphs):
+        alone = predict_probs(model, [graph])[0]
+        assert np.abs(probs[graph_id] - alone).max() <= 1e-6
+        assert labels[graph_id] == alone.argmax()
+    assert predict_probs(model, []).shape == (0, 2)
