@@ -1,8 +1,10 @@
 """The classifier: stacked simplified graph-convolution layers, a pooling
 step that collapses each graph to one vector, and a softmax output layer.
 
-Layer l computes relu(S^k X theta_l) where S is the chain propagation
-matrix; pooling averages (or maxes, or sums) each graph's vertex rows;
+Layer l computes relu(S^k (X theta_l)) where S is the chain propagation
+matrix; projecting before propagating keeps S at the hidden width, and S
+is a fixed linear map, so the order does not change the result. Pooling
+averages (or maxes, or sums) each graph's vertex rows;
 the head computes softmax(y W + b). Checkpoints (magic "CGM1") store the
 dimensions, the label names, and the float32 weights.
 """
@@ -24,6 +26,11 @@ CHECKPOINT_MAGIC = b"CGM1"
 CHECKPOINT_VERSION = 1
 
 POOLING_KINDS = ("avg", "max", "sum")
+
+# predict_probs closes a batch at this many vertex rows; a longer graph
+# goes alone. It bounds the (rows, p) feature matrix and the cached
+# activations of one inference batch.
+BATCH_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -121,11 +128,11 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
               k: int = 1) -> np.ndarray:
-    """One graph-convolution layer before its activation: S^k X theta."""
+    """One graph-convolution layer before its activation: S^k (X theta)."""
     if x.shape[1] != theta.shape[0]:
         raise ShapeMismatch(f"features are {x.shape[1]} wide, layer weights "
                             f"expect {theta.shape[0]}")
-    return prop.apply(x, k) @ theta
+    return prop.apply(x @ theta, k)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -183,7 +190,7 @@ def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
 class ForwardCache:
     """Everything the backward pass reuses from one forward pass."""
 
-    hop_inputs: list[np.ndarray] = field(default_factory=list)  # S^k X per layer
+    hop_inputs: list[np.ndarray] = field(default_factory=list)  # layer inputs
     pre_acts: list[np.ndarray] = field(default_factory=list)  # before relu
     pooled: np.ndarray | None = None
     pool_winners: np.ndarray | None = None  # max pooling row indices
@@ -197,19 +204,18 @@ def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
         raise DimsMismatch(
             f"batch has feature length {batch.features.shape[1]}, "
             f"model expects {dims.p}")
-    dtype = model.W.dtype
-    x = batch.features.astype(dtype, copy=False)
-    if dims.standardize:
-        x = x / dtype.type(255)
-
+    x = batch.features.astype(model.W.dtype, copy=False)
     cache = ForwardCache()
-    # Overflow to inf is tolerated here; fc_softmax and the training loop
-    # convert any non-finite outcome into a typed error.
-    with np.errstate(over="ignore"):
-        for theta, hops in zip(model.thetas, dims.layer_hops):
-            propagated = batch.prop.apply(x, hops)
-            pre_act = propagated @ theta
-            cache.hop_inputs.append(propagated)
+    # Overflow to inf, and the inf * 0 it meets in propagation, are
+    # tolerated here; fc_softmax and the training loop convert any
+    # non-finite outcome into a typed error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer, (theta, hops) in enumerate(zip(model.thetas,
+                                                  dims.layer_hops)):
+            if layer == 0 and dims.standardize:
+                theta = theta / theta.dtype.type(255)  # bytes to [0, 1]
+            pre_act = sgc_layer(batch.prop, x, theta, hops)
+            cache.hop_inputs.append(x)
             cache.pre_acts.append(pre_act)
             x = relu(pre_act)
 
@@ -222,11 +228,18 @@ def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
 def predict_probs(model: CgnnModel, graphs: list[ChainedGraph],
                   batch_size: int = 256) -> np.ndarray:
     """Class distributions for a list of graphs, shape (len(graphs), m):
-    row i belongs to graphs[i]."""
+    row i belongs to graphs[i]. A batch holds at most batch_size graphs
+    and, unless one graph alone is longer, at most BATCH_ROWS vertices."""
     parts = []
-    for start in range(0, len(graphs), batch_size):
-        batch = batch_graphs(graphs[start:start + batch_size])
-        parts.append(forward(model, batch).probs)
+    start = 0
+    while start < len(graphs):
+        stop, rows = start + 1, graphs[start].n
+        while (stop < len(graphs) and stop - start < batch_size
+               and rows + graphs[stop].n <= BATCH_ROWS):
+            rows += graphs[stop].n
+            stop += 1
+        parts.append(forward(model, batch_graphs(graphs[start:stop])).probs)
+        start = stop
     return np.concatenate(parts) if parts else \
         np.zeros((0, model.dims.m), dtype=np.float32)
 

@@ -4,8 +4,20 @@ and early stopping on validation loss with best-weights restore.
 The backward pass mirrors forward exactly. With P the softmax output,
 Y the one-hot labels, and G the batch size, the loss gradient at the
 logits is (P - Y) / G; from there gradients flow through the fully
-connected layer, the pooling step, and each graph-convolution layer,
-reusing the propagation matrix (its own transpose) for the trip back.
+connected layer, the pooling step, and each graph-convolution layer.
+A layer computes Z = S^k (X theta) from its input X, and S is
+symmetric, so with g = S^k dZ its gradients are d theta = X^T g and
+dX = g theta^T: propagation runs once per layer, at the hidden width.
+
+The backward pass carries every gradient multiplied by GRAD_SCALE and
+divides it back out at the end. A saturated softmax leaves (P - Y) / G
+near 1e-38 on well-classified rows; unscaled, those values reach the
+backward matrix products as float32 subnormals, which the CPU handles
+many times slower than normal numbers. Scaling by a power of two is
+exact, and it keeps those rows normal without zeroing them (Adam is
+scale-invariant, so a zeroed gradient would change the update). float32
+tops out near 3e38, so a scaled value overflows only where the true
+gradient already passes about 1e19.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from .model import (CgnnModel, ForwardCache, ModelDims, forward,
                     init_model, predict_probs)
 
 LOSS_FLOOR = 1e-12  # keeps log() finite when a probability collapses
+GRAD_SCALE = 2.0 ** 64  # backward-pass gradient scale; see the docstring
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -44,7 +57,7 @@ def backward(model: CgnnModel, batch: BatchedGraph,
     size = batch.size
     dlogits = cache.probs.copy()
     dlogits[np.arange(size), batch.labels] -= 1
-    dlogits /= size
+    dlogits /= size / GRAD_SCALE
 
     d_w = cache.pooled.T @ dlogits
     d_b = dlogits.sum(axis=0)
@@ -63,43 +76,67 @@ def backward(model: CgnnModel, batch: BatchedGraph,
     hops = dims.layer_hops
     dthetas: list[np.ndarray | None] = [None] * len(model.thetas)
     for layer in range(len(model.thetas) - 1, -1, -1):
-        dz = dx * (cache.pre_acts[layer] > 0)
-        dthetas[layer] = cache.hop_inputs[layer].T @ dz
+        dx *= cache.pre_acts[layer] > 0
+        g = batch.prop.apply(dx, hops[layer])
+        dthetas[layer] = cache.hop_inputs[layer].T @ g
         if layer:
-            dx = batch.prop.apply(dz @ model.thetas[layer].T, hops[layer])
-    return [*dthetas, d_w, d_b]
+            dx = g @ model.thetas[layer].T
+    grads = [*dthetas, d_w, d_b]
+    for grad in grads:
+        grad *= 1 / GRAD_SCALE
+    if dims.standardize:  # forward used theta_1 / 255
+        grads[0] *= 1 / 255
+    return grads
 
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators, one pair per parameter."""
+    """First and second moment accumulators, one pair per parameter,
+    and one scratch array per parameter for the update."""
 
     step: int
     m: list[np.ndarray]
     v: list[np.ndarray]
+    scratch: list[np.ndarray]
 
     @classmethod
     def for_model(cls, model: CgnnModel) -> "AdamState":
         params = model.params()
         return cls(step=0,
                    m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+                   v=[np.zeros_like(p) for p in params],
+                   scratch=[np.empty_like(p) for p in params])
 
 
 def adam_step(model: CgnnModel, grads: list[np.ndarray], state: AdamState,
               lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, applied to the model in place."""
+    """One bias-corrected Adam update, applied to the model in place.
+
+    lr * m_hat / (sqrt(v_hat) + eps) is computed as
+    step * m / (sqrt(v) + eps_hat), with the bias corrections folded
+    into the scalars step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+    eps_hat = eps * sqrt(1 - beta2^t).
+    """
     state.step += 1
     t = state.step
-    for param, grad, m, v in zip(model.params(), grads, state.m, state.v):
+    root = math.sqrt(1 - beta2 ** t)
+    step = lr * root / (1 - beta1 ** t)
+    eps_hat = eps * root
+    for param, grad, m, v, tmp in zip(model.params(), grads, state.m,
+                                      state.v, state.scratch):
         m *= beta1
-        m += (1 - beta1) * grad
+        np.multiply(grad, 1 - beta1, out=tmp)
+        m += tmp
         v *= beta2
-        v += (1 - beta2) * np.square(grad)
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.square(grad, out=tmp)
+        tmp *= 1 - beta2
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += eps_hat
+        np.divide(m, tmp, out=tmp)
+        tmp *= step
+        param -= tmp
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,8 @@ def test_forward_cache_holds_layer_intermediates(rng):
     batch = batch_graphs(random_graphs(rng, 3, p=6))
     cache = forward(model, batch)
     assert len(cache.hop_inputs) == 2
+    assert cache.hop_inputs[0] is batch.features  # layer input, not S X
+    assert cache.hop_inputs[1].shape == (batch.features.shape[0], 5)
     assert len(cache.pre_acts) == 2
     assert cache.pre_acts[0].shape == (batch.features.shape[0], 5)
     assert cache.pooled.shape == (3, 4)

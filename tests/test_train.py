@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+import cgnn.model
+import cgnn.train
 from cgnn.errors import (ConfigError, EmptyDataset, EmptySplit,
                          LabelOutOfRange, NonFiniteInput)
-from cgnn.graph import ChainedGraph, batch_graphs
-from cgnn.model import (CgnnModel, ModelDims, forward, init_model,
-                        predict_probs)
+from cgnn.graph import ChainPropagation, ChainedGraph, batch_graphs
+from cgnn.model import (POOLING_KINDS, CgnnModel, ModelDims, forward,
+                        init_model, predict_probs)
 from cgnn.train import (AdamState, TrainConfig, adam_step, backward,
                         cross_entropy, evaluate, fit)
 
@@ -170,6 +172,69 @@ def test_gradients_match_for_layer_counts_and_hops(rng):
         dims = ModelDims(p=6, d1=5, d2=4, m=3, layers=layers, k1=k1,
                          standardize=True)
         assert check_gradients(dims, seed=2, rng=rng) <= 1e-4, (layers, k1)
+
+
+def spy_propagation(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Record (input, output) of every ChainPropagation.apply call."""
+    calls = []
+    apply = ChainPropagation.apply
+
+    def spy(self, x, hops=1):
+        out = apply(self, x, hops)
+        calls.append((x, out))
+        return out
+
+    monkeypatch.setattr(ChainPropagation, "apply", spy)
+    return calls
+
+
+def test_propagation_runs_at_hidden_widths_only(rng, monkeypatch):
+    # Every layer projects before it propagates, so neither pass ever
+    # propagates a (rows, p) matrix.
+    dims = ModelDims()
+    model = init_model(dims, seed=0)
+    batch = batch_graphs(random_graphs(rng, 3, p=dims.p))
+    calls = spy_propagation(monkeypatch)
+    backward(model, batch, forward(model, batch))
+    assert [x.shape[1] for x, _ in calls] == [dims.d1, dims.d2, dims.d2,
+                                              dims.d1]
+
+
+def test_gradient_scale_is_exact_in_float64(rng, monkeypatch):
+    # Scaling by a power of two and back changes no bit of the result.
+    for pooling in POOLING_KINDS:
+        for layers in (1, 3):
+            dims = ModelDims(p=6, d1=5, d2=4, m=3, layers=layers,
+                             pooling=pooling, standardize=True)
+            model = float64_model(dims, seed=layers)
+            batch = batch_graphs(random_graphs(rng, 5, p=6, num_classes=3))
+            cache = forward(model, batch)
+            scaled = backward(model, batch, cache)
+            monkeypatch.setattr(cgnn.train, "GRAD_SCALE", 1.0)
+            plain = backward(model, batch, cache)
+            monkeypatch.undo()
+            for a, b in zip(scaled, plain):
+                assert a.tobytes() == b.tobytes(), (pooling, layers)
+
+
+def test_saturated_float32_batch_keeps_backward_operands_normal(monkeypatch):
+    # Raw bytes at the default hidden widths saturate the softmax; the
+    # tiny (P - Y) / G values of well-classified rows must neither reach
+    # the backward matrix products as subnormals nor spoil the gradients.
+    dims = ModelDims(p=64)
+    model = init_model(dims, seed=0)
+    batch = batch_graphs(random_graphs(np.random.default_rng(0), 8, p=64))
+    cache = forward(model, batch)
+    assert cache.probs.min() < 1e-40
+    calls = spy_propagation(monkeypatch)
+    grads = backward(model, batch, cache)
+    tiny = np.finfo(np.float32).tiny
+    for x, out in calls:
+        for operand in (x, out):
+            assert not ((operand != 0) & (np.abs(operand) < tiny)).any()
+    for grad in grads:
+        assert grad.dtype == np.float32
+        assert np.isfinite(grad).all()
 
 
 def test_gradient_step_reduces_loss(rng):
@@ -395,10 +460,30 @@ def test_predict_breaks_ties_toward_lowest_class():
     assert probs.argmax(axis=1).tolist() == [0]
 
 
-def test_predict_numbers_graphs_across_batches(rng):
+def test_predict_numbers_graphs_across_batches(rng, monkeypatch):
     model = init_model(TINY_DIMS, seed=0)
     graphs = random_graphs(rng, 7, p=6)
+    graphs.insert(5, ChainedGraph(np.full((15, 6), 7, np.uint8), 1))
+    batches = []
+
+    def counting_batch(chunk):
+        batches.append([g.n for g in chunk])
+        return batch_graphs(chunk)
+
+    monkeypatch.setattr(cgnn.model, "BATCH_ROWS", 12)
+    monkeypatch.setattr(cgnn.model, "batch_graphs", counting_batch)
     probs = predict_probs(model, graphs, batch_size=3)
+    monkeypatch.undo()
+    # Batches keep graph order, hold at most 3 graphs and 12 rows (a
+    # longer graph goes alone), and close only when the next graph
+    # would break one of those limits.
+    assert [n for sizes in batches for n in sizes] == [g.n for g in graphs]
+    assert len(batches) > 2
+    for sizes, following in zip(batches, batches[1:] + [None]):
+        assert len(sizes) <= 3
+        assert sum(sizes) <= 12 or len(sizes) == 1
+        if following is not None:
+            assert len(sizes) == 3 or sum(sizes) + following[0] > 12
     labels = probs.argmax(axis=1)
     for graph_id, graph in enumerate(graphs):
         alone = predict_probs(model, [graph])[0]
