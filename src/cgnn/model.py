@@ -27,9 +27,11 @@ CHECKPOINT_VERSION = 1
 
 POOLING_KINDS = ("avg", "max", "sum")
 
-# predict_probs closes a batch at this many vertex rows; a longer graph
-# goes alone. It bounds the (rows, p) feature matrix and the cached
+# predict_probs closes a batch at BATCH_GRAPHS graphs, or before the next
+# graph would take it past BATCH_ROWS vertex rows; a longer graph goes
+# alone. The row cap bounds the (rows, p) feature matrix and the cached
 # activations of one inference batch.
+BATCH_GRAPHS = 256
 BATCH_ROWS = 8192
 
 
@@ -204,16 +206,17 @@ def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
         raise DimsMismatch(
             f"batch has feature length {batch.features.shape[1]}, "
             f"model expects {dims.p}")
-    x = batch.features.astype(model.W.dtype, copy=False)
+    dtype = model.W.dtype
+    x = batch.features.astype(dtype, copy=False)
+    if dims.standardize:
+        x = x / dtype.type(255)
+
     cache = ForwardCache()
     # Overflow to inf, and the inf * 0 it meets in propagation, are
     # tolerated here; fc_softmax and the training loop convert any
     # non-finite outcome into a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer, (theta, hops) in enumerate(zip(model.thetas,
-                                                  dims.layer_hops)):
-            if layer == 0 and dims.standardize:
-                theta = theta / theta.dtype.type(255)  # bytes to [0, 1]
+        for theta, hops in zip(model.thetas, dims.layer_hops):
             pre_act = sgc_layer(batch.prop, x, theta, hops)
             cache.hop_inputs.append(x)
             cache.pre_acts.append(pre_act)
@@ -225,16 +228,16 @@ def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
     return cache
 
 
-def predict_probs(model: CgnnModel, graphs: list[ChainedGraph],
-                  batch_size: int = 256) -> np.ndarray:
+def predict_probs(model: CgnnModel,
+                  graphs: list[ChainedGraph]) -> np.ndarray:
     """Class distributions for a list of graphs, shape (len(graphs), m):
-    row i belongs to graphs[i]. A batch holds at most batch_size graphs
+    row i belongs to graphs[i]. A batch holds at most BATCH_GRAPHS graphs
     and, unless one graph alone is longer, at most BATCH_ROWS vertices."""
     parts = []
     start = 0
     while start < len(graphs):
         stop, rows = start + 1, graphs[start].n
-        while (stop < len(graphs) and stop - start < batch_size
+        while (stop < len(graphs) and stop - start < BATCH_GRAPHS
                and rows + graphs[stop].n <= BATCH_ROWS):
             rows += graphs[stop].n
             stop += 1

@@ -84,8 +84,6 @@ def backward(model: CgnnModel, batch: BatchedGraph,
     grads = [*dthetas, d_w, d_b]
     for grad in grads:
         grad *= 1 / GRAD_SCALE
-    if dims.standardize:  # forward used theta_1 / 255
-        grads[0] *= 1 / 255
     return grads
 
 
@@ -182,12 +180,12 @@ class TrainReport:
     val_accuracies: list[float] = field(default_factory=list)
 
 
-def evaluate(model: CgnnModel, graphs: list[ChainedGraph],
-             batch_size: int = 256) -> tuple[float, float]:
+def evaluate(model: CgnnModel,
+             graphs: list[ChainedGraph]) -> tuple[float, float]:
     """Mean cross entropy and accuracy over a whole list of graphs."""
     if not graphs:
         raise EmptyDataset("cannot evaluate zero graphs")
-    probs = predict_probs(model, graphs, batch_size)
+    probs = predict_probs(model, graphs)
     labels = np.array([g.label for g in graphs], dtype=np.int64)
     correct = int((probs.argmax(axis=1) == labels).sum())
     return cross_entropy(probs, labels), correct / len(graphs)

@@ -8,6 +8,8 @@ import struct
 import numpy as np
 import pytest
 
+import cgnn.model
+
 from cgnn.errors import (BadMagic, ConfigError, CorruptLength, DimsMismatch,
                          EmptySegment, NonFiniteInput, ShapeMismatch,
                          VersionMismatch)
@@ -313,12 +315,14 @@ def test_forward_cache_holds_layer_intermediates(rng):
     assert cache.pool_winners is None
 
 
-def test_predict_probs_and_labels(rng):
+def test_predict_probs_and_labels(rng, monkeypatch):
     model = init_model(TINY_DIMS, seed=0)
     graphs = random_graphs(rng, 10, p=6)
-    probs = predict_probs(model, graphs, batch_size=3)
+    monkeypatch.setattr(cgnn.model, "BATCH_GRAPHS", 3)
+    probs = predict_probs(model, graphs)
     assert probs.shape == (10, 2)
-    whole = predict_probs(model, graphs, batch_size=100)
+    monkeypatch.setattr(cgnn.model, "BATCH_GRAPHS", 100)
+    whole = predict_probs(model, graphs)
     assert np.abs(probs - whole).max() <= 1e-6
 
 

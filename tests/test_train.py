@@ -470,9 +470,10 @@ def test_predict_numbers_graphs_across_batches(rng, monkeypatch):
         batches.append([g.n for g in chunk])
         return batch_graphs(chunk)
 
+    monkeypatch.setattr(cgnn.model, "BATCH_GRAPHS", 3)
     monkeypatch.setattr(cgnn.model, "BATCH_ROWS", 12)
     monkeypatch.setattr(cgnn.model, "batch_graphs", counting_batch)
-    probs = predict_probs(model, graphs, batch_size=3)
+    probs = predict_probs(model, graphs)
     monkeypatch.undo()
     # Batches keep graph order, hold at most 3 graphs and 12 rows (a
     # longer graph goes alone), and close only when the next graph
