@@ -141,18 +141,15 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _ingest_file(path: Path, label: int, cfg: RunConfig):
-    try:
-        pcap = parse_pcap(path.read_bytes())
-        graphs, _, stats = graphs_from_records(
-            pcap.records, label, cfg.p, cfg.fraction, cfg.drop_dns)
-    except CgnnError as exc:
-        raise type(exc)(f"{path}: {exc}")
+def _ingest_capture(path: Path, label: int, p: int, cfg: RunConfig):
+    """Graphs, session keys and stats of one capture file. The parsed
+    records are released when this returns."""
+    pcap = parse_pcap(path.read_bytes())
     if pcap.truncated:
         print(f"warning: {path} ends mid-record; kept what parsed",
               file=sys.stderr)
-    stats.files = 1
-    return graphs, stats
+    return graphs_from_records(pcap.records, label, p, cfg.fraction,
+                               cfg.drop_dns)
 
 
 def cmd_preprocess(args) -> int:
@@ -169,7 +166,11 @@ def cmd_preprocess(args) -> int:
     per_label = [IngestStats() for _ in labels]
     for label_id, name in enumerate(labels):
         for path in sorted((root / name).glob("*.pcap")):
-            graphs, stats = _ingest_file(path, label_id, cfg)
+            try:
+                graphs, _, stats = _ingest_capture(path, label_id, cfg.p, cfg)
+            except CgnnError as exc:
+                raise type(exc)(f"{path}: {exc}")
+            stats.files = 1
             all_graphs.extend(graphs)
             per_label[label_id].add(stats)
 
@@ -283,12 +284,7 @@ def cmd_predict(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     model = checkpoint.model
     pcap_path = Path(args.pcap)
-    pcap = parse_pcap(pcap_path.read_bytes())
-    if pcap.truncated:
-        print(f"warning: {pcap_path} ends mid-record; kept what parsed",
-              file=sys.stderr)
-    graphs, keys, stats = graphs_from_records(
-        pcap.records, 0, model.dims.p, cfg.fraction, cfg.drop_dns)
+    graphs, keys, stats = _ingest_capture(pcap_path, 0, model.dims.p, cfg)
     if not graphs:
         raise NoSessions(f"no sessions survived cleaning in {pcap_path} "
                          f"({stats.describe()})")

@@ -97,8 +97,8 @@ def parse_dataset(data: bytes) -> Dataset:
         n = r.u32()
         if n == 0:
             raise CorruptLength(f"graph {i} has zero vertices")
-        features = np.frombuffer(r.raw(n * p),
-                                 dtype=np.uint8).reshape(n, p).copy()
+        # a read-only view into the file bytes, which it keeps alive
+        features = np.frombuffer(r.raw(n * p), dtype=np.uint8).reshape(n, p)
         graphs.append(ChainedGraph(features=features, label=label))
     r.expect_end()
     return Dataset(graphs=graphs, label_names=label_names, p=p)

@@ -55,16 +55,6 @@ def truncate_graph(graph: ChainedGraph,
     return ChainedGraph(features=graph.features[:keep], label=graph.label)
 
 
-def _chain_degrees(n: int) -> np.ndarray:
-    """Self-loop-augmented degrees of a chain: 1 for a single vertex,
-    otherwise 2 at the endpoints and 3 inside."""
-    if n == 1:
-        return np.ones(1, dtype=np.float64)
-    deg = np.full(n, 3.0, dtype=np.float64)
-    deg[0] = deg[-1] = 2.0
-    return deg
-
-
 @dataclass
 class ChainPropagation:
     """Symmetrically normalized propagation over one or more chains.
@@ -79,26 +69,23 @@ class ChainPropagation:
     off: np.ndarray  # (N-1,) float64, zero where two graphs meet
 
     @classmethod
-    def for_chain(cls, n: int) -> "ChainPropagation":
-        if n <= 0:
-            raise ValueError(f"chain length must be positive, got {n}")
-        deg = _chain_degrees(n)
-        diag = 1.0 / deg
-        off = 1.0 / np.sqrt(deg[:-1] * deg[1:])
-        return cls(diag=diag, off=off)
-
-    @classmethod
     def for_batch(cls, lengths: Sequence[int]) -> "ChainPropagation":
-        parts = [cls.for_chain(int(n)) for n in lengths]
-        if not parts:
+        """Propagation over consecutive chains of the given lengths. The
+        self-loop-augmented degree is 3 inside a chain, 2 at its ends and
+        1 for a single vertex."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if not lengths.size:
             raise EmptyDataset("no graphs to build a propagation matrix for")
-        diag = np.concatenate([part.diag for part in parts])
-        off = np.zeros(diag.size - 1, dtype=np.float64)
-        pos = 0
-        for part in parts:
-            off[pos:pos + part.off.size] = part.off
-            pos += part.off.size + 1  # leave a zero between graphs
-        return cls(diag=diag, off=off)
+        if lengths.min() <= 0:
+            raise ValueError(f"chain lengths must be positive, got "
+                             f"{lengths.min()}")
+        ends = np.cumsum(lengths)
+        deg = np.full(ends[-1], 3.0, dtype=np.float64)
+        deg[ends - lengths] -= 1.0
+        deg[ends - 1] -= 1.0
+        off = 1.0 / np.sqrt(deg[:-1] * deg[1:])
+        off[ends[:-1] - 1] = 0.0  # two graphs meet here
+        return cls(diag=1.0 / deg, off=off)
 
     @property
     def n(self) -> int:
@@ -131,7 +118,7 @@ class ChainPropagation:
 
 def propagation_matrix(n: int) -> np.ndarray:
     """Dense propagation matrix of a single chain with n vertices."""
-    return ChainPropagation.for_chain(n).dense()
+    return ChainPropagation.for_batch([n]).dense()
 
 
 @dataclass

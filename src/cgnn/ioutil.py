@@ -62,17 +62,18 @@ class ByteWriter:
 
 
 class ByteReader:
-    """Walks a byte string, raising CorruptLength on any overrun."""
+    """Walks a byte string, raising CorruptLength on any overrun. raw()
+    returns a view into the string, not a copy."""
 
     def __init__(self, data: bytes) -> None:
-        self._data = data
+        self._data = memoryview(data)
         self._pos = 0
 
     @property
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
-    def raw(self, count: int) -> bytes:
+    def raw(self, count: int) -> memoryview:
         if count < 0 or count > self.remaining:
             raise CorruptLength(
                 f"need {count} bytes at offset {self._pos}, "
@@ -88,7 +89,7 @@ class ByteReader:
     def utf8(self) -> str:
         data = self.raw(self.u32())
         try:
-            return data.decode("utf-8")
+            return str(data, "utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptLength(f"string field is not valid UTF-8: {exc}")
 

@@ -32,8 +32,6 @@ UDP_PAD = b"\x00" * (TCP_HEADER_LEN - UDP_HEADER_LEN)
 
 DNS_PORT = 53
 
-DEFAULT_FEATURE_LEN = 1500
-
 
 @dataclass(frozen=True, order=True)
 class FiveTuple:
@@ -177,37 +175,24 @@ def vectorize(data: bytes, p: int) -> np.ndarray:
     return out
 
 
-def clean_packet(record: PcapRecord | bytes,
-                 p: int = DEFAULT_FEATURE_LEN) -> np.ndarray | None:
-    """Clean one captured frame and fix it to p feature bytes, a uint8
-    vector of shape (p,).
-
-    Returns None when the packet is discarded (no transport payload) or
-    is not an IPv4 TCP/UDP frame at all; raises DecodeError when headers
-    are malformed.
-    """
-    frame = record.data if isinstance(record, PcapRecord) else record
-    packet = decode_frame(frame)
-    if packet is None:
-        return None
-    cleaned = clean_bytes(packet)
-    if cleaned is None:
-        return None
-    return vectorize(cleaned, p)
-
-
 @dataclass
 class SessionSplit:
-    """Records grouped by canonical 5-tuple, plus skip counters."""
+    """Cleaned packets grouped by canonical 5-tuple, plus drop counters.
 
-    sessions: dict[FiveTuple, list[PcapRecord]] = field(default_factory=dict)
+    Each session maps to its cleaned packets in file order; a session
+    whose packets all carried no payload maps to an empty list.
+    """
+
+    sessions: dict[FiveTuple, list[bytes]] = field(default_factory=dict)
     skipped: int = 0  # non-IPv4, non-TCP/UDP, fragments, malformed
     dropped_dns: int = 0
+    discarded_empty: int = 0  # packets with no transport payload
 
 
 def split_sessions(records: Iterable[PcapRecord], *,
                    drop_dns: bool = False) -> SessionSplit:
-    """Group records into bidirectional sessions, preserving file order.
+    """Decode and clean every record once, grouping the cleaned packets
+    into bidirectional sessions in file order.
 
     Frames that cannot join a session (non-IPv4, non-TCP/UDP, fragments,
     malformed headers) are counted as skipped rather than raising. With
@@ -218,8 +203,7 @@ def split_sessions(records: Iterable[PcapRecord], *,
         try:
             packet = decode_frame(record.data)
         except DecodeError:
-            split.skipped += 1
-            continue
+            packet = None  # malformed headers
         if packet is None:
             split.skipped += 1
             continue
@@ -227,9 +211,13 @@ def split_sessions(records: Iterable[PcapRecord], *,
         if drop_dns and DNS_PORT in (key.port_a, key.port_b):
             split.dropped_dns += 1
             continue
-        split.sessions.setdefault(key, []).append(record)
+        session = split.sessions.setdefault(key, [])
+        cleaned = clean_bytes(packet)
+        if cleaned is None:
+            split.discarded_empty += 1
+        else:
+            session.append(cleaned)
     return split
-
 
 
 @dataclass
@@ -263,21 +251,20 @@ def graphs_from_records(records: list[PcapRecord], label: int, p: int,
                                    IngestStats]:
     """Full ingest of parsed records: sessions, cleaning, graphs."""
     split = split_sessions(records, drop_dns=drop_dns)
-    stats = IngestStats(skipped=split.skipped, dropped_dns=split.dropped_dns)
+    stats = IngestStats(skipped=split.skipped, dropped_dns=split.dropped_dns,
+                        discarded_empty=split.discarded_empty)
     graphs: list[ChainedGraph] = []
     keys: list[FiveTuple] = []
-    for key, session in split.sessions.items():
-        cleaned = []
-        for record in session:
-            packet = clean_packet(record, p)
-            if packet is None:
-                stats.discarded_empty += 1
-            else:
-                cleaned.append(packet)
+    sessions = split.sessions
+    for key in list(sessions):
+        # popped so each session's cleaned bytes are freed once its
+        # graph is built, not held until the whole capture is done
+        cleaned = sessions.pop(key)
         if not cleaned:
             stats.dropped_sessions += 1
             continue
-        graph = truncate_graph(build_chain_graph(cleaned, label), fraction)
+        graph = truncate_graph(build_chain_graph(
+            [vectorize(packet, p) for packet in cleaned], label), fraction)
         graphs.append(graph)
         keys.append(key)
         stats.sessions += 1

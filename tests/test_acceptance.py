@@ -19,8 +19,8 @@ from cgnn.graph import (ChainedGraph, batch_graphs, propagation_matrix,
                         split_dataset)
 from cgnn.model import (ModelDims, forward, init_model, load_checkpoint,
                         predict_probs, save_checkpoint)
-from cgnn.preprocess import clean_bytes, clean_packet, decode_frame, \
-    split_sessions, vectorize
+from cgnn.preprocess import clean_bytes, decode_frame, \
+    graphs_from_records, split_sessions, vectorize
 from cgnn.train import TrainConfig, backward, evaluate, fit
 
 from conftest import (arp_frame, random_graphs, records_of,
@@ -146,13 +146,16 @@ def test_criterion_5_golden_capture_cleaning(capsys):
     checks.append(len(split.sessions) == 1)
     checks.append(split.skipped == 1)
     session = next(iter(split.sessions.values()))
-    checks.append([r.data for r in session] == frames[:3])
-    vector = clean_packet(session[0], p=200)
+    checks.append(session == [clean_bytes(decode_frame(f))
+                              for f in frames[:3]])
+    graphs, _, _ = graphs_from_records(records_of(frames), 0, 200)
+    checks.append(len(graphs) == 1)
+    vectors = graphs[0].features
     expected = vectorize(expected_tcp_clean(payload), 200)
     # expected_tcp_clean assumes the default ports, so rebuild for 50000.
     raw = bytearray(clean_bytes(decode_frame(frames[0])))
-    checks.append(np.array_equal(vector, vectorize(bytes(raw), 200)))
-    checks.append(vector.shape == (200,) and vector.dtype == np.uint8)
+    checks.append(np.array_equal(vectors[0], vectorize(bytes(raw), 200)))
+    checks.append(vectors.shape == (3, 200) and vectors.dtype == np.uint8)
     checks.append(expected.shape == (200,))
 
     ok = all(checks)

@@ -12,6 +12,7 @@ from cgnn.dataset import (DATASET_MAGIC, Dataset, load_dataset, parse_dataset,
 from cgnn.errors import (BadMagic, CorruptLength, LabelOutOfRange,
                          MixedFeatureWidth, VersionMismatch)
 from cgnn.graph import ChainedGraph
+from cgnn.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 
 from conftest import random_graphs
 
@@ -69,6 +70,18 @@ def test_save_and_load_file(tmp_path):
     assert path.read_bytes() == data.to_bytes()
     loaded = load_dataset(path)
     assert loaded.to_bytes() == data.to_bytes()
+
+
+def test_load_views_features_and_copies_weights(tmp_path):
+    path = tmp_path / "sample.cgd1"
+    save_dataset(small_dataset(), path)
+    for graph in load_dataset(path).graphs:
+        assert not graph.features.flags.owndata
+        assert not graph.features.flags.writeable
+    model = init_model(ModelDims(p=4, d1=3, d2=2, m=2), seed=0)
+    save_checkpoint(model, ["chat", "mail"], tmp_path / "model.cgm1")
+    for weights in load_checkpoint(tmp_path / "model.cgm1").model.params():
+        assert weights.flags.writeable  # a view of the bytes would not be
 
 
 def test_fuzz_round_trip_bit_exact(rng):

@@ -65,7 +65,7 @@ def test_tridiagonal_structure():
 
 def test_apply_equals_dense_multiply(rng):
     for n in (1, 2, 5, 10):
-        prop = ChainPropagation.for_chain(n)
+        prop = ChainPropagation.for_batch([n])
         x = rng.standard_normal((n, 4))
         dense = prop.dense()
         for hops in (1, 2, 3):
@@ -74,19 +74,23 @@ def test_apply_equals_dense_multiply(rng):
 
 
 def test_apply_rejects_wrong_row_count():
-    prop = ChainPropagation.for_chain(3)
+    prop = ChainPropagation.for_batch([3])
     with pytest.raises(ShapeMismatch):
         prop.apply(np.zeros((4, 2)))
 
 
 def test_batched_propagation_is_block_diagonal():
-    prop = ChainPropagation.for_batch([2, 3])
-    dense = prop.dense()
-    assert dense.shape == (5, 5)
-    assert dense[1, 2] == 0.0 and dense[2, 1] == 0.0
-    assert np.array_equal(dense[:2, :2], propagation_matrix(2))
-    assert np.array_equal(dense[2:, 2:], propagation_matrix(3))
-    assert (dense[:2, 2:] == 0).all() and (dense[2:, :2] == 0).all()
+    # the second batch puts single-vertex graphs first, inside and last
+    for lengths in ([2, 3], [1, 4, 1, 1, 3, 1]):
+        dense = ChainPropagation.for_batch(lengths).dense()
+        assert dense.shape == (sum(lengths), sum(lengths))
+        start = 0
+        for n in lengths:
+            block = slice(start, start + n)
+            assert np.array_equal(dense[block, block], propagation_matrix(n))
+            assert (dense[block, :start] == 0).all()
+            assert (dense[block, start + n:] == 0).all()
+            start += n
 
 
 def test_batch_propagation_rejects_empty():

@@ -118,14 +118,14 @@ def test_relu_basics():
 
 
 def test_sgc_layer_single_vertex_is_plain_matmul():
-    prop = ChainPropagation.for_chain(1)
+    prop = ChainPropagation.for_batch([1])
     x = np.array([[1.0, 2.0]])
     theta = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     assert sgc_layer(prop, x, theta).tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_sgc_layer_two_vertices_averages():
-    prop = ChainPropagation.for_chain(2)
+    prop = ChainPropagation.for_batch([2])
     x = np.array([[2.0, 0.0], [0.0, 2.0]])
     out = sgc_layer(prop, x, np.eye(2))
     assert out.tolist() == [[1.0, 1.0], [1.0, 1.0]]
@@ -133,7 +133,7 @@ def test_sgc_layer_two_vertices_averages():
 
 def test_sgc_layer_two_hops_matches_dense(rng):
     from test_graph import dense_propagation_oracle
-    prop = ChainPropagation.for_chain(3)
+    prop = ChainPropagation.for_batch([3])
     x = rng.standard_normal((3, 4))
     theta = rng.standard_normal((4, 2))
     expected = np.linalg.matrix_power(
@@ -142,7 +142,7 @@ def test_sgc_layer_two_hops_matches_dense(rng):
 
 
 def test_sgc_layer_rejects_width_mismatch():
-    prop = ChainPropagation.for_chain(2)
+    prop = ChainPropagation.for_batch([2])
     with pytest.raises(ShapeMismatch):
         sgc_layer(prop, np.zeros((2, 3)), np.zeros((4, 2)))
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import cgnn.preprocess
 from cgnn.errors import DecodeError
-from cgnn.preprocess import (FiveTuple, clean_packet, decode_frame,
-                             clean_bytes, split_sessions, vectorize)
+from cgnn.preprocess import (FiveTuple, decode_frame, clean_bytes,
+                             graphs_from_records, split_sessions, vectorize)
 
 from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, records_of,
                       tcp, tcp_frame, udp_frame)
@@ -85,7 +86,9 @@ def test_udp_header_padded_to_twenty_bytes():
 def test_empty_tcp_payload_is_discarded():
     syn = tcp_frame(b"", flags=0x02)
     assert clean_bytes(decode_frame(syn)) is None
-    assert clean_packet(syn, 32) is None
+    graphs, _, stats = graphs_from_records(records_of([syn]), 0, 32)
+    assert graphs == []
+    assert stats.discarded_empty == 1 and stats.dropped_sessions == 1
 
 
 def test_empty_udp_payload_is_discarded():
@@ -123,8 +126,14 @@ def test_ip_options_kept_and_addresses_zeroed():
     assert cleaned[20:24] == options
 
 
+def _only_row(frame: bytes, p: int) -> np.ndarray:
+    (graph,), _, _ = graphs_from_records(records_of([frame]), 0, p)
+    assert graph.n == 1
+    return graph.features[0]
+
+
 def test_clean_packet_returns_fixed_length_vector():
-    packet = clean_packet(tcp_frame(PAYLOAD), 32)
+    packet = _only_row(tcp_frame(PAYLOAD), 32)
     assert isinstance(packet, np.ndarray)
     assert packet.shape == (32,)
     assert packet.dtype == np.uint8
@@ -132,7 +141,7 @@ def test_clean_packet_returns_fixed_length_vector():
 
 
 def test_clean_packet_pads_to_p():
-    packet = clean_packet(tcp_frame(b"a"), 128)
+    packet = _only_row(tcp_frame(b"a"), 128)
     cleaned = expected_tcp_clean(b"a")
     assert bytes(packet) == cleaned + b"\x00" * (128 - len(cleaned))
 
@@ -141,7 +150,8 @@ def test_clean_packet_pads_to_p():
 
 def test_non_ipv4_frames_skipped():
     assert decode_frame(arp_frame()) is None
-    assert clean_packet(arp_frame(), 16) is None
+    graphs, _, stats = graphs_from_records(records_of([arp_frame()]), 0, 16)
+    assert graphs == [] and stats.skipped == 1
     ipv6 = ethernet(b"\x60" + b"\x00" * 50, ethertype=0x86DD)
     assert decode_frame(ipv6) is None
 
@@ -217,9 +227,10 @@ def test_session_order_preserved():
         tcp_frame(b"b2", sport=40001, dport=443),
     ]
     split = split_sessions(records_of(frames))
+    cleaned = [clean_bytes(decode_frame(f)) for f in frames]
     sessions = list(split.sessions.values())
-    assert [r.data for r in sessions[0]] == [frames[0], frames[2]]
-    assert [r.data for r in sessions[1]] == [frames[1], frames[3]]
+    assert sessions[0] == [cleaned[0], cleaned[2]]
+    assert sessions[1] == [cleaned[1], cleaned[3]]
 
 
 def test_drop_dns_flag():
@@ -237,3 +248,24 @@ def test_five_tuple_canonical_is_direction_free():
     reverse_key = FiveTuple.canonical(IP_B, 80, IP_A, 40000, 6)
     assert forward_key == reverse_key
     assert str(forward_key) == "10.0.0.1:40000-10.0.0.2:80/tcp"
+
+
+def test_ingest_decodes_each_frame_once(monkeypatch):
+    frames = [tcp_frame(b"a1"), udp_frame(b"u1"), arp_frame(),
+              b"\x00" * 8, udp_frame(b"\x12\x34", dport=53),
+              tcp_frame(b"", flags=0x02), tcp_frame(b"a2"),
+              udp_frame(b"")]
+    calls = []
+    decode = cgnn.preprocess.decode_frame
+
+    def spy(frame):
+        calls.append(frame)
+        return decode(frame)
+
+    monkeypatch.setattr(cgnn.preprocess, "decode_frame", spy)
+    graphs, _, stats = graphs_from_records(records_of(frames), 0, 64,
+                                           drop_dns=True)
+    assert calls == frames
+    assert [g.n for g in graphs] == [2, 1]
+    assert (stats.skipped, stats.dropped_dns, stats.discarded_empty) \
+        == (2, 1, 2)

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgnn.cli import RunConfig, format_config, parse_config_text
 from cgnn.dataset import Dataset, parse_dataset
+from cgnn.errors import CgnnError
 from cgnn.graph import ChainedGraph, truncate_graph
-from cgnn.model import softmax
+from cgnn.model import (ModelDims, init_model, parse_checkpoint,
+                        save_checkpoint, softmax)
 from cgnn.pcap import PcapFile, PcapRecord, parse_pcap
-from cgnn.preprocess import FiveTuple, vectorize
+from cgnn.preprocess import FiveTuple, graphs_from_records, vectorize
+
+from conftest import (arp_frame, pcap_bytes, random_graphs, records_of,
+                      tcp_frame, udp_frame)
 
 # Text that survives a UTF-8 round trip (no surrogates).
 utf8_text = st.text(
@@ -108,3 +117,67 @@ def test_truncation_keeps_a_leading_ceil_fraction(n, fraction):
     kept = truncate_graph(graph, fraction).n
     assert kept == math.ceil(fraction * n)
     assert 1 <= kept <= n
+
+
+# --- parser robustness ------------------------------------------------------
+
+@functools.cache
+def _valid_dataset() -> bytes:
+    graphs = random_graphs(np.random.default_rng(3), 4, p=6, max_n=3)
+    return Dataset(graphs=graphs, label_names=["a", "b"], p=6).to_bytes()
+
+
+@functools.cache
+def _valid_checkpoint() -> bytes:
+    model = init_model(ModelDims(p=5, d1=3, d2=2, m=2), seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.cgm1"
+        save_checkpoint(model, ["a", "b"], path)
+        return path.read_bytes()
+
+
+@functools.cache
+def _valid_capture() -> bytes:
+    return pcap_bytes([tcp_frame(b"hello"), udp_frame(b"ping", dport=53),
+                       arp_frame(), tcp_frame(b"", flags=0x02),
+                       udp_frame(b"pong")])
+
+
+def _ingest(raw: bytes):
+    return graphs_from_records(parse_pcap(raw).records, 0, 64, drop_dns=True)
+
+
+def _ingest_frame(raw: bytes):
+    return graphs_from_records(records_of([raw]), 0, 64)
+
+
+def _mangle(valid: bytes, flips: list[tuple[int, int]], cut: int) -> bytes:
+    out = bytearray(valid)
+    for pos, mask in flips:
+        out[pos] ^= mask
+    return bytes(out[:cut])
+
+
+@pytest.mark.parametrize("parse, valid", [
+    (parse_dataset, _valid_dataset),
+    (parse_checkpoint, _valid_checkpoint),
+    (_ingest, _valid_capture),
+    (_ingest_frame, lambda: tcp_frame(b"hello", tcp_options=b"\x01" * 4)),
+], ids=["dataset", "checkpoint", "pcap", "frame"])
+@given(data=st.data())
+@settings(deadline=None, max_examples=150)
+def test_parsers_return_a_value_or_raise_cgnn_error(parse, valid, data):
+    """Arbitrary bytes, or a valid file with bytes flipped and cut at
+    random offsets: the parser returns or raises CgnnError, nothing
+    else."""
+    good = valid()
+    raw = data.draw(st.one_of(
+        st.binary(max_size=512),
+        st.builds(_mangle, st.just(good),
+                  st.lists(st.tuples(st.integers(0, len(good) - 1),
+                                     st.integers(1, 255)), max_size=4),
+                  st.integers(0, len(good)))))
+    try:
+        parse(raw)
+    except CgnnError:
+        pass
