@@ -25,7 +25,7 @@ from .ioutil import atomic_write_bytes
 from .metrics import classification_report, format_report, write_heatmap_csv
 from .model import (CHECKPOINT_MAGIC, ModelDims, load_checkpoint,
                     parse_checkpoint, predict_probs, save_checkpoint)
-from .pcap import parse_pcap
+from .pcap import walk_pcap
 from .preprocess import IngestStats, graphs_from_records
 from .train import TrainConfig, fit
 
@@ -142,14 +142,13 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _ingest_capture(path: Path, label: int, p: int, cfg: RunConfig):
-    """Graphs, session keys and stats of one capture file. The parsed
-    records are released when this returns."""
-    pcap = parse_pcap(path.read_bytes())
-    if pcap.truncated:
+    """Graphs, session keys and stats of one capture file. The capture
+    bytes are released when this returns."""
+    table = walk_pcap(path.read_bytes())
+    if table.truncated:
         print(f"warning: {path} ends mid-record; kept what parsed",
               file=sys.stderr)
-    return graphs_from_records(pcap.records, label, p, cfg.fraction,
-                               cfg.drop_dns)
+    return graphs_from_records(table, label, p, cfg.fraction, cfg.drop_dns)
 
 
 def cmd_preprocess(args) -> int:

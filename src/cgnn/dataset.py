@@ -13,15 +13,17 @@ Little-endian layout:
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .errors import (BadMagic, CorruptLength, LabelOutOfRange,
                      MixedFeatureWidth, VersionMismatch)
 from .graph import ChainedGraph
-from .ioutil import ByteReader, ByteWriter, atomic_write_bytes
+from .ioutil import ByteReader, ByteWriter, atomic_write
 
 DATASET_MAGIC = b"CGD1"
 DATASET_VERSION = 1
@@ -50,9 +52,11 @@ class Dataset:
                     f"graph {i} has label {graph.label}, dataset has "
                     f"{self.num_classes} classes")
 
-    def to_bytes(self) -> bytes:
+    def write(self, handle: BinaryIO) -> None:
+        """Serialize to a binary handle, each graph's feature buffer
+        written as it is, without an intermediate copy."""
         self.validate()
-        w = ByteWriter()
+        w = ByteWriter(handle)
         w.raw(DATASET_MAGIC)
         w.u32(DATASET_VERSION)
         w.u32(self.p)
@@ -63,13 +67,18 @@ class Dataset:
         for graph in self.graphs:
             w.u32(graph.label)
             w.u32(graph.n)
-            w.raw(np.ascontiguousarray(graph.features,
-                                       dtype=np.uint8).tobytes())
-        return w.getvalue()
+            w.raw(np.ascontiguousarray(graph.features, dtype=np.uint8))
+
+    def to_bytes(self) -> bytes:
+        buf = io.BytesIO()
+        self.write(buf)
+        return buf.getvalue()
 
 
 def save_dataset(dataset: Dataset, path: Path | str) -> None:
-    atomic_write_bytes(path, dataset.to_bytes())
+    """Stream the dataset into a temporary file renamed over path."""
+    with atomic_write(path) as handle:
+        dataset.write(handle)
 
 
 def parse_dataset(data: bytes) -> Dataset:

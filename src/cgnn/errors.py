@@ -13,14 +13,6 @@ class UnsupportedLinkType(CgnnError):
     """Capture link type is not Ethernet."""
 
 
-class DecodeError(CgnnError):
-    """Frame header is shorter than its declared length."""
-
-
-class EmptySession(CgnnError):
-    """A session with zero packets cannot become a graph."""
-
-
 class MixedFeatureWidth(CgnnError):
     """Graphs in one batch must share the feature width."""
 

@@ -15,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, EmptySession, MixedFeatureWidth, \
-    ShapeMismatch
+from .errors import EmptyDataset, MixedFeatureWidth, ShapeMismatch
 
 
 @dataclass
@@ -33,15 +32,6 @@ class ChainedGraph:
     @property
     def p(self) -> int:
         return self.features.shape[1]
-
-
-def build_chain_graph(packets: Sequence[np.ndarray],
-                      label: int) -> ChainedGraph:
-    """One graph from a session's cleaned (p,) packet vectors: row i =
-    packet i."""
-    if not packets:
-        raise EmptySession("cannot build a graph from zero packets")
-    return ChainedGraph(features=np.stack(packets), label=label)
 
 
 def truncate_graph(graph: ChainedGraph,

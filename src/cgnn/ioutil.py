@@ -10,22 +10,27 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from .errors import CorruptLength
 
 
-def atomic_write_bytes(path: Path | str, data: bytes) -> None:
-    """Write data to path via a temporary file and an atomic rename."""
+@contextmanager
+def atomic_write(path: Path | str) -> Iterator[BinaryIO]:
+    """A binary handle on a temporary sibling of path, renamed over path
+    when the block ends without an exception and deleted when it
+    raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                     prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -35,30 +40,34 @@ def atomic_write_bytes(path: Path | str, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: Path | str, data: bytes) -> None:
+    """Write data to path via a temporary file and an atomic rename."""
+    with atomic_write(path) as handle:
+        handle.write(data)
+
+
 class ByteWriter:
-    """Accumulates little-endian fields into one byte string."""
+    """Writes little-endian fields to a binary handle."""
 
-    def __init__(self) -> None:
-        self._buf = bytearray()
+    def __init__(self, handle: BinaryIO) -> None:
+        self._handle = handle
 
-    def raw(self, data: bytes) -> None:
-        self._buf += data
+    def raw(self, data) -> None:
+        """Any C-contiguous buffer: bytes, or a uint8 array unconverted."""
+        self._handle.write(data)
 
     def u32(self, value: int) -> None:
         if not 0 <= value <= 0xFFFFFFFF:
             raise ValueError(f"value {value} does not fit in u32")
-        self._buf += struct.pack("<I", value)
+        self._handle.write(struct.pack("<I", value))
 
     def utf8(self, text: str) -> None:
         data = text.encode("utf-8")
         self.u32(len(data))
-        self._buf += data
+        self._handle.write(data)
 
     def f32_array(self, arr: np.ndarray) -> None:
-        self._buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buf)
+        self._handle.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 class ByteReader:

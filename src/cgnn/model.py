@@ -11,6 +11,7 @@ dimensions, the label names, and the float32 weights.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -254,7 +255,8 @@ def save_checkpoint(model: CgnnModel, label_names: list[str],
         raise DimsMismatch(
             f"{len(label_names)} label names for {model.dims.m} classes")
     dims = model.dims
-    w = ByteWriter()
+    buf = io.BytesIO()
+    w = ByteWriter(buf)
     w.raw(CHECKPOINT_MAGIC)
     w.u32(CHECKPOINT_VERSION)
     for value in (dims.p, dims.d1, dims.d2, dims.m, dims.layers,
@@ -266,7 +268,7 @@ def save_checkpoint(model: CgnnModel, label_names: list[str],
         w.utf8(name)
     for arr in model.params():
         w.f32_array(arr)
-    atomic_write_bytes(path, w.getvalue())
+    atomic_write_bytes(path, buf.getvalue())
 
 
 @dataclass

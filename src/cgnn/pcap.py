@@ -10,6 +10,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BadMagic, UnsupportedLinkType
 
 MAGIC_MICROS = 0xA1B2C3D4
@@ -57,12 +59,26 @@ class PcapFile:
         return b"".join(out)
 
 
-def parse_pcap(file_bytes: bytes) -> PcapFile:
-    """Decode a classic pcap byte string into records, in file order.
+@dataclass
+class RecordTable:
+    """Where each frame of a capture sits in its bytes, as int64 columns;
+    no frame is copied."""
+
+    data: bytes
+    starts: np.ndarray  # offset of each frame's first byte in data
+    lengths: np.ndarray  # captured length of each frame
+    truncated: bool  # the file ended mid-record
+    snaplen: int
+    nanosecond: bool
+    big_endian: bool
+
+
+def walk_pcap(file_bytes: bytes) -> RecordTable:
+    """Find every record of a classic pcap byte string, in file order.
 
     Raises BadMagic for unknown magic values and UnsupportedLinkType for
     non-Ethernet captures. A record header that claims more bytes than
-    remain stops parsing; records decoded so far are returned with the
+    remain stops the walk; records found so far are returned with the
     ``truncated`` flag set.
     """
     if len(file_bytes) < GLOBAL_HEADER_LEN:
@@ -87,26 +103,45 @@ def parse_pcap(file_bytes: bytes) -> PcapFile:
     if network != LINKTYPE_ETHERNET:
         raise UnsupportedLinkType(f"link type {network}, expected Ethernet (1)")
 
-    pcap = PcapFile(snaplen=snaplen, nanosecond=nanos, big_endian=big)
+    captured_len = struct.Struct(end + "I").unpack_from
+    starts: list[int] = []
+    lengths: list[int] = []
+    truncated = False
     offset = GLOBAL_HEADER_LEN
     total = len(file_bytes)
     while offset < total:
         if offset + RECORD_HEADER_LEN > total:
-            pcap.truncated = True
+            truncated = True
             break
-        ts_sec, ts_frac, incl_len, orig_len = struct.unpack_from(
-            end + "IIII", file_bytes, offset)
+        (incl_len,) = captured_len(file_bytes, offset + 8)
         offset += RECORD_HEADER_LEN
         # incl_len beyond the snaplen means the stream is desynced or corrupt
         if offset + incl_len > total or (snaplen and incl_len > snaplen):
-            pcap.truncated = True
+            truncated = True
             break
-        pcap.records.append(PcapRecord(
-            ts_sec=ts_sec,
-            ts_frac=ts_frac,
-            captured_len=incl_len,
-            original_len=orig_len,
-            data=file_bytes[offset:offset + incl_len],
-        ))
+        starts.append(offset)
+        lengths.append(incl_len)
         offset += incl_len
-    return pcap
+    return RecordTable(data=file_bytes,
+                       starts=np.array(starts, dtype=np.int64),
+                       lengths=np.array(lengths, dtype=np.int64),
+                       truncated=truncated, snaplen=snaplen,
+                       nanosecond=nanos, big_endian=big)
+
+
+def parse_pcap(file_bytes: bytes) -> PcapFile:
+    """Decode a classic pcap byte string into records, in file order.
+
+    Raises as walk_pcap does; a capture that ends mid-record keeps the
+    records before it and sets ``truncated``.
+    """
+    table = walk_pcap(file_bytes)
+    header = struct.Struct((">" if table.big_endian else "<") + "IIII")
+    records = [PcapRecord(*header.unpack_from(file_bytes,
+                                              start - RECORD_HEADER_LEN),
+                          data=file_bytes[start:start + length])
+               for start, length in zip(table.starts.tolist(),
+                                        table.lengths.tolist())]
+    return PcapFile(records=records, snaplen=table.snaplen,
+                    nanosecond=table.nanosecond,
+                    big_endian=table.big_endian, truncated=table.truncated)

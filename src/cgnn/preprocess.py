@@ -10,14 +10,12 @@ The surviving bytes are cut or zero-padded to a fixed length p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Iterable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DecodeError
-from .graph import ChainedGraph, build_chain_graph, truncate_graph
-from .pcap import PcapRecord
+from .graph import ChainedGraph, truncate_graph
+from .pcap import RecordTable
 
 ETHERNET_HEADER_LEN = 14
 ETHERTYPE_IPV4 = 0x0800
@@ -26,9 +24,7 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 UDP_HEADER_LEN = 8
-TCP_HEADER_LEN = 20
-# zeros appended to a UDP header so both transports occupy 20 bytes
-UDP_PAD = b"\x00" * (TCP_HEADER_LEN - UDP_HEADER_LEN)
+TCP_HEADER_LEN = 20  # a UDP header is zero-padded to this length
 
 DNS_PORT = 53
 
@@ -44,13 +40,6 @@ class FiveTuple:
     port_b: int
     protocol: int
 
-    @classmethod
-    def canonical(cls, src_ip: bytes, src_port: int, dst_ip: bytes,
-                  dst_port: int, protocol: int) -> "FiveTuple":
-        if (src_ip, src_port) <= (dst_ip, dst_port):
-            return cls(src_ip, src_port, dst_ip, dst_port, protocol)
-        return cls(dst_ip, dst_port, src_ip, src_port, protocol)
-
     def __str__(self) -> str:
         name = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(
             self.protocol, str(self.protocol))
@@ -63,174 +52,25 @@ def _dotted(ip: bytes) -> str:
 
 
 @dataclass
-class DecodedPacket:
-    """One IPv4/TCP-or-UDP frame split into the pieces cleaning needs."""
-
-    five_tuple: FiveTuple
-    ip_header: bytes
-    transport: bytes  # whole segment (TCP) or datagram (UDP)
-    payload_offset: int  # transport bytes before the payload starts
-
-    @property
-    def payload(self) -> bytes:
-        return self.transport[self.payload_offset:]
-
-
-def decode_frame(frame: bytes) -> DecodedPacket | None:
-    """Decode one Ethernet frame down to its transport payload.
-
-    Returns None for frames that cannot belong to any session (non-IPv4,
-    non-TCP/UDP, later IP fragments). Raises DecodeError when a frame
-    claims to be IPv4/TCP/UDP but its headers do not add up.
-    """
-    if len(frame) < ETHERNET_HEADER_LEN:
-        raise DecodeError("frame shorter than the Ethernet header")
-    ethertype = int.from_bytes(frame[12:14], "big")
-    if ethertype != ETHERTYPE_IPV4:
-        return None
-
-    datagram = frame[ETHERNET_HEADER_LEN:]
-    if len(datagram) < 20:
-        raise DecodeError("IPv4 header cut short")
-    version = datagram[0] >> 4
-    if version != 4:
-        raise DecodeError(f"IP version {version} under an IPv4 ethertype")
-    ihl = datagram[0] & 0x0F
-    if ihl < 5:
-        raise DecodeError(f"IPv4 header length field {ihl} below minimum 5")
-    header_len = ihl * 4
-    if len(datagram) < header_len:
-        raise DecodeError("IPv4 options cut short")
-    total_length = int.from_bytes(datagram[2:4], "big")
-    if total_length < header_len:
-        raise DecodeError("IPv4 total length smaller than its header")
-    # Ethernet pads short frames with trailer bytes; the IP total length
-    # is the real datagram end. A capture cut by the snaplen can also
-    # leave fewer bytes than total_length claims, so never read past it.
-    datagram = datagram[:min(total_length, len(datagram))]
-
-    frag = int.from_bytes(datagram[6:8], "big")
-    if frag & 0x1FFF:  # non-leading fragment: no transport header to read
-        return None
-
-    protocol = datagram[9]
-    if protocol not in (PROTO_TCP, PROTO_UDP):
-        return None
-    transport = datagram[header_len:]
-
-    if protocol == PROTO_TCP:
-        if len(transport) < TCP_HEADER_LEN:
-            raise DecodeError("TCP header cut short")
-        data_offset = (transport[12] >> 4) * 4
-        if data_offset < TCP_HEADER_LEN:
-            raise DecodeError("TCP data offset below minimum")
-        if len(transport) < data_offset:
-            raise DecodeError("TCP options cut short")
-        payload_offset = data_offset
-    else:
-        if len(transport) < UDP_HEADER_LEN:
-            raise DecodeError("UDP header cut short")
-        payload_offset = UDP_HEADER_LEN
-
-    src_port = int.from_bytes(transport[0:2], "big")
-    dst_port = int.from_bytes(transport[2:4], "big")
-    key = FiveTuple.canonical(datagram[12:16], src_port,
-                              datagram[16:20], dst_port, protocol)
-    return DecodedPacket(
-        five_tuple=key,
-        ip_header=datagram[:header_len],
-        transport=transport,
-        payload_offset=payload_offset,
-    )
-
-
-def clean_bytes(packet: DecodedPacket) -> bytes | None:
-    """Apply the cleaning rules to one decoded packet.
-
-    Returns [IP header, addresses zeroed] ++ [20-byte transport header
-    region: TCP header as-is, or UDP header plus 12 zeros] ++ [payload],
-    or None when the packet carries no payload and is discarded. TCP
-    options are not stripped; they simply follow the 20-byte region.
-    """
-    if not packet.payload:
-        return None
-    header = bytearray(packet.ip_header)
-    header[12:20] = b"\x00" * 8  # anonymize source and destination
-    if packet.payload_offset == UDP_HEADER_LEN:
-        transport = (packet.transport[:UDP_HEADER_LEN] + UDP_PAD
-                     + packet.payload)
-    else:
-        transport = packet.transport
-    return bytes(header) + transport
-
-
-def vectorize(data: bytes, p: int) -> np.ndarray:
-    """Fix a byte string to exactly p entries: keep the first p bytes,
-    zero-pad when shorter. Returns a uint8 vector of shape (p,)."""
-    if p <= 0:
-        raise ValueError(f"feature length must be positive, got {p}")
-    out = np.zeros(p, dtype=np.uint8)
-    head = np.frombuffer(data[:p], dtype=np.uint8)
-    out[:head.size] = head
-    return out
-
-
-@dataclass
-class SessionSplit:
-    """Cleaned packets grouped by canonical 5-tuple, plus drop counters.
-
-    Each session maps to its cleaned packets in file order; a session
-    whose packets all carried no payload maps to an empty list.
-    """
-
-    sessions: dict[FiveTuple, list[bytes]] = field(default_factory=dict)
-    skipped: int = 0  # non-IPv4, non-TCP/UDP, fragments, malformed
-    dropped_dns: int = 0
-    discarded_empty: int = 0  # packets with no transport payload
-
-
-def split_sessions(records: Iterable[PcapRecord], *,
-                   drop_dns: bool = False) -> SessionSplit:
-    """Decode and clean every record once, grouping the cleaned packets
-    into bidirectional sessions in file order.
-
-    Frames that cannot join a session (non-IPv4, non-TCP/UDP, fragments,
-    malformed headers) are counted as skipped rather than raising. With
-    drop_dns, packets on port 53 are excluded as protocol chatter.
-    """
-    split = SessionSplit()
-    for record in records:
-        try:
-            packet = decode_frame(record.data)
-        except DecodeError:
-            packet = None  # malformed headers
-        if packet is None:
-            split.skipped += 1
-            continue
-        key = packet.five_tuple
-        if drop_dns and DNS_PORT in (key.port_a, key.port_b):
-            split.dropped_dns += 1
-            continue
-        session = split.sessions.setdefault(key, [])
-        cleaned = clean_bytes(packet)
-        if cleaned is None:
-            split.discarded_empty += 1
-        else:
-            session.append(cleaned)
-    return split
-
-
-@dataclass
 class IngestStats:
     """Counts of what preprocessing kept and dropped."""
 
     files: int = 0
     sessions: int = 0
     vertices: int = 0
-    skipped: int = 0  # frames that could not join any session
+    non_ipv4: int = 0  # other ethertypes, 802.1Q VLAN and IPv6 included
+    non_tcp_udp: int = 0
+    fragments: int = 0  # later IPv4 fragments carry no transport header
+    malformed: int = 0  # headers that do not add up
     discarded_empty: int = 0  # packets with no transport payload
     dropped_sessions: int = 0  # sessions whose packets were all discarded
     dropped_dns: int = 0
+
+    @property
+    def skipped(self) -> int:
+        """Frames that could not join any session."""
+        return self.non_ipv4 + self.non_tcp_udp + self.fragments \
+            + self.malformed
 
     def add(self, other: "IngestStats") -> None:
         for f in fields(self):
@@ -245,28 +85,147 @@ class IngestStats:
                 f"{self.dropped_dns} DNS packets")
 
 
-def graphs_from_records(records: list[PcapRecord], label: int, p: int,
+def _decode_headers(table: RecordTable, stats: IngestStats) -> np.ndarray:
+    """Decode the Ethernet, IPv4 and TCP/UDP headers of every frame at
+    once. Returns one row per field (IPv4 header offset in the capture,
+    its length, transport length, payload offset, protocol, and the
+    source and destination endpoints as ip << 16 | port) and one column
+    per frame that can join a session, in file order. The others are
+    counted by the first check they fail, in this order: Ethernet
+    length, ethertype, IPv4 header (length, version, IHL, options, total
+    length), later fragment, protocol, then the TCP header, data offset
+    and options or the UDP header; the datagram ends at min(total
+    length, captured bytes). Reads are clipped to the capture, and a
+    read past a frame's end is masked by the check that fails."""
+    buf = np.frombuffer(table.data, dtype=np.uint8)
+    last = buf.size - 1
+    start, length = table.starts, table.lengths
+
+    def u8(pos: np.ndarray) -> np.ndarray:
+        return buf[np.minimum(pos, last)].astype(np.int64)
+
+    def u16(pos: np.ndarray) -> np.ndarray:
+        return u8(pos) << 8 | u8(pos + 1)
+
+    framed = length >= ETHERNET_HEADER_LEN
+    ipv4 = framed & (u16(start + 12) == ETHERTYPE_IPV4)
+    ip = start + ETHERNET_HEADER_LEN
+    captured = length - ETHERNET_HEADER_LEN
+    version_ihl = u8(ip)
+    header_len = (version_ihl & 0x0F) * 4
+    total_length = u16(ip + 2)
+    ipv4_ok = ipv4 & (captured >= 20) & (version_ihl >> 4 == 4) \
+        & (header_len >= 20) & (captured >= header_len) \
+        & (total_length >= header_len)
+    leading = ipv4_ok & ((u16(ip + 6) & 0x1FFF) == 0)
+    protocol = u8(ip + 9)
+    tcp = protocol == PROTO_TCP
+    transport = leading & (tcp | (protocol == PROTO_UDP))
+    tp = ip + header_len
+    transport_len = np.minimum(total_length, captured) - header_len
+    payload_offset = np.where(tcp, (u8(tp + 12) >> 4) * 4, UDP_HEADER_LEN)
+    ok = transport & np.where(
+        tcp, (transport_len >= TCP_HEADER_LEN)
+        & (payload_offset >= TCP_HEADER_LEN)
+        & (transport_len >= payload_offset),
+        transport_len >= UDP_HEADER_LEN)
+
+    stats.non_ipv4 = int(np.count_nonzero(framed & ~ipv4))
+    stats.fragments = int(np.count_nonzero(ipv4_ok & ~leading))
+    stats.non_tcp_udp = int(np.count_nonzero(leading & ~transport))
+    stats.malformed = int(np.count_nonzero(~ok)) - stats.skipped
+
+    ip, header_len, tp = ip[ok], header_len[ok], tp[ok]
+    return np.stack([
+        ip, header_len, transport_len[ok], payload_offset[ok], protocol[ok],
+        (u16(ip + 12) << 32) | (u16(ip + 14) << 16) | u16(tp),
+        (u16(ip + 16) << 32) | (u16(ip + 18) << 16) | u16(tp + 2)])
+
+
+def graphs_from_records(table: RecordTable, label: int, p: int,
                         fraction: float = 1.0, drop_dns: bool = False,
                         ) -> tuple[list[ChainedGraph], list[FiveTuple],
                                    IngestStats]:
-    """Full ingest of parsed records: sessions, cleaning, graphs."""
-    split = split_sessions(records, drop_dns=drop_dns)
-    stats = IngestStats(skipped=split.skipped, dropped_dns=split.dropped_dns,
-                        discarded_empty=split.discarded_empty)
+    """Full ingest of a walked capture: decode every frame's headers at
+    once, group the frames into bidirectional sessions in order of first
+    appearance, and build one graph per session with a cleaned row per
+    packet that carries a payload.
+
+    A packet with an empty payload still opens its session; with
+    drop_dns, a packet on port 53 never does.
+    """
+    if p <= 0:
+        raise ValueError(f"feature length must be positive, got {p}")
+    stats = IngestStats()
+    columns = _decode_headers(table, stats)
+    if drop_dns:
+        dns = ((columns[5:] & 0xFFFF) == DNS_PORT).any(axis=0)  # endpoints
+        stats.dropped_dns = int(np.count_nonzero(dns))
+        columns = columns[:, ~dns]
+    ip, header_len, transport_len, payload_offset, protocol, src, dst = \
+        columns
+
+    # Canonical key: the smaller endpoint first, so both directions meet.
+    low, high = np.minimum(src, dst), np.maximum(src, dst)
+    _, first, inverse = np.unique(np.stack([low, high, protocol], axis=1),
+                                  axis=0, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    session = rank[inverse.reshape(-1)]  # numbered by first appearance
+
+    payload_len = transport_len - payload_offset
+    stats.discarded_empty = int(np.count_nonzero(payload_len == 0))
+    kept = np.flatnonzero(payload_len > 0)
+    kept = kept[np.argsort(session[kept], kind="stable")]
+    counts = np.bincount(session[kept], minlength=first.size)
+    stats.dropped_sessions = int(np.count_nonzero(counts == 0))
+
+    features = np.zeros((kept.size, p), dtype=np.uint8)
+    _fill_rows(features, table.data, ip[kept], header_len[kept],
+               transport_len[kept], protocol[kept] == PROTO_UDP)
+    features[:, 12:20] = 0  # anonymize source and destination
+
     graphs: list[ChainedGraph] = []
     keys: list[FiveTuple] = []
-    sessions = split.sessions
-    for key in list(sessions):
-        # popped so each session's cleaned bytes are freed once its
-        # graph is built, not held until the whole capture is done
-        cleaned = sessions.pop(key)
-        if not cleaned:
-            stats.dropped_sessions += 1
-            continue
-        graph = truncate_graph(build_chain_graph(
-            [vectorize(packet, p) for packet in cleaned], label), fraction)
+    emitted = counts > 0
+    begins = (np.cumsum(counts) - counts)[emitted]
+    head = kept[begins]  # each emitted session's first kept packet
+    for begin, n, a, b, proto in zip(
+            begins.tolist(), counts[emitted].tolist(), low[head].tolist(),
+            high[head].tolist(), protocol[head].tolist()):
+        graph = truncate_graph(
+            ChainedGraph(features=features[begin:begin + n], label=label),
+            fraction)
+        keys.append(FiveTuple((a >> 16).to_bytes(4, "big"), a & 0xFFFF,
+                              (b >> 16).to_bytes(4, "big"), b & 0xFFFF,
+                              proto))
         graphs.append(graph)
-        keys.append(key)
-        stats.sessions += 1
         stats.vertices += graph.n
+    stats.sessions = len(graphs)
     return graphs, keys, stats
+
+
+def _fill_rows(features: np.ndarray, data: bytes, ip: np.ndarray,
+               header_len: np.ndarray, transport_len: np.ndarray,
+               udp: np.ndarray) -> None:
+    """Copy each packet's cleaned bytes, cut to p, into its row: the IPv4
+    header (addresses still in place) and the whole TCP segment in one
+    copy; for UDP the header and the 8-byte UDP header, then the payload
+    after 12 zero bytes (the zeros are already there)."""
+    p = features.shape[1]
+    row = np.arange(ip.size, dtype=np.int64) * p
+    head = np.minimum(np.where(udp, header_len + UDP_HEADER_LEN,
+                               header_len + transport_len), p)
+    tail = np.where(udp, np.minimum(p - header_len - TCP_HEADER_LEN,
+                                    transport_len - UDP_HEADER_LEN), 0)
+    second = np.flatnonzero(tail > 0)
+    dst = np.concatenate([row, row[second] + header_len[second]
+                          + TCP_HEADER_LEN])
+    src = np.concatenate([ip, ip[second] + header_len[second]
+                          + UDP_HEADER_LEN])
+    count = np.concatenate([head, tail[second]])
+    out = memoryview(features.reshape(-1))
+    capture = memoryview(data)
+    for d, s, c in zip(dst.tolist(), src.tolist(), count.tolist()):
+        out[d:d + c] = capture[s:s + c]

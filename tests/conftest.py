@@ -11,7 +11,7 @@ import struct
 import numpy as np
 import pytest
 
-from cgnn.pcap import PcapRecord
+from cgnn.pcap import RecordTable, walk_pcap
 
 IP_A = bytes([10, 0, 0, 1])
 IP_B = bytes([10, 0, 0, 2])
@@ -78,10 +78,9 @@ def pcap_bytes(frames: list[bytes], *, magic: int = 0xA1B2C3D4,
     return b"".join(out)
 
 
-def records_of(frames: list[bytes]) -> list[PcapRecord]:
-    return [PcapRecord(ts_sec=1700000000 + i, ts_frac=i,
-                       captured_len=len(f), original_len=len(f), data=f)
-            for i, f in enumerate(frames)]
+def table_of(frames: list[bytes]) -> RecordTable:
+    """The walked capture holding the given frames, as ingest reads it."""
+    return walk_pcap(pcap_bytes(frames))
 
 
 def random_graphs(rng: np.random.Generator, count: int, p: int,

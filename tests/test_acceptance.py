@@ -19,14 +19,14 @@ from cgnn.graph import (ChainedGraph, batch_graphs, propagation_matrix,
                         split_dataset)
 from cgnn.model import (ModelDims, forward, init_model, load_checkpoint,
                         predict_probs, save_checkpoint)
-from cgnn.preprocess import clean_bytes, decode_frame, \
-    graphs_from_records, split_sessions, vectorize
+from cgnn.preprocess import FiveTuple, graphs_from_records
 from cgnn.train import TrainConfig, backward, evaluate, fit
 
-from conftest import (arp_frame, random_graphs, records_of,
+from conftest import (IP_A, IP_B, arp_frame, random_graphs, table_of,
                       tcp_frame, udp_frame)
 from test_graph import dense_propagation_oracle
-from test_preprocess import expected_tcp_clean, expected_udp_clean
+from test_preprocess import (_only_row, expected_tcp_clean,
+                             expected_udp_clean)
 from test_train import max_rel_error, numeric_gradient, smooth_case
 
 
@@ -118,45 +118,48 @@ def test_criterion_4_overfits_patterned_sessions(capsys):
 
 def test_criterion_5_golden_capture_cleaning(capsys):
     payload = bytes(range(1, 41))
+    p = 200
     checks = []
 
+    def row_is(row: np.ndarray, expected: bytes) -> bool:
+        """Byte-exact against the hand-built bytes, then zeros to p."""
+        return (bytes(row[:len(expected)]) == expected
+                and not row[len(expected):].any())
+
     # TCP with payload: exact cleaned bytes, addresses zeroed.
-    cleaned = clean_bytes(decode_frame(tcp_frame(payload)))
-    checks.append(cleaned == expected_tcp_clean(payload))
+    checks.append(row_is(_only_row(tcp_frame(payload), p),
+                         expected_tcp_clean(payload)))
 
     # SYN-only handshake packet: no payload, discarded.
-    checks.append(clean_bytes(decode_frame(tcp_frame(b"", flags=0x02)))
-                  is None)
+    graphs, _, stats = graphs_from_records(
+        table_of([tcp_frame(b"", flags=0x02)]), 0, p)
+    checks.append(graphs == [] and stats.discarded_empty == 1)
 
     # UDP: 8-byte header padded to 20 with zeros.
-    checks.append(clean_bytes(decode_frame(udp_frame(b"ping")))
-                  == expected_udp_clean(b"ping"))
+    checks.append(row_is(_only_row(udp_frame(b"ping"), p),
+                         expected_udp_clean(b"ping")))
 
     # ARP noise: not a session packet, skipped not fatal.
-    checks.append(decode_frame(arp_frame()) is None)
+    graphs, _, stats = graphs_from_records(table_of([arp_frame()]), 0, p)
+    checks.append(graphs == [] and stats.non_ipv4 == 1)
 
     # Bidirectional flow: both directions in one session, order kept,
     # and the vectorized output is byte-exact including the padding.
     frames = [tcp_frame(payload, sport=50000, dport=80),
               tcp_frame(payload[:8], sport=80, dport=50000,
-                        src=bytes([10, 0, 0, 2]), dst=bytes([10, 0, 0, 1])),
+                        src=IP_B, dst=IP_A),
               tcp_frame(payload, sport=50000, dport=80),
               arp_frame()]
-    split = split_sessions(records_of(frames))
-    checks.append(len(split.sessions) == 1)
-    checks.append(split.skipped == 1)
-    session = next(iter(split.sessions.values()))
-    checks.append(session == [clean_bytes(decode_frame(f))
-                              for f in frames[:3]])
-    graphs, _, _ = graphs_from_records(records_of(frames), 0, 200)
+    graphs, keys, stats = graphs_from_records(table_of(frames), 0, p)
     checks.append(len(graphs) == 1)
+    checks.append(stats.skipped == 1)
+    checks.append(keys == [FiveTuple(IP_A, 50000, IP_B, 80, 6)])
     vectors = graphs[0].features
-    expected = vectorize(expected_tcp_clean(payload), 200)
-    # expected_tcp_clean assumes the default ports, so rebuild for 50000.
-    raw = bytearray(clean_bytes(decode_frame(frames[0])))
-    checks.append(np.array_equal(vectors[0], vectorize(bytes(raw), 200)))
     checks.append(vectors.shape == (3, 200) and vectors.dtype == np.uint8)
-    checks.append(expected.shape == (200,))
+    expected = [expected_tcp_clean(payload, sport=50000, dport=80),
+                expected_tcp_clean(payload[:8], sport=80, dport=50000),
+                expected_tcp_clean(payload, sport=50000, dport=80)]
+    checks.extend(row_is(row, want) for row, want in zip(vectors, expected))
 
     ok = all(checks)
     _report(capsys, 5, "golden capture fixtures", ok,

@@ -7,13 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from cgnn.errors import (EmptyDataset, EmptySession, MixedFeatureWidth,
-                         ShapeMismatch)
+from cgnn.errors import EmptyDataset, MixedFeatureWidth, ShapeMismatch
 from cgnn.graph import (ChainPropagation, ChainedGraph, batch_graphs,
-                        build_chain_graph, propagation_matrix, split_dataset,
-                        truncate_graph)
+                        propagation_matrix, split_dataset, truncate_graph)
+from cgnn.preprocess import graphs_from_records
 
-from conftest import random_graphs
+from conftest import random_graphs, table_of, tcp_frame
 
 
 def dense_propagation_oracle(n: int) -> np.ndarray:
@@ -100,37 +99,34 @@ def test_batch_propagation_rejects_empty():
 
 # --- graph construction ----------------------------------------------------
 
-def _packets(rows: list[bytes], p: int) -> list[np.ndarray]:
-    out = []
-    for row in rows:
-        data = np.zeros(p, dtype=np.uint8)
-        head = np.frombuffer(row[:p], dtype=np.uint8)
-        data[:head.size] = head
-        out.append(data)
-    return out
+def _session_graphs(payloads: list[bytes], p: int, label: int = 0) -> list:
+    """Graphs ingest builds from one TCP session's packets."""
+    frames = [tcp_frame(payload) for payload in payloads]
+    graphs, _, _ = graphs_from_records(table_of(frames), label, p)
+    return graphs
 
 
 def test_build_chain_graph_six_vertices():
-    graph = build_chain_graph(_packets([bytes([i]) for i in range(6)], 4),
-                              label=1)
+    (graph,) = _session_graphs([bytes([i + 1]) for i in range(6)], 48,
+                               label=1)
     assert graph.n == 6
-    assert graph.p == 4
+    assert graph.p == 48
     assert graph.label == 1
+    assert graph.features[:, 40].tolist() == [1, 2, 3, 4, 5, 6]  # in order
 
 
 def test_build_chain_graph_single_vertex():
-    graph = build_chain_graph(_packets([b"ab"], 4), label=0)
+    (graph,) = _session_graphs([b"ab"], 4)
     assert graph.n == 1
 
 
 def test_build_chain_graph_identical_packets_identical_rows():
-    graph = build_chain_graph(_packets([b"same", b"same"], 8), label=0)
+    (graph,) = _session_graphs([b"same", b"same"], 64)
     assert np.array_equal(graph.features[0], graph.features[1])
 
 
 def test_build_chain_graph_rejects_empty():
-    with pytest.raises(EmptySession):
-        build_chain_graph([], label=0)
+    assert _session_graphs([b"", b""], 64) == []
 
 
 def test_truncate_by_half():

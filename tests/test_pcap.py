@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 
 from cgnn.errors import BadMagic, UnsupportedLinkType
-from cgnn.pcap import PcapFile, PcapRecord, parse_pcap
+from cgnn.pcap import PcapFile, PcapRecord, parse_pcap, walk_pcap
 
 from conftest import pcap_bytes
 
@@ -103,6 +104,20 @@ def test_captured_len_beyond_snaplen_stops():
     pcap = parse_pcap(data)
     assert pcap.records == []
     assert pcap.truncated
+
+
+def test_walk_locates_frames_without_copying():
+    frames = [FRAME, b"", FRAME[:14], FRAME * 3]
+    data = pcap_bytes(frames)
+    table = walk_pcap(data)
+    assert table.data is data
+    assert table.starts.dtype == table.lengths.dtype == np.int64
+    assert [data[s:s + n] for s, n in zip(table.starts.tolist(),
+                                          table.lengths.tolist())] == frames
+    assert not table.truncated
+    cut = walk_pcap(data[:-1])
+    assert cut.truncated and cut.lengths.tolist() == [60, 0, 14]
+    assert walk_pcap(pcap_bytes([FRAME], snaplen=32)).starts.size == 0
 
 
 def test_round_trip_golden_file_is_byte_identical():

@@ -5,43 +5,68 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import cgnn.pcap
 import cgnn.preprocess
-from cgnn.errors import DecodeError
-from cgnn.preprocess import (FiveTuple, decode_frame, clean_bytes,
-                             graphs_from_records, split_sessions, vectorize)
+from cgnn.cli import RunConfig, _ingest_capture
+from cgnn.preprocess import FiveTuple, graphs_from_records
 
-from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, records_of,
-                      tcp, tcp_frame, udp_frame)
+from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, pcap_bytes,
+                      table_of, tcp, tcp_frame, udp_frame)
+
+REASONS = ("non_ipv4", "non_tcp_udp", "fragments", "malformed")
 
 
-# --- vectorize -----------------------------------------------------------
+def ingest(frames: list[bytes], p: int = 64, **kwargs):
+    return graphs_from_records(table_of(frames), 0, p, **kwargs)
+
+
+def _only_row(frame: bytes, p: int) -> np.ndarray:
+    (graph,), _, _ = ingest([frame], p)
+    assert graph.n == 1
+    return graph.features[0]
+
+
+def _skip_reason(frame: bytes) -> str:
+    """The one counter a frame that cannot join a session lands in."""
+    graphs, keys, stats = ingest([frame])
+    assert graphs == [] and keys == [] and stats.skipped == 1
+    (reason,) = [name for name in REASONS if getattr(stats, name)]
+    return reason
+
+
+# --- fixed-length rows ---------------------------------------------------
 
 def test_vectorize_pads_short_input():
-    out = vectorize(bytes(range(8)), 12)
-    assert out.tolist() == list(range(8)) + [0, 0, 0, 0]
-    assert out.dtype == np.uint8
+    cleaned = expected_tcp_clean(b"abcd")
+    row = _only_row(tcp_frame(b"abcd"), len(cleaned) + 4)
+    assert row.tolist() == list(cleaned) + [0, 0, 0, 0]
+    assert row.dtype == np.uint8
 
 
 def test_vectorize_truncates_long_input():
-    out = vectorize(bytes([7]) * 1600, 1500)
-    assert out.shape == (1500,)
-    assert (out == 7).all()
+    payload = bytes([7]) * 1600
+    row = _only_row(tcp_frame(payload), 1500)
+    assert row.shape == (1500,)
+    assert bytes(row) == expected_tcp_clean(payload)[:1500]
+    assert (row[40:] == 7).all()
 
 
 def test_vectorize_empty_input():
-    assert vectorize(b"", 4).tolist() == [0, 0, 0, 0]
+    graphs, keys, stats = ingest([])
+    assert graphs == [] and keys == []
+    assert stats == cgnn.preprocess.IngestStats()
 
 
 def test_vectorize_length_always_p(rng):
     for _ in range(50):
-        size = int(rng.integers(0, 64))
+        size = int(rng.integers(1, 64))
         p = int(rng.integers(1, 64))
-        assert vectorize(bytes(size), p).shape == (p,)
+        assert _only_row(tcp_frame(bytes(size)), p).shape == (p,)
 
 
 def test_vectorize_rejects_nonpositive_length():
     with pytest.raises(ValueError):
-        vectorize(b"abc", 0)
+        ingest([tcp_frame(b"abc")], p=0)
 
 
 # --- cleaning golden layouts --------------------------------------------
@@ -50,13 +75,15 @@ PAYLOAD = b"GET / HTTP/1.1\r\n"
 
 
 def expected_tcp_clean(payload: bytes, ip_options: bytes = b"",
-                       tcp_options: bytes = b"") -> bytes:
+                       tcp_options: bytes = b"", sport: int = 40000,
+                       dport: int = 80) -> bytes:
     """Cleaning oracle built independently: the IPv4 header with both
     addresses zeroed, then the whole TCP segment, options unstripped."""
-    header = bytearray(ipv4(tcp(payload, options=tcp_options), 6,
+    segment = tcp(payload, sport, dport, options=tcp_options)
+    header = bytearray(ipv4(segment, 6,
                             options=ip_options)[:20 + len(ip_options)])
     header[12:20] = b"\x00" * 8
-    return bytes(header) + tcp(payload, options=tcp_options)
+    return bytes(header) + segment
 
 
 def expected_udp_clean(payload: bytes) -> bytes:
@@ -68,8 +95,17 @@ def expected_udp_clean(payload: bytes) -> bytes:
     return bytes(header) + udp_header + b"\x00" * 12 + payload
 
 
+def cleaned_row(frame: bytes, expected: bytes, p: int = 128) -> bytes:
+    """The frame's only row, checked to hold nothing but zeros past the
+    expected length; returns the bytes before that."""
+    row = _only_row(frame, p)
+    assert p >= len(expected)
+    assert not row[len(expected):].any()
+    return bytes(row[:len(expected)])
+
+
 def test_tcp_cleaning_layout_and_zeroed_addresses():
-    cleaned = clean_bytes(decode_frame(tcp_frame(PAYLOAD)))
+    cleaned = cleaned_row(tcp_frame(PAYLOAD), expected_tcp_clean(PAYLOAD))
     assert cleaned == expected_tcp_clean(PAYLOAD)
     assert cleaned[12:20] == b"\x00" * 8
     assert cleaned[20:22] == (40000).to_bytes(2, "big")
@@ -77,7 +113,7 @@ def test_tcp_cleaning_layout_and_zeroed_addresses():
 
 
 def test_udp_header_padded_to_twenty_bytes():
-    cleaned = clean_bytes(decode_frame(udp_frame(b"ping")))
+    cleaned = cleaned_row(udp_frame(b"ping"), expected_udp_clean(b"ping"))
     assert cleaned == expected_udp_clean(b"ping")
     assert cleaned[28:40] == b"\x00" * 12  # the 8 -> 20 padding
     assert cleaned[40:] == b"ping"
@@ -85,51 +121,47 @@ def test_udp_header_padded_to_twenty_bytes():
 
 def test_empty_tcp_payload_is_discarded():
     syn = tcp_frame(b"", flags=0x02)
-    assert clean_bytes(decode_frame(syn)) is None
-    graphs, _, stats = graphs_from_records(records_of([syn]), 0, 32)
+    graphs, _, stats = ingest([syn], p=32)
     assert graphs == []
     assert stats.discarded_empty == 1 and stats.dropped_sessions == 1
 
 
 def test_empty_udp_payload_is_discarded():
-    assert clean_bytes(decode_frame(udp_frame(b""))) is None
+    graphs, _, stats = ingest([udp_frame(b"")])
+    assert graphs == []
+    assert stats.discarded_empty == 1 and stats.dropped_sessions == 1
 
 
 def test_ethernet_trailer_does_not_count_as_payload():
     # 60-byte minimum frames pad short packets; the IP total length
     # excludes the pad, so a bare ACK still has no payload.
     ack = tcp_frame(b"", flags=0x10, trailer=b"\x5a" * 6)
-    assert clean_bytes(decode_frame(ack)) is None
+    graphs, _, stats = ingest([ack])
+    assert graphs == [] and stats.discarded_empty == 1
 
 
 def test_trailer_excluded_from_kept_payload():
     frame = tcp_frame(b"hi", trailer=b"\xff" * 8)
-    cleaned = clean_bytes(decode_frame(frame))
-    assert cleaned == expected_tcp_clean(b"hi")
+    assert cleaned_row(frame, expected_tcp_clean(b"hi")) \
+        == expected_tcp_clean(b"hi")
 
 
 def test_tcp_options_kept_after_header_region():
     options = b"\x02\x04\x05\xb4"  # maximum segment size option
-    cleaned = clean_bytes(decode_frame(tcp_frame(b"xy",
-                                                 tcp_options=options)))
-    assert cleaned == expected_tcp_clean(b"xy", tcp_options=options)
+    expected = expected_tcp_clean(b"xy", tcp_options=options)
+    cleaned = cleaned_row(tcp_frame(b"xy", tcp_options=options), expected)
+    assert cleaned == expected
     assert cleaned[40:44] == options
     assert cleaned[44:] == b"xy"
 
 
 def test_ip_options_kept_and_addresses_zeroed():
     options = b"\x01\x01\x01\x01"  # four no-op option bytes
-    cleaned = clean_bytes(decode_frame(tcp_frame(b"z",
-                                                 ip_options=options)))
-    assert cleaned == expected_tcp_clean(b"z", ip_options=options)
+    expected = expected_tcp_clean(b"z", ip_options=options)
+    cleaned = cleaned_row(tcp_frame(b"z", ip_options=options), expected)
+    assert cleaned == expected
     assert cleaned[12:20] == b"\x00" * 8
     assert cleaned[20:24] == options
-
-
-def _only_row(frame: bytes, p: int) -> np.ndarray:
-    (graph,), _, _ = graphs_from_records(records_of([frame]), 0, p)
-    assert graph.n == 1
-    return graph.features[0]
 
 
 def test_clean_packet_returns_fixed_length_vector():
@@ -146,44 +178,96 @@ def test_clean_packet_pads_to_p():
     assert bytes(packet) == cleaned + b"\x00" * (128 - len(cleaned))
 
 
-# --- frame skipping and errors -------------------------------------------
+@pytest.mark.parametrize("p", [1, 2, 12, 13, 16, 19, 20, 23, 24, 28, 30,
+                               40, 44, 45, 47, 48, 60])
+def test_feature_length_below_the_headers(p):
+    """p shorter than the 20-byte region, than an IPv4 header with
+    options, than a UDP header plus its padding, and p = 1: each row is
+    the cleaned bytes cut at p, zero-padded only past them."""
+    options = b"\x01\x01\x01\x01"
+    tcp_clean = expected_tcp_clean(b"xyz", ip_options=options)
+    udp_clean = expected_udp_clean(b"ping")
+    graphs, _, _ = ingest([tcp_frame(b"xyz", ip_options=options),
+                           udp_frame(b"ping")], p=p)
+    rows = [bytes(g.features[0]) for g in graphs]
+    assert rows == [(tcp_clean + bytes(p))[:p], (udp_clean + bytes(p))[:p]]
+
+
+def test_last_frame_claiming_past_the_capture_end():
+    """The last frame's IP total length points past the end of the
+    capture bytes: what was captured is kept and nothing beyond the
+    buffer is read, in a capture that ends there and in one cut mid-way
+    through a further record."""
+    payload = bytes(range(100, 200))
+    cut = tcp_frame(payload)[:14 + 40 + 30]  # snaplen cut: 30 of 100 bytes
+    header_only = ethernet(ipv4(b"", 6, total_length=1500))
+    whole = pcap_bytes([tcp_frame(b"a"), cut])
+    truncated = pcap_bytes([tcp_frame(b"a"), cut, tcp_frame(b"b")])[:-3]
+    for data in (whole, truncated):
+        table = cgnn.pcap.walk_pcap(data)
+        assert table.truncated == (data is truncated)
+        (graph,), _, stats = graphs_from_records(table, 0, 1500)
+        expected = expected_tcp_clean(payload)[:70]
+        assert bytes(graph.features[1, :70]) == expected
+        assert not graph.features[1, 70:].any()
+        assert stats.skipped == 0
+    table = cgnn.pcap.walk_pcap(pcap_bytes([tcp_frame(b"a"), header_only]))
+    graphs, _, stats = graphs_from_records(table, 0, 1500)
+    assert len(graphs) == 1 and stats.malformed == 1
+
+
+# --- frame skipping by reason --------------------------------------------
 
 def test_non_ipv4_frames_skipped():
-    assert decode_frame(arp_frame()) is None
-    graphs, _, stats = graphs_from_records(records_of([arp_frame()]), 0, 16)
-    assert graphs == [] and stats.skipped == 1
+    assert _skip_reason(arp_frame()) == "non_ipv4"
     ipv6 = ethernet(b"\x60" + b"\x00" * 50, ethertype=0x86DD)
-    assert decode_frame(ipv6) is None
+    assert _skip_reason(ipv6) == "non_ipv4"
+    vlan = ethernet(b"\x00\x01\x08\x00" + ipv4(tcp(b"x"), 6),
+                    ethertype=0x8100)
+    assert _skip_reason(vlan) == "non_ipv4"
 
 
 def test_non_tcp_udp_protocol_skipped():
     icmp = ethernet(ipv4(b"\x08\x00\x00\x00", 1))
-    assert decode_frame(icmp) is None
+    assert _skip_reason(icmp) == "non_tcp_udp"
 
 
 def test_later_ip_fragment_skipped():
     frag = ethernet(ipv4(tcp(b"data"), 6, frag=0x0010))
-    assert decode_frame(frag) is None
+    assert _skip_reason(frag) == "fragments"
+    # more-fragments set at offset 0: the first fragment keeps its header
+    first = ethernet(ipv4(tcp(b"data"), 6, frag=0x2000))
+    assert _only_row(first, 64)[40:44].tobytes() == b"data"
 
 
 def test_malformed_frames_raise():
-    with pytest.raises(DecodeError):
-        decode_frame(b"\x00" * 10)  # shorter than Ethernet header
-    with pytest.raises(DecodeError):
-        decode_frame(ethernet(b"\x45\x00"))  # IPv4 header cut short
-    with pytest.raises(DecodeError):
-        decode_frame(ethernet(b"\x65" + ipv4(tcp(b"x"), 6)[1:]))  # version 6
-    with pytest.raises(DecodeError):
-        decode_frame(ethernet(b"\x43" + ipv4(tcp(b"x"), 6)[1:]))  # IHL 3
-    with pytest.raises(DecodeError):
-        decode_frame(ethernet(ipv4(tcp(b"x")[:12], 6)))  # TCP header cut
-    with pytest.raises(DecodeError):
-        # data offset claims options that are not present
-        segment = bytearray(tcp(b""))
-        segment[12] = 8 << 4
-        decode_frame(ethernet(ipv4(bytes(segment), 6)))
-    with pytest.raises(DecodeError):
-        decode_frame(ethernet(ipv4(b"\x00" * 4, 17)))  # UDP header cut
+    # shorter than Ethernet header
+    assert _skip_reason(b"\x00" * 10) == "malformed"
+    # IPv4 header cut short
+    assert _skip_reason(ethernet(b"\x45\x00")) == "malformed"
+    # version 6
+    assert _skip_reason(ethernet(b"\x65" + ipv4(tcp(b"x"), 6)[1:])) \
+        == "malformed"
+    # IHL 3
+    assert _skip_reason(ethernet(b"\x43" + ipv4(tcp(b"x"), 6)[1:])) \
+        == "malformed"
+    # TCP header cut
+    assert _skip_reason(ethernet(ipv4(tcp(b"x")[:12], 6))) == "malformed"
+    # data offset claims options that are not present
+    segment = bytearray(tcp(b""))
+    segment[12] = 8 << 4
+    assert _skip_reason(ethernet(ipv4(bytes(segment), 6))) == "malformed"
+    # UDP header cut
+    assert _skip_reason(ethernet(ipv4(b"\x00" * 4, 17))) == "malformed"
+    # data offset below the 20-byte minimum
+    segment[12] = 4 << 4
+    assert _skip_reason(ethernet(ipv4(bytes(segment), 6))) == "malformed"
+    # IPv4 options cut short, on a protocol that is otherwise skipped
+    icmp = ipv4(b"\x08\x00\x00\x00", 1, options=b"\x01" * 8)
+    assert _skip_reason(ethernet(icmp[:24])) == "malformed"
+    # total length below the header length
+    assert _skip_reason(ethernet(ipv4(tcp(b"x"), 6, total_length=12))) \
+        == "malformed"
 
 
 # --- sessions -------------------------------------------------------------
@@ -193,30 +277,29 @@ def test_both_directions_form_one_session():
                        src=IP_A, dst=IP_B)
     b_to_a = tcp_frame(b"world", sport=80, dport=40000,
                        src=IP_B, dst=IP_A)
-    split = split_sessions(records_of([a_to_b, b_to_a]))
-    assert len(split.sessions) == 1
-    (key, session), = split.sessions.items()
-    assert len(session) == 2
-    assert key == FiveTuple.canonical(IP_A, 40000, IP_B, 80, 6)
+    graphs, keys, _ = ingest([a_to_b, b_to_a])
+    assert len(graphs) == 1
+    assert graphs[0].n == 2
+    assert keys == [FiveTuple(IP_A, 40000, IP_B, 80, 6)]
 
 
 def test_distinct_port_pairs_form_two_sessions():
     one = tcp_frame(b"x", sport=40000, dport=80)
     two = tcp_frame(b"y", sport=40001, dport=80)
-    split = split_sessions(records_of([one, two]))
-    assert len(split.sessions) == 2
+    graphs, _, _ = ingest([one, two])
+    assert len(graphs) == 2
 
 
 def test_arp_noise_is_counted_not_fatal():
-    split = split_sessions(records_of([tcp_frame(b"x"), arp_frame()]))
-    assert len(split.sessions) == 1
-    assert split.skipped == 1
+    graphs, _, stats = ingest([tcp_frame(b"x"), arp_frame()])
+    assert len(graphs) == 1
+    assert stats.skipped == 1 and stats.non_ipv4 == 1
 
 
 def test_malformed_frame_is_counted_not_fatal():
-    split = split_sessions(records_of([b"\x00" * 8, tcp_frame(b"x")]))
-    assert split.skipped == 1
-    assert len(split.sessions) == 1
+    graphs, _, stats = ingest([b"\x00" * 8, tcp_frame(b"x")])
+    assert stats.skipped == 1 and stats.malformed == 1
+    assert len(graphs) == 1
 
 
 def test_session_order_preserved():
@@ -226,46 +309,74 @@ def test_session_order_preserved():
         tcp_frame(b"a2", sport=40000, dport=80),
         tcp_frame(b"b2", sport=40001, dport=443),
     ]
-    split = split_sessions(records_of(frames))
-    cleaned = [clean_bytes(decode_frame(f)) for f in frames]
-    sessions = list(split.sessions.values())
-    assert sessions[0] == [cleaned[0], cleaned[2]]
-    assert sessions[1] == [cleaned[1], cleaned[3]]
+    graphs, keys, _ = ingest(frames)
+    cleaned = [expected_tcp_clean(b"a1", sport=40000, dport=80),
+               expected_tcp_clean(b"b1", sport=40001, dport=443),
+               expected_tcp_clean(b"a2", sport=40000, dport=80),
+               expected_tcp_clean(b"b2", sport=40001, dport=443)]
+    rows = [[bytes(row[:42]) for row in g.features] for g in graphs]
+    assert rows[0] == [cleaned[0], cleaned[2]]
+    assert rows[1] == [cleaned[1], cleaned[3]]
+    assert [k.port_a for k in keys] == [40000, 40001]
+
+
+def test_session_opened_by_an_empty_packet_keeps_its_place():
+    """A packet without payload still opens its session, so the session
+    is ordered by that packet, not by its first kept one."""
+    frames = [tcp_frame(b"", sport=40001, flags=0x02),
+              tcp_frame(b"a", sport=40000), tcp_frame(b"b", sport=40001)]
+    _, keys, stats = ingest(frames)
+    assert [k.port_a for k in keys] == [40001, 40000]
+    assert stats.discarded_empty == 1 and stats.dropped_sessions == 0
 
 
 def test_drop_dns_flag():
     dns = udp_frame(b"\x12\x34", dport=53)
     other = udp_frame(b"data", dport=5353)
-    kept = split_sessions(records_of([dns, other]))
-    assert len(kept.sessions) == 2
-    dropped = split_sessions(records_of([dns, other]), drop_dns=True)
-    assert len(dropped.sessions) == 1
-    assert dropped.dropped_dns == 1
+    kept, _, _ = ingest([dns, other])
+    assert len(kept) == 2
+    dropped, _, stats = ingest([dns, other], drop_dns=True)
+    assert len(dropped) == 1
+    assert stats.dropped_dns == 1
 
 
 def test_five_tuple_canonical_is_direction_free():
-    forward_key = FiveTuple.canonical(IP_A, 40000, IP_B, 80, 6)
-    reverse_key = FiveTuple.canonical(IP_B, 80, IP_A, 40000, 6)
+    _, (forward_key,), _ = ingest([tcp_frame(b"x", sport=40000, dport=80,
+                                             src=IP_A, dst=IP_B)])
+    _, (reverse_key,), _ = ingest([tcp_frame(b"x", sport=80, dport=40000,
+                                             src=IP_B, dst=IP_A)])
     assert forward_key == reverse_key
     assert str(forward_key) == "10.0.0.1:40000-10.0.0.2:80/tcp"
 
 
-def test_ingest_decodes_each_frame_once(monkeypatch):
+def test_ingest_builds_no_record_and_one_key_per_session(tmp_path,
+                                                         monkeypatch):
+    """A capture goes from its bytes to graphs without a PcapRecord per
+    frame, and builds a FiveTuple only for each session it emits."""
     frames = [tcp_frame(b"a1"), udp_frame(b"u1"), arp_frame(),
               b"\x00" * 8, udp_frame(b"\x12\x34", dport=53),
               tcp_frame(b"", flags=0x02), tcp_frame(b"a2"),
-              udp_frame(b"")]
-    calls = []
-    decode = cgnn.preprocess.decode_frame
+              udp_frame(b"", sport=40001)]
+    path = tmp_path / "capture.pcap"
+    path.write_bytes(pcap_bytes(frames))
+    records, keys_built = [], []
+    record, five_tuple = cgnn.pcap.PcapRecord, cgnn.preprocess.FiveTuple
 
-    def spy(frame):
-        calls.append(frame)
-        return decode(frame)
+    def count_records(*args, **kwargs):
+        records.append(args)
+        return record(*args, **kwargs)
 
-    monkeypatch.setattr(cgnn.preprocess, "decode_frame", spy)
-    graphs, _, stats = graphs_from_records(records_of(frames), 0, 64,
-                                           drop_dns=True)
-    assert calls == frames
+    def count_keys(*args, **kwargs):
+        keys_built.append(args)
+        return five_tuple(*args, **kwargs)
+
+    monkeypatch.setattr(cgnn.pcap, "PcapRecord", count_records)
+    monkeypatch.setattr(cgnn.preprocess, "FiveTuple", count_keys)
+    graphs, keys, stats = _ingest_capture(path, 0, 64,
+                                          RunConfig(drop_dns=True))
+    assert records == []
+    assert len(keys_built) == len(keys) == len(graphs) == 2
     assert [g.n for g in graphs] == [2, 1]
-    assert (stats.skipped, stats.dropped_dns, stats.discarded_empty) \
-        == (2, 1, 2)
+    assert (stats.skipped, stats.dropped_dns, stats.discarded_empty,
+            stats.dropped_sessions) == (2, 1, 2, 1)
+    assert (stats.non_ipv4, stats.malformed) == (1, 1)

@@ -18,11 +18,12 @@ from cgnn.errors import CgnnError
 from cgnn.graph import ChainedGraph, truncate_graph
 from cgnn.model import (ModelDims, init_model, parse_checkpoint,
                         save_checkpoint, softmax)
-from cgnn.pcap import PcapFile, PcapRecord, parse_pcap
-from cgnn.preprocess import FiveTuple, graphs_from_records, vectorize
+from cgnn.pcap import PcapFile, PcapRecord, parse_pcap, walk_pcap
+from cgnn.preprocess import graphs_from_records
 
-from conftest import (arp_frame, pcap_bytes, random_graphs, records_of,
+from conftest import (arp_frame, pcap_bytes, random_graphs, table_of,
                       tcp_frame, udp_frame)
+from test_preprocess import expected_tcp_clean
 
 # Text that survives a UTF-8 round trip (no surrogates).
 utf8_text = st.text(
@@ -30,13 +31,15 @@ utf8_text = st.text(
     max_size=12)
 
 
-@given(data=st.binary(max_size=300), p=st.integers(1, 400))
+@given(data=st.binary(min_size=1, max_size=300), p=st.integers(1, 400))
 def test_vectorize_pads_and_truncates(data, p):
-    vector = vectorize(data, p)
+    (graph,), _, _ = graphs_from_records(table_of([tcp_frame(data)]), 0, p)
+    vector = graph.features[0]
     assert vector.shape == (p,)
     assert vector.dtype == np.uint8
-    kept = min(len(data), p)
-    assert bytes(vector[:kept]) == data[:kept]
+    cleaned = expected_tcp_clean(data)
+    kept = min(len(cleaned), p)
+    assert bytes(vector[:kept]) == cleaned[:kept]
     assert not vector[kept:].any()
 
 
@@ -46,13 +49,21 @@ def test_vectorize_pads_and_truncates(data, p):
        protocol=st.sampled_from([6, 17]))
 def test_five_tuple_canonical_ignores_direction(src_ip, dst_ip, src_port,
                                                 dst_port, protocol):
-    forward_key = FiveTuple.canonical(src_ip, src_port, dst_ip, dst_port,
-                                      protocol)
-    reverse_key = FiveTuple.canonical(dst_ip, dst_port, src_ip, src_port,
-                                      protocol)
+    build = tcp_frame if protocol == 6 else udp_frame
+    forward = build(b"x", sport=src_port, dport=dst_port, src=src_ip,
+                    dst=dst_ip)
+    reverse = build(b"y", sport=dst_port, dport=src_port, src=dst_ip,
+                    dst=src_ip)
+    _, (forward_key,), _ = graphs_from_records(table_of([forward]), 0, 8)
+    _, (reverse_key,), _ = graphs_from_records(table_of([reverse]), 0, 8)
     assert forward_key == reverse_key
     assert (forward_key.ip_a, forward_key.port_a) \
         <= (forward_key.ip_b, forward_key.port_b)
+    assert {(forward_key.ip_a, forward_key.port_a),
+            (forward_key.ip_b, forward_key.port_b)} \
+        == {(src_ip, src_port), (dst_ip, dst_port)}
+    (graph,), _, _ = graphs_from_records(table_of([forward, reverse]), 0, 8)
+    assert graph.n == 2
 
 
 record_strategy = st.builds(
@@ -144,11 +155,11 @@ def _valid_capture() -> bytes:
 
 
 def _ingest(raw: bytes):
-    return graphs_from_records(parse_pcap(raw).records, 0, 64, drop_dns=True)
+    return graphs_from_records(walk_pcap(raw), 0, 64, drop_dns=True)
 
 
 def _ingest_frame(raw: bytes):
-    return graphs_from_records(records_of([raw]), 0, 64)
+    return graphs_from_records(table_of([raw]), 0, 64)
 
 
 def _mangle(valid: bytes, flips: list[tuple[int, int]], cut: int) -> bytes:
