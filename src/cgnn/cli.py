@@ -12,15 +12,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import get_type_hints
 
-from .dataset import (DATASET_MAGIC, Dataset, load_dataset, parse_dataset,
-                      save_dataset)
+import numpy as np
+
+from .dataset import DATASET_MAGIC, load_dataset, parse_dataset, save_dataset
 from .errors import (BadMagic, CgnnError, ConfigError, DimsMismatch,
                      EmptyDataset, EmptySplit, NoLabels, NoSessions)
-from .graph import ChainedGraph, split_dataset
+from .graph import split_dataset
 from .ioutil import atomic_write_bytes
 from .metrics import classification_report, format_report, write_heatmap_csv
 from .model import (CHECKPOINT_MAGIC, ModelDims, load_checkpoint,
@@ -161,18 +161,22 @@ def cmd_preprocess(args) -> int:
     if not labels:
         raise NoLabels(f"no label directories under {root}")
 
-    all_graphs: list[ChainedGraph] = []
     per_label = [IngestStats() for _ in labels]
-    for label_id, name in enumerate(labels):
-        for path in sorted((root / name).glob("*.pcap")):
-            try:
-                graphs, _, stats = _ingest_capture(path, label_id, cfg.p, cfg)
-            except CgnnError as exc:
-                raise type(exc)(f"{path}: {exc}")
-            stats.files = 1
-            all_graphs.extend(graphs)
-            per_label[label_id].add(stats)
 
+    def captures():
+        """Each capture's graphs, as soon as that capture is ingested."""
+        for label_id, name in enumerate(labels):
+            for path in sorted((root / name).glob("*.pcap")):
+                try:
+                    graphs, _, stats = _ingest_capture(path, label_id, cfg.p,
+                                                       cfg)
+                except CgnnError as exc:
+                    raise type(exc)(f"{path}: {exc}")
+                stats.files = 1
+                per_label[label_id].add(stats)
+                yield graphs
+
+    count = save_dataset(captures(), args.out, labels, cfg.p)
     total = IngestStats()
     for label_id, (name, stats) in enumerate(zip(labels, per_label)):
         print(f"label {name} (id {label_id}): {stats.files} files, "
@@ -182,33 +186,27 @@ def cmd_preprocess(args) -> int:
                   file=sys.stderr)
         total.add(stats)
     print(f"total: {total.files} files, {total.describe()}")
-
-    dataset = Dataset(graphs=all_graphs, label_names=labels, p=cfg.p)
-    save_dataset(dataset, args.out)
-    print(f"wrote {len(all_graphs)} graphs to {args.out}")
+    print(f"wrote {count} graphs to {args.out}")
     return 0
-
-
-def _check_class_coverage(train: list[ChainedGraph],
-                          label_names: list[str]) -> None:
-    present = {g.label for g in train}
-    for label_id, name in enumerate(label_names):
-        if label_id not in present:
-            raise EmptySplit(f"label {name} has no graphs in the "
-                             f"training split")
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     print(format_config(cfg))
     dataset = load_dataset(args.data)
-    if not dataset.graphs:
+    graphs = dataset.graphs
+    if not len(graphs):
         raise EmptyDataset(f"{args.data} holds no graphs")
-    train_set, valid_set, test_set = split_dataset(dataset.graphs,
+    train_idx, valid_idx, test_idx = split_dataset(graphs,
                                                    seed=cfg.split_seed)
-    _check_class_coverage(train_set, dataset.label_names)
-    print(f"split: {len(train_set)} train, {len(valid_set)} validation, "
-          f"{len(test_set)} test")
+    train_set, valid_set = graphs[train_idx], graphs[valid_idx]
+    missing = np.flatnonzero(np.bincount(
+        train_set.labels, minlength=dataset.num_classes) == 0)
+    if missing.size:
+        raise EmptySplit(f"label {dataset.label_names[missing[0]]} has no "
+                         f"graphs in the training split")
+    print(f"split: {len(train_idx)} train, {len(valid_idx)} validation, "
+          f"{len(test_idx)} test")
 
     dims = _pick(ModelDims, cfg, p=dataset.p, m=dataset.num_classes)
     model, report = fit(train_set, valid_set, dims, _pick(TrainConfig, cfg),
@@ -255,18 +253,17 @@ def cmd_evaluate(args) -> int:
         print("warning: checkpoint and dataset label names differ",
               file=sys.stderr)
 
+    graphs = dataset.graphs
     if args.split == "test":
-        _, _, graphs = split_dataset(dataset.graphs, seed=cfg.split_seed)
-        if not graphs:
+        _, _, test_idx = split_dataset(graphs, seed=cfg.split_seed)
+        graphs = graphs[test_idx]
+        if not len(graphs):
             raise EmptySplit("test split is empty; too few graphs per label")
-    else:
-        graphs = dataset.graphs
-        if not graphs:
-            raise EmptyDataset(f"{args.data} holds no graphs")
+    elif not len(graphs):
+        raise EmptyDataset(f"{args.data} holds no graphs")
 
-    true = [g.label for g in graphs]
     pred = predict_probs(model, graphs).argmax(axis=1)
-    report = classification_report(true, pred, dataset.label_names,
+    report = classification_report(graphs.labels, pred, dataset.label_names,
                                    weighted=args.weighted)
     print(format_report(report))
 
@@ -284,16 +281,17 @@ def cmd_predict(args) -> int:
     model = checkpoint.model
     pcap_path = Path(args.pcap)
     graphs, keys, stats = _ingest_capture(pcap_path, 0, model.dims.p, cfg)
-    if not graphs:
+    if not len(graphs):
         raise NoSessions(f"no sessions survived cleaning in {pcap_path} "
                          f"({stats.describe()})")
 
     rows = []
     probs = predict_probs(model, graphs)
-    for graph_id, (key, graph, dist) in enumerate(zip(keys, graphs, probs)):
+    for graph_id, (key, n, dist) in enumerate(
+            zip(keys, graphs.lengths.tolist(), probs)):
         label = int(dist.argmax())
         name = checkpoint.label_names[label]
-        print(f"{key} [{graph.n} packets] -> {name} ({dist[label]:.4f})")
+        print(f"{key} [{n} packets] -> {name} ({dist[label]:.4f})")
         columns = ",".join(f"{v:.6f}" for v in dist)
         rows.append(f"{graph_id},{name},{columns}")
     if args.csv:
@@ -309,16 +307,15 @@ def cmd_inspect(args) -> int:
     magic = data[:4]
     if magic == DATASET_MAGIC:
         dataset = parse_dataset(data)
+        graphs = dataset.graphs
         print(f"dataset: feature length {dataset.p}, "
-              f"{dataset.num_classes} classes, {len(dataset.graphs)} graphs")
-        counts = Counter(g.label for g in dataset.graphs)
+              f"{dataset.num_classes} classes, {len(graphs)} graphs")
+        counts = np.bincount(graphs.labels, minlength=dataset.num_classes)
         for label_id, name in enumerate(dataset.label_names):
-            print(f"label {name} (id {label_id}): "
-                  f"{counts.get(label_id, 0)} graphs")
-        histogram = Counter(g.n for g in dataset.graphs)
+            print(f"label {name} (id {label_id}): {counts[label_id]} graphs")
         print("vertex-count histogram:")
-        for n in sorted(histogram):
-            print(f"  {n}: {histogram[n]}")
+        for n, count in zip(*np.unique(graphs.lengths, return_counts=True)):
+            print(f"  {n}: {count}")
         return 0
     if magic == CHECKPOINT_MAGIC:
         checkpoint = parse_checkpoint(data)

@@ -9,6 +9,12 @@ Little-endian layout:
     label names  num_classes strings, each u32 length + UTF-8 bytes
     num_graphs   u32
     graphs       per graph: label u32, n u32, then n*p raw feature bytes
+
+In memory a dataset is one GraphSet plus its label names. A parsed
+file's bytes are its buffer: one scan of the per-graph headers notes
+the byte offset of each graph's rows (offsets, since a header sits
+between graphs), and no feature byte is copied. A writer streams one
+GraphSet after another and patches num_graphs in at the end.
 """
 
 from __future__ import annotations
@@ -16,13 +22,13 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
 from .errors import (BadMagic, CorruptLength, LabelOutOfRange,
-                     MixedFeatureWidth, VersionMismatch)
-from .graph import ChainedGraph
+                     VersionMismatch)
+from .graph import GraphSet
 from .ioutil import ByteReader, ByteWriter, atomic_write
 
 DATASET_MAGIC = b"CGD1"
@@ -33,52 +39,59 @@ DATASET_VERSION = 1
 class Dataset:
     """Labeled graphs plus the label-id to name mapping they index into."""
 
-    graphs: list[ChainedGraph]
+    graphs: GraphSet
     label_names: list[str]
-    p: int
+
+    @property
+    def p(self) -> int:
+        return self.graphs.p
 
     @property
     def num_classes(self) -> int:
         return len(self.label_names)
 
-    def validate(self) -> None:
-        for i, graph in enumerate(self.graphs):
-            if graph.p != self.p:
-                raise MixedFeatureWidth(
-                    f"graph {i} has feature length {graph.p}, "
-                    f"dataset declares {self.p}")
-            if not 0 <= graph.label < self.num_classes:
-                raise LabelOutOfRange(
-                    f"graph {i} has label {graph.label}, dataset has "
-                    f"{self.num_classes} classes")
-
-    def write(self, handle: BinaryIO) -> None:
-        """Serialize to a binary handle, each graph's feature buffer
-        written as it is, without an intermediate copy."""
-        self.validate()
-        w = ByteWriter(handle)
-        w.raw(DATASET_MAGIC)
-        w.u32(DATASET_VERSION)
-        w.u32(self.p)
-        w.u32(self.num_classes)
-        for name in self.label_names:
-            w.utf8(name)
-        w.u32(len(self.graphs))
-        for graph in self.graphs:
-            w.u32(graph.label)
-            w.u32(graph.n)
-            w.raw(np.ascontiguousarray(graph.features, dtype=np.uint8))
-
     def to_bytes(self) -> bytes:
         buf = io.BytesIO()
-        self.write(buf)
+        _write(buf, [self.graphs], self.label_names, self.p)
         return buf.getvalue()
 
 
-def save_dataset(dataset: Dataset, path: Path | str) -> None:
-    """Stream the dataset into a temporary file renamed over path."""
+def _write(handle: BinaryIO, parts: Iterable[GraphSet],
+           label_names: list[str], p: int) -> int:
+    """Serialize every graph of parts, in order, to a seekable binary
+    handle, each feature row written from its buffer without a copy.
+    Returns the graph count, which is patched in after the last part."""
+    w = ByteWriter(handle)
+    w.raw(DATASET_MAGIC)
+    w.u32(DATASET_VERSION)
+    w.u32(p)
+    w.u32(len(label_names))
+    for name in label_names:
+        w.utf8(name)
+    count_at = handle.tell()
+    w.u32(0)
+    count = 0
+    for part in parts:
+        for start, n, label in zip(part.starts.tolist(),
+                                   part.lengths.tolist(),
+                                   part.labels.tolist()):
+            w.u32(label)
+            w.u32(n)
+            w.raw(part.buffer[start:start + n * p])
+        count += len(part)
+    handle.seek(count_at)
+    w.u32(count)
+    handle.seek(0, io.SEEK_END)
+    return count
+
+
+def save_dataset(parts: Iterable[GraphSet], path: Path | str,
+                 label_names: list[str], p: int) -> int:
+    """Stream the graphs of every part into a temporary file renamed over
+    path, writing each part as it arrives; returns the graph count. If
+    parts raises, no file is left at path."""
     with atomic_write(path) as handle:
-        dataset.write(handle)
+        return _write(handle, parts, label_names, p)
 
 
 def parse_dataset(data: bytes) -> Dataset:
@@ -96,7 +109,8 @@ def parse_dataset(data: bytes) -> Dataset:
     num_classes = r.u32()
     label_names = [r.utf8() for _ in range(num_classes)]
     num_graphs = r.u32()
-    graphs = []
+    # grown per graph read, never sized by the count the file declares
+    heads = []  # (start, n, label) per graph
     for i in range(num_graphs):
         label = r.u32()
         if label >= num_classes:
@@ -106,11 +120,12 @@ def parse_dataset(data: bytes) -> Dataset:
         n = r.u32()
         if n == 0:
             raise CorruptLength(f"graph {i} has zero vertices")
-        # a read-only view into the file bytes, which it keeps alive
-        features = np.frombuffer(r.raw(n * p), dtype=np.uint8).reshape(n, p)
-        graphs.append(ChainedGraph(features=features, label=label))
+        heads.append((r.skip(n * p), n, label))
     r.expect_end()
-    return Dataset(graphs=graphs, label_names=label_names, p=p)
+    starts, lengths, labels = np.array(heads, np.int64).reshape(-1, 3).T
+    graphs = GraphSet(buffer=np.frombuffer(data, dtype=np.uint8), p=p,
+                      starts=starts, lengths=lengths, labels=labels)
+    return Dataset(graphs=graphs, label_names=label_names)
 
 
 def load_dataset(path: Path | str) -> Dataset:

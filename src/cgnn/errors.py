@@ -13,10 +13,6 @@ class UnsupportedLinkType(CgnnError):
     """Capture link type is not Ethernet."""
 
 
-class MixedFeatureWidth(CgnnError):
-    """Graphs in one batch must share the feature width."""
-
-
 class VersionMismatch(CgnnError):
     """Serialized file was written by an incompatible format version."""
 

@@ -1,48 +1,66 @@
-"""Chained graphs over session packets and their propagation matrix.
+"""Chained graphs over session packets, as one columnar set, and their
+propagation matrix.
 
 Each session becomes a graph whose vertices are its packets in arrival
 order, joined in a chain: packet i connects to packet i+1, giving n
-vertices and n-1 edges. The topology is a function of n alone, so graphs
-store only their vertex features and the propagation matrix is built on
-demand in a tridiagonal form.
+vertices and n-1 edges. The topology is a function of n alone, so a set
+of graphs is one flat byte buffer, the offset and vertex count of each
+graph's rows in it, and the labels (as in PyTorch Geometric's ``ptr``
+layout). The offsets count bytes, not rows of a (V, p) matrix: a dataset
+file puts an 8-byte header before each graph's rows, and only byte
+offsets let a loaded set and its splits use the file's bytes without a
+copy. The propagation matrix is built on demand in a tridiagonal form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, MixedFeatureWidth, ShapeMismatch
+from .errors import EmptyDataset, ShapeMismatch
 
 
 @dataclass
 class ChainedGraph:
-    """One session as a graph: a (n, p) byte matrix and a class label."""
+    """One graph of a GraphSet: read-only (n, p) packet rows and a label."""
 
-    features: np.ndarray  # uint8, one row per packet
+    features: np.ndarray  # uint8
     label: int
 
     @property
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.features.shape[1]
 
+@dataclass
+class GraphSet:
+    """Labeled graphs in one shared buffer: the lengths[i] rows of p bytes
+    of graph i begin at byte starts[i]. An int index gives one graph as a
+    ChainedGraph; a slice or an index array gives the chosen graphs, in
+    that order, as a GraphSet on the same buffer."""
 
-def truncate_graph(graph: ChainedGraph,
-                   fraction: float = 1.0) -> ChainedGraph:
-    """Keep only the first ceil(fraction * n) vertices of a graph."""
-    if not 0 < fraction <= 1:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    keep = math.ceil(fraction * graph.n)
-    if keep >= graph.n:
-        return graph
-    return ChainedGraph(features=graph.features[:keep], label=graph.label)
+    buffer: np.ndarray  # flat uint8
+    p: int
+    starts: np.ndarray  # (G,) int64 byte offsets into buffer
+    lengths: np.ndarray  # (G,) int64 vertex counts
+    labels: np.ndarray  # (G,) int64
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            start, n = int(self.starts[idx]), int(self.lengths[idx])
+            rows = self.buffer[start:start + n * self.p].reshape(n, self.p)
+            rows.setflags(write=False)
+            return ChainedGraph(features=rows, label=int(self.labels[idx]))
+        return GraphSet(buffer=self.buffer, p=self.p, starts=self.starts[idx],
+                        lengths=self.lengths[idx], labels=self.labels[idx])
+
+    def __iter__(self) -> Iterator[ChainedGraph]:
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass
@@ -136,55 +154,43 @@ class BatchedGraph:
         return out
 
 
-def batch_graphs(graphs: Sequence[ChainedGraph]) -> BatchedGraph:
-    """Stack graphs into one batch with a block propagation matrix."""
-    if not graphs:
-        raise EmptyDataset("cannot batch zero graphs")
-    widths = {g.p for g in graphs}
-    if len(widths) != 1:
-        raise MixedFeatureWidth(
-            f"graphs disagree on feature length: {sorted(widths)}")
-    lengths = np.array([g.n for g in graphs], dtype=np.int64)
-    features = np.concatenate(
-        [g.features for g in graphs]).astype(np.float32)
-    labels = np.array([g.label for g in graphs], dtype=np.int64)
-    return BatchedGraph(features=features, lengths=lengths, labels=labels,
-                        prop=ChainPropagation.for_batch(lengths))
+def batch_graphs(graphs: GraphSet, idx=slice(None)) -> BatchedGraph:
+    """The graphs idx picks (default all), in that order, as one batch
+    with a block propagation matrix. Each graph's rows are cast from the
+    shared buffer straight into the batch's float32 matrix."""
+    chosen = graphs[idx]
+    prop = ChainPropagation.for_batch(chosen.lengths)  # raises if empty
+    features = np.empty((int(chosen.lengths.sum()), chosen.p),
+                        dtype=np.float32)
+    np.concatenate([graph.features for graph in chosen], out=features)
+    return BatchedGraph(features=features, lengths=chosen.lengths,
+                        labels=chosen.labels, prop=prop)
 
 
-def split_dataset(graphs: Sequence[ChainedGraph], seed: int = 0,
-                  valid_frac: float = 0.1, test_frac: float = 0.1,
-                  ) -> tuple[list[ChainedGraph], list[ChainedGraph],
-                             list[ChainedGraph]]:
-    """Stratified train/validation/test split, deterministic per seed.
+def split_dataset(graphs: GraphSet, seed: int = 0, valid_frac: float = 0.1,
+                  test_frac: float = 0.1,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stratified train/validation/test split as three index arrays into
+    graphs, deterministic per seed.
 
     Within every label the graphs are shuffled, then floor(valid_frac*n)
     go to validation, floor(test_frac*n) to test, and the rest to train.
-    Defaults give the 8:1:1 split.
+    Each part lists the labels in increasing order. Defaults give the
+    8:1:1 split.
     """
-    if not graphs:
+    if not len(graphs):
         raise EmptyDataset("cannot split zero graphs")
     if valid_frac < 0 or test_frac < 0 or valid_frac + test_frac >= 1:
         raise ValueError("split fractions must be nonnegative and leave "
                          "room for training data")
     rng = np.random.default_rng(seed)
-    by_label: dict[int, list[ChainedGraph]] = {}
-    for graph in graphs:
-        by_label.setdefault(graph.label, []).append(graph)
-
-    train: list[ChainedGraph] = []
-    valid: list[ChainedGraph] = []
-    test: list[ChainedGraph] = []
-    for label in sorted(by_label):
-        group = by_label[label]
-        order = rng.permutation(len(group))
-        n_valid = int(valid_frac * len(group))
-        n_test = int(test_frac * len(group))
-        for pos, idx in enumerate(order):
-            if pos < n_valid:
-                valid.append(group[idx])
-            elif pos < n_valid + n_test:
-                test.append(group[idx])
-            else:
-                train.append(group[idx])
-    return train, valid, test
+    train, valid, test = [], [], []
+    for label in np.unique(graphs.labels):
+        group = np.flatnonzero(graphs.labels == label)
+        group = group[rng.permutation(group.size)]
+        n_valid = int(valid_frac * group.size)
+        test_end = n_valid + int(test_frac * group.size)
+        valid.append(group[:n_valid])
+        test.append(group[n_valid:test_end])
+        train.append(group[test_end:])
+    return np.concatenate(train), np.concatenate(valid), np.concatenate(test)

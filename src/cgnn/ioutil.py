@@ -72,7 +72,7 @@ class ByteWriter:
 
 class ByteReader:
     """Walks a byte string, raising CorruptLength on any overrun. raw()
-    returns a view into the string, not a copy."""
+    returns a view into the string, not a copy; skip() only its offset."""
 
     def __init__(self, data: bytes) -> None:
         self._data = memoryview(data)
@@ -82,14 +82,18 @@ class ByteReader:
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
-    def raw(self, count: int) -> memoryview:
+    def skip(self, count: int) -> int:
+        """Step over count bytes; returns the offset of the first."""
         if count < 0 or count > self.remaining:
             raise CorruptLength(
                 f"need {count} bytes at offset {self._pos}, "
                 f"have {self.remaining}")
-        out = self._data[self._pos:self._pos + count]
         self._pos += count
-        return out
+        return self._pos - count
+
+    def raw(self, count: int) -> memoryview:
+        start = self.skip(count)
+        return self._data[start:start + count]
 
     def u32(self) -> int:
         (value,) = struct.unpack("<I", self.raw(4))

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (BadMagic, ConfigError, CorruptLength, DimsMismatch,
                      EmptySegment, NonFiniteInput, ShapeMismatch,
                      VersionMismatch)
-from .graph import BatchedGraph, ChainedGraph, batch_graphs
+from .graph import BatchedGraph, GraphSet, batch_graphs
 from .ioutil import ByteReader, ByteWriter, atomic_write_bytes
 
 CHECKPOINT_MAGIC = b"CGM1"
@@ -30,7 +30,7 @@ POOLING_KINDS = ("avg", "max", "sum")
 
 # predict_probs closes a batch at BATCH_GRAPHS graphs, or before the next
 # graph would take it past BATCH_ROWS vertex rows; a longer graph goes
-# alone. The row cap bounds the (rows, p) feature matrix and the cached
+# alone. The row cap bounds the (rows, p) feature matrix and the
 # activations of one inference batch.
 BATCH_GRAPHS = 256
 BATCH_ROWS = 8192
@@ -200,8 +200,10 @@ class ForwardCache:
     probs: np.ndarray | None = None
 
 
-def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
-    """Run the network over a batch, keeping the per-layer intermediates."""
+def forward(model: CgnnModel, batch: BatchedGraph,
+            for_backward: bool = True) -> ForwardCache:
+    """Run the network over a batch. The per-layer inputs and
+    pre-activations the backward pass reads are kept only for_backward."""
     dims = model.dims
     if batch.features.shape[1] != dims.p:
         raise DimsMismatch(
@@ -219,8 +221,9 @@ def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
     with np.errstate(over="ignore", invalid="ignore"):
         for theta, hops in zip(model.thetas, dims.layer_hops):
             pre_act = sgc_layer(batch.prop, x, theta, hops)
-            cache.hop_inputs.append(x)
-            cache.pre_acts.append(pre_act)
+            if for_backward:
+                cache.hop_inputs.append(x)
+                cache.pre_acts.append(pre_act)
             x = relu(pre_act)
 
     cache.pooled, cache.pool_winners = pool(
@@ -229,20 +232,20 @@ def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
     return cache
 
 
-def predict_probs(model: CgnnModel,
-                  graphs: list[ChainedGraph]) -> np.ndarray:
-    """Class distributions for a list of graphs, shape (len(graphs), m):
+def predict_probs(model: CgnnModel, graphs: GraphSet) -> np.ndarray:
+    """Class distributions of a set of graphs, shape (len(graphs), m):
     row i belongs to graphs[i]. A batch holds at most BATCH_GRAPHS graphs
-    and, unless one graph alone is longer, at most BATCH_ROWS vertices."""
+    and, unless one graph alone is longer, at most BATCH_ROWS vertices;
+    no batch keeps activations for a backward pass."""
+    offsets = np.concatenate([[0], np.cumsum(graphs.lengths)])
     parts = []
     start = 0
     while start < len(graphs):
-        stop, rows = start + 1, graphs[start].n
-        while (stop < len(graphs) and stop - start < BATCH_GRAPHS
-               and rows + graphs[stop].n <= BATCH_ROWS):
-            rows += graphs[stop].n
-            stop += 1
-        parts.append(forward(model, batch_graphs(graphs[start:stop])).probs)
+        stop = int(np.searchsorted(offsets, offsets[start] + BATCH_ROWS,
+                                   "right")) - 1  # the most that fit
+        stop = min(max(stop, start + 1), start + BATCH_GRAPHS)
+        batch = batch_graphs(graphs, slice(start, stop))
+        parts.append(forward(model, batch, for_backward=False).probs)
         start = stop
     return np.concatenate(parts) if parts else \
         np.zeros((0, model.dims.m), dtype=np.float32)

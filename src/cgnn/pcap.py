@@ -8,7 +8,7 @@ Byte order of every header field follows the file's magic value.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,42 +21,6 @@ GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
 
 LINKTYPE_ETHERNET = 1
-
-DEFAULT_SNAPLEN = 65535
-
-
-@dataclass(frozen=True)
-class PcapRecord:
-    """One captured frame: timestamp, lengths, and link-layer bytes."""
-
-    ts_sec: int
-    ts_frac: int  # micro- or nanoseconds, per the file magic
-    captured_len: int
-    original_len: int
-    data: bytes
-
-
-@dataclass
-class PcapFile:
-    """Parsed pcap container, retaining enough header state to re-serialize."""
-
-    records: list[PcapRecord] = field(default_factory=list)
-    snaplen: int = DEFAULT_SNAPLEN
-    nanosecond: bool = False
-    big_endian: bool = False
-    truncated: bool = False  # set when the file ended mid-record
-
-    def to_bytes(self) -> bytes:
-        """Serialize back to classic pcap with the original byte order."""
-        end = ">" if self.big_endian else "<"
-        magic = MAGIC_NANOS if self.nanosecond else MAGIC_MICROS
-        out = [struct.pack(end + "IHHiII I", magic, 2, 4, 0, 0, self.snaplen,
-                           LINKTYPE_ETHERNET)]
-        for rec in self.records:
-            out.append(struct.pack(end + "IIII", rec.ts_sec, rec.ts_frac,
-                                   rec.captured_len, rec.original_len))
-            out.append(rec.data)
-        return b"".join(out)
 
 
 @dataclass
@@ -85,18 +49,13 @@ def walk_pcap(file_bytes: bytes) -> RecordTable:
         raise BadMagic("file shorter than the 24-byte pcap global header")
 
     (raw_magic,) = struct.unpack_from("<I", file_bytes, 0)
-    if raw_magic == MAGIC_MICROS:
-        end, nanos, big = "<", False, False
-    elif raw_magic == MAGIC_NANOS:
-        end, nanos, big = "<", True, False
+    for end in "<>":  # little-endian first, then big-endian
+        (magic,) = struct.unpack_from(end + "I", file_bytes, 0)
+        if magic in (MAGIC_MICROS, MAGIC_NANOS):
+            break
     else:
-        (raw_magic_be,) = struct.unpack_from(">I", file_bytes, 0)
-        if raw_magic_be == MAGIC_MICROS:
-            end, nanos, big = ">", False, True
-        elif raw_magic_be == MAGIC_NANOS:
-            end, nanos, big = ">", True, True
-        else:
-            raise BadMagic(f"not a pcap file (magic 0x{raw_magic:08x})")
+        raise BadMagic(f"not a pcap file (magic 0x{raw_magic:08x})")
+    nanos, big = magic == MAGIC_NANOS, end == ">"
 
     _major, _minor, _zone, _sigfigs, snaplen, network = struct.unpack_from(
         end + "HHiIII", file_bytes, 4)
@@ -128,20 +87,3 @@ def walk_pcap(file_bytes: bytes) -> RecordTable:
                        truncated=truncated, snaplen=snaplen,
                        nanosecond=nanos, big_endian=big)
 
-
-def parse_pcap(file_bytes: bytes) -> PcapFile:
-    """Decode a classic pcap byte string into records, in file order.
-
-    Raises as walk_pcap does; a capture that ends mid-record keeps the
-    records before it and sets ``truncated``.
-    """
-    table = walk_pcap(file_bytes)
-    header = struct.Struct((">" if table.big_endian else "<") + "IIII")
-    records = [PcapRecord(*header.unpack_from(file_bytes,
-                                              start - RECORD_HEADER_LEN),
-                          data=file_bytes[start:start + length])
-               for start, length in zip(table.starts.tolist(),
-                                        table.lengths.tolist())]
-    return PcapFile(records=records, snaplen=table.snaplen,
-                    nanosecond=table.nanosecond,
-                    big_endian=table.big_endian, truncated=table.truncated)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph import ChainedGraph, truncate_graph
+from .graph import GraphSet
 from .pcap import RecordTable
 
 ETHERNET_HEADER_LEN = 14
@@ -144,18 +144,21 @@ def _decode_headers(table: RecordTable, stats: IngestStats) -> np.ndarray:
 
 def graphs_from_records(table: RecordTable, label: int, p: int,
                         fraction: float = 1.0, drop_dns: bool = False,
-                        ) -> tuple[list[ChainedGraph], list[FiveTuple],
-                                   IngestStats]:
+                        ) -> tuple[GraphSet, list[FiveTuple], IngestStats]:
     """Full ingest of a walked capture: decode every frame's headers at
     once, group the frames into bidirectional sessions in order of first
     appearance, and build one graph per session with a cleaned row per
-    packet that carries a payload.
+    packet that carries a payload. Only the first ceil(fraction * n) of
+    a session's n such packets get a row; the rest are never copied.
+    The graphs share one buffer, their rows in session order.
 
     A packet with an empty payload still opens its session; with
     drop_dns, a packet on port 53 never does.
     """
     if p <= 0:
         raise ValueError(f"feature length must be positive, got {p}")
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     stats = IngestStats()
     columns = _decode_headers(table, stats)
     if drop_dns:
@@ -180,29 +183,29 @@ def graphs_from_records(table: RecordTable, label: int, p: int,
     kept = kept[np.argsort(session[kept], kind="stable")]
     counts = np.bincount(session[kept], minlength=first.size)
     stats.dropped_sessions = int(np.count_nonzero(counts == 0))
+    keep = np.ceil(fraction * counts).astype(np.int64)
+    place = np.arange(kept.size) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)  # within its session
+    kept = kept[place < np.repeat(keep, counts)]
 
     features = np.zeros((kept.size, p), dtype=np.uint8)
     _fill_rows(features, table.data, ip[kept], header_len[kept],
                transport_len[kept], protocol[kept] == PROTO_UDP)
     features[:, 12:20] = 0  # anonymize source and destination
 
-    graphs: list[ChainedGraph] = []
-    keys: list[FiveTuple] = []
-    emitted = counts > 0
-    begins = (np.cumsum(counts) - counts)[emitted]
+    emitted = keep > 0
+    lengths = keep[emitted]
+    begins = np.cumsum(lengths) - lengths
     head = kept[begins]  # each emitted session's first kept packet
-    for begin, n, a, b, proto in zip(
-            begins.tolist(), counts[emitted].tolist(), low[head].tolist(),
-            high[head].tolist(), protocol[head].tolist()):
-        graph = truncate_graph(
-            ChainedGraph(features=features[begin:begin + n], label=label),
-            fraction)
-        keys.append(FiveTuple((a >> 16).to_bytes(4, "big"), a & 0xFFFF,
-                              (b >> 16).to_bytes(4, "big"), b & 0xFFFF,
-                              proto))
-        graphs.append(graph)
-        stats.vertices += graph.n
+    keys = [FiveTuple((a >> 16).to_bytes(4, "big"), a & 0xFFFF,
+                      (b >> 16).to_bytes(4, "big"), b & 0xFFFF, proto)
+            for a, b, proto in zip(low[head].tolist(), high[head].tolist(),
+                                   protocol[head].tolist())]
+    graphs = GraphSet(buffer=features.reshape(-1), p=p, starts=begins * p,
+                      lengths=lengths,
+                      labels=np.full(lengths.size, label, dtype=np.int64))
     stats.sessions = len(graphs)
+    stats.vertices = kept.size
     return graphs, keys, stats
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ConfigError, EmptyDataset, EmptySplit, LabelOutOfRange,
                      NonFiniteInput)
-from .graph import BatchedGraph, ChainedGraph, batch_graphs
+from .graph import BatchedGraph, GraphSet, batch_graphs
 from .model import (CgnnModel, ForwardCache, ModelDims, forward,
                     init_model, predict_probs)
 
@@ -180,19 +180,15 @@ class TrainReport:
     val_accuracies: list[float] = field(default_factory=list)
 
 
-def evaluate(model: CgnnModel,
-             graphs: list[ChainedGraph]) -> tuple[float, float]:
-    """Mean cross entropy and accuracy over a whole list of graphs."""
-    if not graphs:
-        raise EmptyDataset("cannot evaluate zero graphs")
+def evaluate(model: CgnnModel, graphs: GraphSet) -> tuple[float, float]:
+    """Mean cross entropy and accuracy over a whole set of graphs."""
     probs = predict_probs(model, graphs)
-    labels = np.array([g.label for g in graphs], dtype=np.int64)
-    correct = int((probs.argmax(axis=1) == labels).sum())
-    return cross_entropy(probs, labels), correct / len(graphs)
+    correct = int((probs.argmax(axis=1) == graphs.labels).sum())
+    return cross_entropy(probs, graphs.labels), correct / len(graphs)
 
 
-def fit(train_graphs: list[ChainedGraph], valid_graphs: list[ChainedGraph],
-        dims: ModelDims, config: TrainConfig = TrainConfig(),
+def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
+        config: TrainConfig = TrainConfig(),
         log=None) -> tuple[CgnnModel, TrainReport]:
     """Train a fresh model, returning the weights of the epoch with the
     lowest validation loss.
@@ -204,12 +200,11 @@ def fit(train_graphs: list[ChainedGraph], valid_graphs: list[ChainedGraph],
     """
     dims.validate()
     config.validate()
-    if not train_graphs:
+    if not len(train_graphs):
         raise EmptyDataset("cannot train on zero graphs")
-    if not valid_graphs:
+    if not len(valid_graphs):
         raise EmptySplit("early stopping needs a non-empty validation split")
-    worst = max(max(g.label for g in train_graphs),
-                max(g.label for g in valid_graphs))
+    worst = max(train_graphs.labels.max(), valid_graphs.labels.max())
     if worst >= dims.m:
         raise LabelOutOfRange(
             f"graphs carry label {worst}, model has {dims.m} classes")
@@ -225,9 +220,8 @@ def fit(train_graphs: list[ChainedGraph], valid_graphs: list[ChainedGraph],
         order = rng.permutation(len(train_graphs))
         batch_losses = []
         for start in range(0, order.size, config.batch_size):
-            picked = [train_graphs[i] for i in order[start:start +
-                                                     config.batch_size]]
-            batch = batch_graphs(picked)
+            batch = batch_graphs(train_graphs,
+                                 order[start:start + config.batch_size])
             cache = forward(model, batch)
             loss = cross_entropy(cache.probs, batch.labels)
             if not math.isfinite(loss):

@@ -83,17 +83,32 @@ def table_of(frames: list[bytes]) -> RecordTable:
     return walk_pcap(pcap_bytes(frames))
 
 
-def random_graphs(rng: np.random.Generator, count: int, p: int,
-                  num_classes: int = 2, max_n: int = 10) -> list:
-    from cgnn.graph import ChainedGraph
+def graph_set(features: list[np.ndarray], labels: list[int],
+              p: int | None = None):
+    """A GraphSet of the given (n, p) uint8 matrices and labels, their
+    rows packed back to back in one buffer; p is needed only when there
+    are no graphs."""
+    from cgnn.graph import GraphSet
 
-    graphs = []
+    p = features[0].shape[1] if features else p
+    lengths = np.array([f.shape[0] for f in features], dtype=np.int64)
+    buffer = np.concatenate([np.asarray(f, np.uint8).reshape(-1)
+                             for f in features] or [np.zeros(0, np.uint8)])
+    return GraphSet(buffer=buffer, p=p,
+                    starts=(np.cumsum(lengths) - lengths) * p,
+                    lengths=lengths,
+                    labels=np.array(labels, dtype=np.int64).reshape(-1))
+
+
+def random_graphs(rng: np.random.Generator, count: int, p: int,
+                  num_classes: int = 2, max_n: int = 10):
+    """A GraphSet of count random graphs with 1..max_n vertices each."""
+    features, labels = [], []
     for _ in range(count):
         n = int(rng.integers(1, max_n + 1))
-        features = rng.integers(0, 256, size=(n, p)).astype(np.uint8)
-        graphs.append(ChainedGraph(features=features,
-                                   label=int(rng.integers(num_classes))))
-    return graphs
+        features.append(rng.integers(0, 256, size=(n, p)).astype(np.uint8))
+        labels.append(int(rng.integers(num_classes)))
+    return graph_set(features, labels, p)
 
 
 @pytest.fixture

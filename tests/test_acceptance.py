@@ -15,15 +15,14 @@ import numpy as np
 import pytest
 
 from cgnn.dataset import Dataset, parse_dataset
-from cgnn.graph import (ChainedGraph, batch_graphs, propagation_matrix,
-                        split_dataset)
+from cgnn.graph import batch_graphs, propagation_matrix, split_dataset
 from cgnn.model import (ModelDims, forward, init_model, load_checkpoint,
                         predict_probs, save_checkpoint)
 from cgnn.preprocess import FiveTuple, graphs_from_records
 from cgnn.train import TrainConfig, backward, evaluate, fit
 
-from conftest import (IP_A, IP_B, arp_frame, random_graphs, table_of,
-                      tcp_frame, udp_frame)
+from conftest import (IP_A, IP_B, arp_frame, graph_set, random_graphs,
+                      table_of, tcp_frame, udp_frame)
 from test_graph import dense_propagation_oracle
 from test_preprocess import (_only_row, expected_tcp_clean,
                              expected_udp_clean)
@@ -78,7 +77,8 @@ def test_criterion_3_batched_forward_equals_single_graphs(capsys):
     graphs = random_graphs(rng, 32, p=20, num_classes=3)
     batched = forward(model, batch_graphs(graphs)).probs
     singles = np.concatenate(
-        [forward(model, batch_graphs([g])).probs for g in graphs])
+        [forward(model, batch_graphs(graphs, [i])).probs
+         for i in range(len(graphs))])
     worst = float(np.abs(batched - singles).max())
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and elapsed < 5.0
@@ -90,13 +90,14 @@ def test_criterion_3_batched_forward_equals_single_graphs(capsys):
 def test_criterion_4_overfits_patterned_sessions(capsys):
     start = time.perf_counter()
     rng = np.random.default_rng(4)
-    graphs = []
+    features = []
     for i in range(200):
         n = int(rng.integers(3, 9))
         fill = 0x11 if i % 2 == 0 else 0xEE
-        graphs.append(ChainedGraph(np.full((n, 64), fill, dtype=np.uint8),
-                                   i % 2))
-    train, valid, test = split_dataset(graphs, seed=0)
+        features.append(np.full((n, 64), fill, dtype=np.uint8))
+    graphs = graph_set(features, [i % 2 for i in range(200)])
+    train, valid, test = (graphs[idx] for idx in split_dataset(graphs,
+                                                               seed=0))
     dims = ModelDims(p=64, d1=32, d2=16, m=2, standardize=True)
     config = TrainConfig(lr=0.01, batch_size=32, max_epochs=200,
                          patience=200, seed=0)
@@ -133,7 +134,7 @@ def test_criterion_5_golden_capture_cleaning(capsys):
     # SYN-only handshake packet: no payload, discarded.
     graphs, _, stats = graphs_from_records(
         table_of([tcp_frame(b"", flags=0x02)]), 0, p)
-    checks.append(graphs == [] and stats.discarded_empty == 1)
+    checks.append(len(graphs) == 0 and stats.discarded_empty == 1)
 
     # UDP: 8-byte header padded to 20 with zeros.
     checks.append(row_is(_only_row(udp_frame(b"ping"), p),
@@ -141,7 +142,7 @@ def test_criterion_5_golden_capture_cleaning(capsys):
 
     # ARP noise: not a session packet, skipped not fatal.
     graphs, _, stats = graphs_from_records(table_of([arp_frame()]), 0, p)
-    checks.append(graphs == [] and stats.non_ipv4 == 1)
+    checks.append(len(graphs) == 0 and stats.non_ipv4 == 1)
 
     # Bidirectional flow: both directions in one session, order kept,
     # and the vectorized output is byte-exact including the padding.
@@ -195,7 +196,7 @@ def test_criterion_7_artifacts_round_trip_bit_exact(tmp_path, capsys):
         names = [f"class-{i}" for i in range(m)]
         graphs = random_graphs(rng, int(rng.integers(0, 10)), p=p,
                                num_classes=m)
-        raw = Dataset(graphs=graphs, label_names=names, p=p).to_bytes()
+        raw = Dataset(graphs=graphs, label_names=names).to_bytes()
         trials += 1
         if parse_dataset(raw).to_bytes() != raw:
             failures += 1
@@ -243,7 +244,8 @@ def test_criterion_8_real_traffic_benchmark(tmp_path, capsys):
 
     from cgnn.dataset import load_dataset
     dataset = load_dataset(data)
-    _, _, test = split_dataset(dataset.graphs, seed=0)
+    _, _, test_idx = split_dataset(dataset.graphs, seed=0)
+    test = dataset.graphs[test_idx]
     checkpoint = load_checkpoint(run / "best.cgm1")
     _, accuracy = evaluate(checkpoint.model, test)
     ok = accuracy >= 0.90

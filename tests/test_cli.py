@@ -193,6 +193,18 @@ def test_preprocess_warns_on_sessionless_label(tmp_path, capsys):
     assert load_dataset(out).label_names == ["chat", "mail", "quiet"]
 
 
+def test_preprocess_failing_second_capture_leaves_no_file(tmp_path, capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    (root / "chat" / "zz-broken.pcap").write_bytes(b"\xde\xad" * 20)
+    out = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(out), "--p", "64"]) == 1
+    err = capsys.readouterr().err
+    assert "zz-broken.pcap" in err and "magic" in err
+    assert not out.exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["captures"]
+
+
 def test_preprocess_rejects_unknown_config_key(tmp_path, capsys):
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)

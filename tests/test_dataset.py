@@ -9,21 +9,22 @@ import pytest
 
 from cgnn.dataset import (DATASET_MAGIC, Dataset, load_dataset, parse_dataset,
                           save_dataset)
-from cgnn.errors import (BadMagic, CorruptLength, LabelOutOfRange,
-                         MixedFeatureWidth, VersionMismatch)
-from cgnn.graph import ChainedGraph
+from cgnn.errors import (BadMagic, CgnnError, CorruptLength,
+                         LabelOutOfRange, VersionMismatch)
 from cgnn.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 
-from conftest import random_graphs
+from conftest import graph_set, random_graphs
 
 
 def small_dataset() -> Dataset:
-    graphs = [
-        ChainedGraph(np.array([[1, 2, 3, 4]], dtype=np.uint8), 0),
-        ChainedGraph(np.array([[5, 6, 7, 8], [9, 10, 11, 12]],
-                              dtype=np.uint8), 1),
-    ]
-    return Dataset(graphs=graphs, label_names=["chat", "mail"], p=4)
+    graphs = graph_set([np.array([[1, 2, 3, 4]], dtype=np.uint8),
+                        np.array([[5, 6, 7, 8], [9, 10, 11, 12]],
+                                 dtype=np.uint8)], [0, 1])
+    return Dataset(graphs=graphs, label_names=["chat", "mail"])
+
+
+def empty_dataset(label_names: list[str], p: int) -> Dataset:
+    return Dataset(graphs=graph_set([], [], p), label_names=label_names)
 
 
 def test_round_trip_small():
@@ -38,22 +39,22 @@ def test_round_trip_small():
 
 
 def test_round_trip_zero_graphs():
-    data = Dataset(graphs=[], label_names=["only"], p=16)
+    data = empty_dataset(["only"], 16)
     parsed = parse_dataset(data.to_bytes())
-    assert parsed.graphs == []
+    assert len(parsed.graphs) == 0
     assert parsed.label_names == ["only"]
     assert parsed.p == 16
 
 
 def test_round_trip_single_vertex_small_p():
-    graph = ChainedGraph(np.array([[255]], dtype=np.uint8), 0)
-    data = Dataset(graphs=[graph], label_names=["x"], p=1)
+    data = Dataset(graphs=graph_set([np.array([[255]], dtype=np.uint8)], [0]),
+                   label_names=["x"])
     parsed = parse_dataset(data.to_bytes())
     assert parsed.graphs[0].features.tolist() == [[255]]
 
 
 def test_label_name_order_preserved():
-    data = Dataset(graphs=[], label_names=["zz", "aa", "mm"], p=2)
+    data = empty_dataset(["zz", "aa", "mm"], 2)
     assert parse_dataset(data.to_bytes()).label_names == ["zz", "aa", "mm"]
 
 
@@ -66,7 +67,7 @@ def test_file_starts_with_magic_and_version():
 def test_save_and_load_file(tmp_path):
     path = tmp_path / "sample.cgd1"
     data = small_dataset()
-    save_dataset(data, path)
+    assert save_dataset([data.graphs], path, data.label_names, 4) == 2
     assert path.read_bytes() == data.to_bytes()
     loaded = load_dataset(path)
     assert loaded.to_bytes() == data.to_bytes()
@@ -74,8 +75,11 @@ def test_save_and_load_file(tmp_path):
 
 def test_load_views_features_and_copies_weights(tmp_path):
     path = tmp_path / "sample.cgd1"
-    save_dataset(small_dataset(), path)
-    for graph in load_dataset(path).graphs:
+    data = small_dataset()
+    save_dataset([data.graphs], path, data.label_names, 4)
+    loaded = load_dataset(path).graphs
+    assert loaded.buffer.size == path.stat().st_size  # the file's bytes
+    for graph in loaded:
         assert not graph.features.flags.owndata
         assert not graph.features.flags.writeable
     model = init_model(ModelDims(p=4, d1=3, d2=2, m=2), seed=0)
@@ -91,13 +95,13 @@ def test_fuzz_round_trip_bit_exact(rng):
         names = [f"class-{trial}-{i}-é" for i in range(num_classes)]
         count = int(rng.integers(0, 12))
         graphs = random_graphs(rng, count, p=p, num_classes=num_classes)
-        data = Dataset(graphs=graphs, label_names=names, p=p)
+        data = Dataset(graphs=graphs, label_names=names)
         raw = data.to_bytes()
         assert parse_dataset(raw).to_bytes() == raw
 
 
 def test_unicode_label_names():
-    data = Dataset(graphs=[], label_names=["??????", "流量"], p=3)
+    data = empty_dataset(["??????", "流量"], 3)
     assert parse_dataset(data.to_bytes()).label_names == data.label_names
 
 
@@ -129,7 +133,7 @@ def test_rejects_trailing_garbage():
 
 
 def test_rejects_zero_feature_width():
-    data = Dataset(graphs=[], label_names=["a"], p=4)
+    data = empty_dataset(["a"], 4)
     raw = bytearray(data.to_bytes())
     struct.pack_into("<I", raw, 8, 0)
     with pytest.raises(CorruptLength):
@@ -155,22 +159,32 @@ def test_rejects_label_id_beyond_class_count():
         parse_dataset(bytes(raw))
 
 
-def test_validate_catches_mixed_width():
-    graphs = [ChainedGraph(np.zeros((1, 3), np.uint8), 0),
-              ChainedGraph(np.zeros((1, 4), np.uint8), 0)]
-    data = Dataset(graphs=graphs, label_names=["a"], p=3)
-    with pytest.raises(MixedFeatureWidth):
-        data.validate()
+def test_save_streams_parts_in_order_and_patches_the_count(tmp_path, rng):
+    parts = [random_graphs(rng, count, p=5) for count in (3, 0, 4)]
+    path = tmp_path / "out.cgd1"
+    assert save_dataset(iter(parts), path, ["a", "b"], 5) == 7
+    loaded = load_dataset(path)
+    assert len(loaded.graphs) == 7
+    whole = [g for part in parts for g in part]
+    for original, restored in zip(whole, loaded.graphs):
+        assert restored.label == original.label
+        assert np.array_equal(restored.features, original.features)
 
 
-def test_validate_catches_bad_label():
-    graphs = [ChainedGraph(np.zeros((1, 3), np.uint8), 5)]
-    data = Dataset(graphs=graphs, label_names=["a"], p=3)
-    with pytest.raises(LabelOutOfRange):
-        data.validate()
+def test_failed_part_leaves_no_file(tmp_path, rng):
+    path = tmp_path / "out.cgd1"
+
+    def parts():
+        yield random_graphs(rng, 3, p=4)
+        raise CorruptLength("second capture is broken")
+
+    with pytest.raises(CgnnError):
+        save_dataset(parts(), path, ["a", "b"], 4)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_atomic_save_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.cgd1"
-    save_dataset(small_dataset(), path)
+    data = small_dataset()
+    save_dataset([data.graphs], path, data.label_names, 4)
     assert [f.name for f in tmp_path.iterdir()] == ["out.cgd1"]

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from cgnn.errors import EmptyDataset, MixedFeatureWidth, ShapeMismatch
-from cgnn.graph import (ChainPropagation, ChainedGraph, batch_graphs,
-                        propagation_matrix, split_dataset, truncate_graph)
+from cgnn.errors import EmptyDataset, ShapeMismatch
+from cgnn.graph import (ChainPropagation, batch_graphs, propagation_matrix,
+                        split_dataset)
 from cgnn.preprocess import graphs_from_records
 
-from conftest import random_graphs, table_of, tcp_frame
+from conftest import graph_set, random_graphs, table_of, tcp_frame
 
 
 def dense_propagation_oracle(n: int) -> np.ndarray:
@@ -99,18 +99,20 @@ def test_batch_propagation_rejects_empty():
 
 # --- graph construction ----------------------------------------------------
 
-def _session_graphs(payloads: list[bytes], p: int, label: int = 0) -> list:
+def _session_graphs(payloads: list[bytes], p: int, label: int = 0,
+                    fraction: float = 1.0):
     """Graphs ingest builds from one TCP session's packets."""
     frames = [tcp_frame(payload) for payload in payloads]
-    graphs, _, _ = graphs_from_records(table_of(frames), label, p)
+    graphs, _, _ = graphs_from_records(table_of(frames), label, p, fraction)
     return graphs
 
 
 def test_build_chain_graph_six_vertices():
-    (graph,) = _session_graphs([bytes([i + 1]) for i in range(6)], 48,
-                               label=1)
+    graphs = _session_graphs([bytes([i + 1]) for i in range(6)], 48,
+                             label=1)
+    (graph,) = graphs
     assert graph.n == 6
-    assert graph.p == 48
+    assert graphs.p == graph.features.shape[1] == 48
     assert graph.label == 1
     assert graph.features[:, 40].tolist() == [1, 2, 3, 4, 5, 6]  # in order
 
@@ -126,38 +128,66 @@ def test_build_chain_graph_identical_packets_identical_rows():
 
 
 def test_build_chain_graph_rejects_empty():
-    assert _session_graphs([b"", b""], 64) == []
+    assert len(_session_graphs([b"", b""], 64)) == 0
+
+
+def test_graph_views_are_read_only():
+    (graph,) = _session_graphs([b"ab", b"cd"], 8)
+    with pytest.raises(ValueError):
+        graph.features[0, 0] = 1
 
 
 def test_truncate_by_half():
-    graph = ChainedGraph(np.arange(40, dtype=np.uint8).reshape(10, 4), 0)
-    cut = truncate_graph(graph, 0.5)
+    payloads = [bytes([i + 1]) for i in range(10)]
+    (whole,) = _session_graphs(payloads, 48)
+    (cut,) = _session_graphs(payloads, 48, fraction=0.5)
     assert cut.n == 5
-    assert np.array_equal(cut.features, graph.features[:5])
+    assert np.array_equal(cut.features, whole.features[:5])
 
 
 def test_truncate_full_fraction_is_identity():
-    graph = ChainedGraph(np.zeros((3, 2), dtype=np.uint8), 0)
-    assert truncate_graph(graph, 1.0) is graph
+    (graph,) = _session_graphs([b"a", b"b", b"c"], 48, fraction=1.0)
+    assert graph.n == 3
 
 
 def test_truncate_rounds_up():
-    graph = ChainedGraph(np.zeros((3, 2), dtype=np.uint8), 0)
-    assert truncate_graph(graph, 0.4).n == 2
+    (graph,) = _session_graphs([b"a", b"b", b"c"], 48, fraction=0.4)
+    assert graph.n == 2
 
 
 def test_truncate_rejects_bad_fraction():
-    graph = ChainedGraph(np.zeros((3, 2), dtype=np.uint8), 0)
     for fraction in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            truncate_graph(graph, fraction)
+            _session_graphs([b"a", b"b", b"c"], 48, fraction=fraction)
+
+
+def test_truncation_copies_no_cut_row():
+    graphs, _, stats = graphs_from_records(
+        table_of([tcp_frame(bytes([i + 1])) for i in range(10)]
+                 + [tcp_frame(b"u", sport=40001)]), 0, 48, 0.3)
+    assert graphs.lengths.tolist() == [3, 1]
+    assert graphs.buffer.size == 4 * 48
+    assert stats.vertices == 4
+
+
+# --- graph sets ------------------------------------------------------------
+
+def test_graph_set_indexing_shares_the_buffer(rng):
+    graphs = random_graphs(rng, 6, p=5)
+    picked = graphs[np.array([4, 1])]
+    assert picked.buffer is graphs.buffer
+    assert len(picked) == 2
+    assert picked.labels.tolist() == [graphs[4].label, graphs[1].label]
+    assert np.array_equal(picked[0].features, graphs[4].features)
+    assert [g.n for g in graphs[1:3]] == graphs.lengths[1:3].tolist()
 
 
 # --- batching ---------------------------------------------------------------
 
 def test_batch_single_graph_matches_it(rng):
-    graph = random_graphs(rng, 1, p=6)[0]
-    batch = batch_graphs([graph])
+    graphs = random_graphs(rng, 1, p=6)
+    graph = graphs[0]
+    batch = batch_graphs(graphs)
     assert np.array_equal(batch.features,
                           graph.features.astype(np.float32))
     assert batch.lengths.tolist() == [graph.n]
@@ -166,8 +196,8 @@ def test_batch_single_graph_matches_it(rng):
 
 
 def test_batch_offsets_and_block_structure():
-    graphs = [ChainedGraph(np.zeros((2, 3), np.uint8), 0),
-              ChainedGraph(np.ones((3, 3), np.uint8), 1)]
+    graphs = graph_set([np.zeros((2, 3), np.uint8),
+                        np.ones((3, 3), np.uint8)], [0, 1])
     batch = batch_graphs(graphs)
     assert batch.offsets.tolist() == [0, 2, 5]
     assert batch.prop.dense()[1, 2] == 0.0
@@ -178,7 +208,7 @@ def test_batch_of_32_graphs(rng):
     batch = batch_graphs(graphs)
     assert batch.size == 32
     assert batch.offsets.shape == (33,)
-    assert batch.features.shape[0] == sum(g.n for g in graphs)
+    assert batch.features.shape[0] == graphs.lengths.sum()
 
 
 def test_batch_slicing_reproduces_inputs_exactly(rng):
@@ -190,16 +220,18 @@ def test_batch_slicing_reproduces_inputs_exactly(rng):
         assert np.array_equal(rows, graph.features.astype(np.float32))
 
 
-def test_batch_rejects_mixed_widths():
-    graphs = [ChainedGraph(np.zeros((1, 3), np.uint8), 0),
-              ChainedGraph(np.zeros((1, 4), np.uint8), 0)]
-    with pytest.raises(MixedFeatureWidth):
-        batch_graphs(graphs)
+def test_batch_takes_the_chosen_graphs_in_order(rng):
+    graphs = random_graphs(rng, 10, p=7)
+    idx = np.array([7, 2, 9])
+    batch = batch_graphs(graphs, idx)
+    assert batch.labels.tolist() == graphs.labels[idx].tolist()
+    assert np.array_equal(batch.features, np.concatenate(
+        [graphs[i].features for i in idx.tolist()]).astype(np.float32))
 
 
-def test_batch_rejects_empty_list():
+def test_batch_rejects_empty_list(rng):
     with pytest.raises(EmptyDataset):
-        batch_graphs([])
+        batch_graphs(random_graphs(rng, 0, p=4))
 
 
 # --- dataset splitting -------------------------------------------------------
@@ -215,33 +247,46 @@ def test_same_seed_same_split(rng):
     first = split_dataset(graphs, seed=11)
     second = split_dataset(graphs, seed=11)
     for a, b in zip(first, second):
-        assert [id(g) for g in a] == [id(g) for g in b]
+        assert a.tolist() == b.tolist()
 
 
 def test_split_is_a_partition(rng):
     graphs = random_graphs(rng, 53, p=4, num_classes=4)
     train, valid, test = split_dataset(graphs, seed=5)
-    combined = [id(g) for g in train + valid + test]
-    assert sorted(combined) == sorted(id(g) for g in graphs)
-    assert len(set(combined)) == len(graphs)
+    combined = np.concatenate([train, valid, test])
+    assert sorted(combined.tolist()) == list(range(len(graphs)))
 
 
-def test_balanced_classes_stay_balanced(rng):
-    graphs = random_graphs(rng, 0, p=4)
-    graphs += [ChainedGraph(np.zeros((1, 4), np.uint8), 0)
-               for _ in range(50)]
-    graphs += [ChainedGraph(np.zeros((1, 4), np.uint8), 1)
-               for _ in range(50)]
+def test_split_shuffles_each_label_in_turn(rng):
+    """Each part lists the labels in increasing order, each label's graphs
+    in one seeded permutation drawn per label."""
+    graphs = random_graphs(rng, 40, p=4, num_classes=3)
+    train, valid, test = split_dataset(graphs, seed=2)
+    order = np.random.default_rng(2)
+    expected = ([], [], [])
+    for label in range(3):
+        group = np.flatnonzero(graphs.labels == label)
+        group = group[order.permutation(group.size)]
+        n_valid, n_test = int(0.1 * group.size), int(0.1 * group.size)
+        expected[1].extend(group[:n_valid].tolist())
+        expected[2].extend(group[n_valid:n_valid + n_test].tolist())
+        expected[0].extend(group[n_valid + n_test:].tolist())
+    assert (train.tolist(), valid.tolist(), test.tolist()) == expected
+
+
+def test_balanced_classes_stay_balanced():
+    graphs = graph_set([np.zeros((1, 4), np.uint8)] * 100,
+                       [0] * 50 + [1] * 50)
     train, valid, test = split_dataset(graphs, seed=0)
     for part, expected in ((train, 40), (valid, 5), (test, 5)):
         for label in (0, 1):
-            count = sum(1 for g in part if g.label == label)
+            count = np.count_nonzero(graphs.labels[part] == label)
             assert abs(count - expected) <= 1
 
 
 def test_split_rejects_empty_and_bad_fractions(rng):
     with pytest.raises(EmptyDataset):
-        split_dataset([], seed=0)
+        split_dataset(random_graphs(rng, 0, p=4), seed=0)
     graphs = random_graphs(rng, 5, p=4)
     with pytest.raises(ValueError):
         split_dataset(graphs, seed=0, valid_frac=0.6, test_frac=0.5)

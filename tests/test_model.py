@@ -13,13 +13,13 @@ import cgnn.model
 from cgnn.errors import (BadMagic, ConfigError, CorruptLength, DimsMismatch,
                          EmptySegment, NonFiniteInput, ShapeMismatch,
                          VersionMismatch)
-from cgnn.graph import ChainPropagation, ChainedGraph, batch_graphs
+from cgnn.graph import ChainPropagation, batch_graphs
 from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims, fc_softmax,
                         forward, init_model, load_checkpoint,
                         parse_checkpoint, pool, predict_probs, relu,
                         save_checkpoint, sgc_layer, softmax)
 
-from conftest import random_graphs
+from conftest import graph_set, random_graphs
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2)
 
@@ -243,8 +243,8 @@ def test_forward_zero_features_uniform_output():
     model = init_model(dims, seed=0)
     model.W[:] = 0
     model.b[:] = 0
-    graph = ChainedGraph(np.zeros((1, 4), dtype=np.uint8), 0)
-    probs = forward(model, batch_graphs([graph])).probs
+    graphs = graph_set([np.zeros((1, 4), dtype=np.uint8)], [0])
+    probs = forward(model, batch_graphs(graphs)).probs
     assert np.abs(probs - 1 / 3).max() <= 1e-7
 
 
@@ -288,10 +288,10 @@ def test_forward_chain_reversal_same_distribution(rng):
     # The chain is undirected, so reading a session back to front must
     # classify identically (up to float addition order).
     model = init_model(TINY_DIMS, seed=4)
-    graph = random_graphs(rng, 1, p=6, max_n=9)[0]
-    flipped = ChainedGraph(graph.features[::-1].copy(), graph.label)
-    a = forward(model, batch_graphs([graph])).probs
-    b = forward(model, batch_graphs([flipped])).probs
+    graphs = random_graphs(rng, 1, p=6, max_n=9)
+    flipped = graph_set([graphs[0].features[::-1]], graphs.labels)
+    a = forward(model, batch_graphs(graphs)).probs
+    b = forward(model, batch_graphs(flipped)).probs
     assert np.abs(a - b).max() <= 1e-6
 
 
@@ -326,9 +326,25 @@ def test_predict_probs_and_labels(rng, monkeypatch):
     assert np.abs(probs - whole).max() <= 1e-6
 
 
-def test_predict_probs_empty_list():
+def test_predict_probs_keeps_no_backward_cache(rng, monkeypatch):
     model = init_model(TINY_DIMS, seed=0)
-    assert predict_probs(model, []).shape == (0, 2)
+    graphs = random_graphs(rng, 10, p=6)
+    caches = []
+
+    def keeping_forward(*args, **kwargs):
+        caches.append(forward(*args, **kwargs))
+        return caches[-1]
+
+    monkeypatch.setattr(cgnn.model, "forward", keeping_forward)
+    probs = predict_probs(model, graphs)
+    assert caches and all(c.hop_inputs == c.pre_acts == [] for c in caches)
+    assert np.array_equal(probs,
+                          forward(model, batch_graphs(graphs)).probs)
+
+
+def test_predict_probs_empty_list(rng):
+    model = init_model(TINY_DIMS, seed=0)
+    assert predict_probs(model, random_graphs(rng, 0, p=6)).shape == (0, 2)
 
 
 # --- checkpoints -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Capture container parsing against hand-built golden files."""
+"""Capture container walking against hand-built golden files."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cgnn.errors import BadMagic, UnsupportedLinkType
-from cgnn.pcap import PcapFile, PcapRecord, parse_pcap, walk_pcap
+from cgnn.pcap import RECORD_HEADER_LEN, walk_pcap
 
 from conftest import pcap_bytes
 
@@ -29,22 +29,30 @@ def golden_single_record(magic: int = 0xA1B2C3D4,
     return header + record + FRAME
 
 
+def frames_of(table) -> list[bytes]:
+    """The frame bytes a walked table points at."""
+    return [table.data[s:s + n] for s, n in zip(table.starts.tolist(),
+                                                table.lengths.tolist())]
+
+
 def test_golden_single_record_little_endian():
-    pcap = parse_pcap(golden_single_record())
-    assert len(pcap.records) == 1
-    rec = pcap.records[0]
-    assert rec == PcapRecord(ts_sec=1700000000, ts_frac=123456,
-                             captured_len=60, original_len=60, data=FRAME)
-    assert pcap.snaplen == 65535
-    assert not pcap.nanosecond
-    assert not pcap.big_endian
-    assert not pcap.truncated
+    data = golden_single_record()
+    table = walk_pcap(data)
+    assert table.starts.tolist() == [24 + RECORD_HEADER_LEN]
+    assert table.lengths.tolist() == [60]  # captured length
+    assert frames_of(table) == [FRAME]
+    assert table.snaplen == 65535
+    assert not table.nanosecond
+    assert not table.big_endian
+    assert not table.truncated
 
 
 def test_byte_swapped_magic_gives_identical_record():
-    little = parse_pcap(golden_single_record())
-    big = parse_pcap(golden_single_record(big_endian=True))
-    assert big.records == little.records
+    little = walk_pcap(golden_single_record())
+    big = walk_pcap(golden_single_record(big_endian=True))
+    assert big.starts.tolist() == little.starts.tolist()
+    assert big.lengths.tolist() == little.lengths.tolist()
+    assert frames_of(big) == frames_of(little)
     assert big.big_endian and not little.big_endian
 
 
@@ -55,55 +63,53 @@ def test_byte_swapped_magic_gives_identical_record():
     (0xA1B23C4D, True, True),
 ])
 def test_all_four_magic_values(magic, big_endian, nanos):
-    pcap = parse_pcap(golden_single_record(magic, big_endian))
-    assert pcap.nanosecond == nanos
-    assert pcap.big_endian == big_endian
-    assert pcap.records[0].data == FRAME
+    table = walk_pcap(golden_single_record(magic, big_endian))
+    assert table.nanosecond == nanos
+    assert table.big_endian == big_endian
+    assert frames_of(table) == [FRAME]
 
 
 def test_header_only_file_gives_zero_records():
-    pcap = parse_pcap(pcap_bytes([]))
-    assert pcap.records == []
-    assert not pcap.truncated
+    table = walk_pcap(pcap_bytes([]))
+    assert table.starts.size == table.lengths.size == 0
+    assert not table.truncated
 
 
 def test_bad_magic():
     with pytest.raises(BadMagic):
-        parse_pcap(b"\xde\xad\xbe\xef" + b"\x00" * 20)
+        walk_pcap(b"\xde\xad\xbe\xef" + b"\x00" * 20)
 
 
 def test_file_shorter_than_global_header():
     with pytest.raises(BadMagic):
-        parse_pcap(b"\xd4\xc3\xb2\xa1\x02\x00")
+        walk_pcap(b"\xd4\xc3\xb2\xa1\x02\x00")
 
 
 def test_non_ethernet_link_type():
     data = bytearray(golden_single_record())
     data[20:24] = struct.pack("<I", 101)  # raw IP link type
     with pytest.raises(UnsupportedLinkType):
-        parse_pcap(bytes(data))
+        walk_pcap(bytes(data))
 
 
 def test_record_body_truncated_keeps_earlier_records():
     data = pcap_bytes([FRAME, FRAME])
-    cut = parse_pcap(data[:-10])
-    assert len(cut.records) == 1
-    assert cut.records[0].data == FRAME
+    cut = walk_pcap(data[:-10])
+    assert frames_of(cut) == [FRAME]
     assert cut.truncated
 
 
 def test_partial_record_header_sets_flag():
     data = pcap_bytes([FRAME])
-    cut = parse_pcap(data + b"\x01\x02\x03")  # 3 stray header bytes
-    assert len(cut.records) == 1
+    cut = walk_pcap(data + b"\x01\x02\x03")  # 3 stray header bytes
+    assert frames_of(cut) == [FRAME]
     assert cut.truncated
 
 
 def test_captured_len_beyond_snaplen_stops():
-    data = pcap_bytes([FRAME], snaplen=32)
-    pcap = parse_pcap(data)
-    assert pcap.records == []
-    assert pcap.truncated
+    table = walk_pcap(pcap_bytes([FRAME], snaplen=32))
+    assert table.starts.size == 0
+    assert table.truncated
 
 
 def test_walk_locates_frames_without_copying():
@@ -120,24 +126,15 @@ def test_walk_locates_frames_without_copying():
     assert walk_pcap(pcap_bytes([FRAME], snaplen=32)).starts.size == 0
 
 
-def test_round_trip_golden_file_is_byte_identical():
-    for big_endian in (False, True):
-        original = golden_single_record(big_endian=big_endian)
-        assert parse_pcap(original).to_bytes() == original
-
-
 def test_round_trip_many_records(rng):
     frames = [bytes(rng.integers(0, 256, size=int(n)).astype("uint8"))
               for n in rng.integers(14, 200, size=20)]
-    for nanos in (False, True):
+    for magic in (0xA1B2C3D4, 0xA1B23C4D):
         for big_endian in (False, True):
-            pcap = PcapFile(nanosecond=nanos, big_endian=big_endian)
-            for i, frame in enumerate(frames):
-                pcap.records.append(PcapRecord(
-                    ts_sec=i, ts_frac=7 * i, captured_len=len(frame),
-                    original_len=len(frame) + 4, data=frame))
-            again = parse_pcap(pcap.to_bytes())
-            assert again.records == pcap.records
-            assert again.nanosecond == nanos
-            assert again.big_endian == big_endian
-            assert again.to_bytes() == pcap.to_bytes()
+            table = walk_pcap(pcap_bytes(frames, magic=magic,
+                                         big_endian=big_endian))
+            assert frames_of(table) == frames
+            assert table.lengths.tolist() == [len(f) for f in frames]
+            assert table.nanosecond == (magic == 0xA1B23C4D)
+            assert table.big_endian == big_endian
+            assert not table.truncated

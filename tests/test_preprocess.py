@@ -29,7 +29,7 @@ def _only_row(frame: bytes, p: int) -> np.ndarray:
 def _skip_reason(frame: bytes) -> str:
     """The one counter a frame that cannot join a session lands in."""
     graphs, keys, stats = ingest([frame])
-    assert graphs == [] and keys == [] and stats.skipped == 1
+    assert len(graphs) == 0 and keys == [] and stats.skipped == 1
     (reason,) = [name for name in REASONS if getattr(stats, name)]
     return reason
 
@@ -53,7 +53,7 @@ def test_vectorize_truncates_long_input():
 
 def test_vectorize_empty_input():
     graphs, keys, stats = ingest([])
-    assert graphs == [] and keys == []
+    assert len(graphs) == 0 and keys == []
     assert stats == cgnn.preprocess.IngestStats()
 
 
@@ -122,13 +122,13 @@ def test_udp_header_padded_to_twenty_bytes():
 def test_empty_tcp_payload_is_discarded():
     syn = tcp_frame(b"", flags=0x02)
     graphs, _, stats = ingest([syn], p=32)
-    assert graphs == []
+    assert len(graphs) == 0
     assert stats.discarded_empty == 1 and stats.dropped_sessions == 1
 
 
 def test_empty_udp_payload_is_discarded():
     graphs, _, stats = ingest([udp_frame(b"")])
-    assert graphs == []
+    assert len(graphs) == 0
     assert stats.discarded_empty == 1 and stats.dropped_sessions == 1
 
 
@@ -137,7 +137,7 @@ def test_ethernet_trailer_does_not_count_as_payload():
     # excludes the pad, so a bare ACK still has no payload.
     ack = tcp_frame(b"", flags=0x10, trailer=b"\x5a" * 6)
     graphs, _, stats = ingest([ack])
-    assert graphs == [] and stats.discarded_empty == 1
+    assert len(graphs) == 0 and stats.discarded_empty == 1
 
 
 def test_trailer_excluded_from_kept_payload():
@@ -349,32 +349,25 @@ def test_five_tuple_canonical_is_direction_free():
     assert str(forward_key) == "10.0.0.1:40000-10.0.0.2:80/tcp"
 
 
-def test_ingest_builds_no_record_and_one_key_per_session(tmp_path,
-                                                         monkeypatch):
-    """A capture goes from its bytes to graphs without a PcapRecord per
-    frame, and builds a FiveTuple only for each session it emits."""
+def test_ingest_builds_one_key_per_session(tmp_path, monkeypatch):
+    """A capture goes from its bytes to graphs building a FiveTuple only
+    for each session it emits."""
     frames = [tcp_frame(b"a1"), udp_frame(b"u1"), arp_frame(),
               b"\x00" * 8, udp_frame(b"\x12\x34", dport=53),
               tcp_frame(b"", flags=0x02), tcp_frame(b"a2"),
               udp_frame(b"", sport=40001)]
     path = tmp_path / "capture.pcap"
     path.write_bytes(pcap_bytes(frames))
-    records, keys_built = [], []
-    record, five_tuple = cgnn.pcap.PcapRecord, cgnn.preprocess.FiveTuple
-
-    def count_records(*args, **kwargs):
-        records.append(args)
-        return record(*args, **kwargs)
+    keys_built = []
+    five_tuple = cgnn.preprocess.FiveTuple
 
     def count_keys(*args, **kwargs):
         keys_built.append(args)
         return five_tuple(*args, **kwargs)
 
-    monkeypatch.setattr(cgnn.pcap, "PcapRecord", count_records)
     monkeypatch.setattr(cgnn.preprocess, "FiveTuple", count_keys)
     graphs, keys, stats = _ingest_capture(path, 0, 64,
                                           RunConfig(drop_dns=True))
-    assert records == []
     assert len(keys_built) == len(keys) == len(graphs) == 2
     assert [g.n for g in graphs] == [2, 1]
     assert (stats.skipped, stats.dropped_dns, stats.discarded_empty,

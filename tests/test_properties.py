@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from cgnn.cli import RunConfig, format_config, parse_config_text
 from cgnn.dataset import Dataset, parse_dataset
 from cgnn.errors import CgnnError
-from cgnn.graph import ChainedGraph, truncate_graph
 from cgnn.model import (ModelDims, init_model, parse_checkpoint,
                         save_checkpoint, softmax)
-from cgnn.pcap import PcapFile, PcapRecord, parse_pcap, walk_pcap
+from cgnn.pcap import walk_pcap
 from cgnn.preprocess import graphs_from_records
 
-from conftest import (arp_frame, pcap_bytes, random_graphs, table_of,
-                      tcp_frame, udp_frame)
+from conftest import (arp_frame, graph_set, pcap_bytes, random_graphs,
+                      table_of, tcp_frame, udp_frame)
 from test_preprocess import expected_tcp_clean
 
 # Text that survives a UTF-8 round trip (no surrogates).
@@ -66,26 +65,18 @@ def test_five_tuple_canonical_ignores_direction(src_ip, dst_ip, src_port,
     assert graph.n == 2
 
 
-record_strategy = st.builds(
-    lambda ts, frac, data, extra: PcapRecord(
-        ts_sec=ts, ts_frac=frac, captured_len=len(data),
-        original_len=len(data) + extra, data=data),
-    ts=st.integers(0, 2**32 - 1), frac=st.integers(0, 999_999),
-    data=st.binary(max_size=64), extra=st.integers(0, 100))
-
-
-@given(records=st.lists(record_strategy, max_size=8),
+@given(frames=st.lists(st.binary(max_size=64), max_size=8),
        nanosecond=st.booleans(), big_endian=st.booleans())
 @settings(deadline=None)
-def test_capture_files_round_trip(records, nanosecond, big_endian):
-    original = PcapFile(records=records, snaplen=65535,
-                        nanosecond=nanosecond, big_endian=big_endian)
-    parsed = parse_pcap(original.to_bytes())
-    assert parsed.records == records
-    assert parsed.nanosecond == nanosecond
-    assert parsed.big_endian == big_endian
-    assert parsed.truncated is False
-    assert parsed.to_bytes() == original.to_bytes()
+def test_capture_files_round_trip(frames, nanosecond, big_endian):
+    data = pcap_bytes(frames, magic=0xA1B23C4D if nanosecond else 0xA1B2C3D4,
+                      big_endian=big_endian)
+    table = walk_pcap(data)
+    assert [data[s:s + n] for s, n in zip(table.starts.tolist(),
+                                          table.lengths.tolist())] == frames
+    assert table.nanosecond == nanosecond
+    assert table.big_endian == big_endian
+    assert table.truncated is False
 
 
 @given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)),
@@ -95,9 +86,9 @@ def test_capture_files_round_trip(records, nanosecond, big_endian):
 @settings(deadline=None)
 def test_dataset_bytes_round_trip(shapes, p, names):
     rng = np.random.default_rng(0)
-    graphs = [ChainedGraph(rng.integers(0, 256, (n, p)).astype(np.uint8),
-                           label) for n, label in shapes]
-    raw = Dataset(graphs=graphs, label_names=names, p=p).to_bytes()
+    graphs = graph_set([rng.integers(0, 256, (n, p)).astype(np.uint8)
+                        for n, _ in shapes], [label for _, label in shapes], p)
+    raw = Dataset(graphs=graphs, label_names=names).to_bytes()
     assert parse_dataset(raw).to_bytes() == raw
 
 
@@ -123,11 +114,16 @@ def test_softmax_rows_are_distributions(rows):
 
 
 @given(n=st.integers(1, 50), fraction=st.floats(0.01, 1.0))
+@settings(deadline=None)
 def test_truncation_keeps_a_leading_ceil_fraction(n, fraction):
-    graph = ChainedGraph(np.zeros((n, 2), dtype=np.uint8), 0)
-    kept = truncate_graph(graph, fraction).n
-    assert kept == math.ceil(fraction * n)
+    frames = [tcp_frame(bytes([i + 1])) for i in range(n)]
+    (whole,), _, _ = graphs_from_records(table_of(frames), 0, 48)
+    (graph,), _, stats = graphs_from_records(table_of(frames), 0, 48,
+                                             fraction)
+    kept = graph.n
+    assert kept == math.ceil(fraction * n) == stats.vertices
     assert 1 <= kept <= n
+    assert np.array_equal(graph.features, whole.features[:kept])
 
 
 # --- parser robustness ------------------------------------------------------
@@ -135,7 +131,7 @@ def test_truncation_keeps_a_leading_ceil_fraction(n, fraction):
 @functools.cache
 def _valid_dataset() -> bytes:
     graphs = random_graphs(np.random.default_rng(3), 4, p=6, max_n=3)
-    return Dataset(graphs=graphs, label_names=["a", "b"], p=6).to_bytes()
+    return Dataset(graphs=graphs, label_names=["a", "b"]).to_bytes()
 
 
 @functools.cache

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,13 +12,13 @@ import cgnn.model
 import cgnn.train
 from cgnn.errors import (ConfigError, EmptyDataset, EmptySplit,
                          LabelOutOfRange, NonFiniteInput)
-from cgnn.graph import ChainPropagation, ChainedGraph, batch_graphs
+from cgnn.graph import ChainPropagation, batch_graphs
 from cgnn.model import (POOLING_KINDS, CgnnModel, ModelDims, forward,
                         init_model, predict_probs)
 from cgnn.train import (AdamState, TrainConfig, adam_step, backward,
                         cross_entropy, evaluate, fit)
 
-from conftest import random_graphs
+from conftest import graph_set, random_graphs
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2, standardize=True)
 
@@ -134,8 +135,7 @@ def test_cross_entropy_rejects_bad_labels():
 def test_zero_features_give_known_bias_gradient():
     dims = ModelDims(p=4, d1=3, d2=3, m=2)
     model = init_model(dims, seed=0)
-    graph = ChainedGraph(np.zeros((2, 4), dtype=np.uint8), 0)
-    batch = batch_graphs([graph])
+    batch = batch_graphs(graph_set([np.zeros((2, 4), dtype=np.uint8)], [0]))
     grads = backward(model, batch, forward(model, batch))
     # Zero input leaves the logits at b = 0, so probabilities are uniform
     # and only the bias sees gradient: (P - onehot) summed over the batch.
@@ -309,15 +309,19 @@ def test_train_config_validation():
 
 # --- fit ---------------------------------------------------------------------
 
-def two_pattern_graphs(rng, count: int, p: int = 16) -> list[ChainedGraph]:
+def two_pattern_graphs(rng, count: int, p: int = 16):
     """Trivially separable corpus: one class all 0x11, the other all 0xEE."""
-    graphs = []
+    features = []
     for i in range(count):
         n = int(rng.integers(3, 9))
         fill = 0x11 if i % 2 == 0 else 0xEE
-        features = np.full((n, p), fill, dtype=np.uint8)
-        graphs.append(ChainedGraph(features, i % 2))
-    return graphs
+        features.append(np.full((n, p), fill, dtype=np.uint8))
+    return graph_set(features, [i % 2 for i in range(count)])
+
+
+def flipped_labels(graphs):
+    """The same graphs with labels 0 and 1 swapped."""
+    return dataclasses.replace(graphs, labels=1 - graphs.labels)
 
 
 def test_fit_learns_separable_data(rng):
@@ -359,8 +363,7 @@ def test_fit_stops_after_patience_epochs_without_improvement(rng):
     # Validation labels contradict the training labels, so validation
     # loss rises as soon as the model starts fitting the training set.
     train = two_pattern_graphs(rng, 16)
-    valid = [ChainedGraph(g.features, 1 - g.label)
-             for g in two_pattern_graphs(rng, 6)]
+    valid = flipped_labels(two_pattern_graphs(rng, 6))
     dims = ModelDims(p=16, d1=6, d2=4, m=2, standardize=True)
     config = TrainConfig(lr=0.02, batch_size=4, max_epochs=50, patience=1,
                          seed=0)
@@ -373,8 +376,7 @@ def test_fit_stops_after_patience_epochs_without_improvement(rng):
 
 def test_fit_returns_weights_of_the_best_epoch(rng):
     train = two_pattern_graphs(rng, 16)
-    valid = [ChainedGraph(g.features, 1 - g.label)
-             for g in two_pattern_graphs(rng, 6)]
+    valid = flipped_labels(two_pattern_graphs(rng, 6))
     dims = ModelDims(p=16, d1=6, d2=4, m=2, standardize=True)
     config = TrainConfig(lr=0.02, batch_size=4, max_epochs=50, patience=3,
                          seed=0)
@@ -415,10 +417,10 @@ def test_fit_input_validation(rng):
     graphs = two_pattern_graphs(rng, 10)
     dims = ModelDims(p=16, d1=6, d2=4, m=2)
     with pytest.raises(EmptyDataset):
-        fit([], graphs[:2], dims, TrainConfig(max_epochs=1))
+        fit(graphs[:0], graphs[:2], dims, TrainConfig(max_epochs=1))
     with pytest.raises(EmptySplit):
-        fit(graphs[:8], [], dims, TrainConfig(max_epochs=1))
-    bad = [ChainedGraph(graphs[0].features, 5)]
+        fit(graphs[:8], graphs[:0], dims, TrainConfig(max_epochs=1))
+    bad = dataclasses.replace(graphs[:1], labels=np.array([5]))
     with pytest.raises(LabelOutOfRange):
         fit(bad, graphs[:2], dims, TrainConfig(max_epochs=1))
     with pytest.raises(ConfigError):
@@ -440,13 +442,12 @@ def test_evaluate_uniform_model(rng):
     model = init_model(dims, seed=0)
     model.W[:] = 0
     model.b[:] = 0
-    graphs = [ChainedGraph(np.zeros((1, 4), np.uint8), label)
-              for label in (0, 0, 1, 1)]
+    graphs = graph_set([np.zeros((1, 4), np.uint8)] * 4, [0, 0, 1, 1])
     loss, acc = evaluate(model, graphs)
     assert loss == pytest.approx(math.log(2), abs=1e-6)
     assert acc == 0.5  # uniform rows tie, argmax picks class 0
     with pytest.raises(EmptyDataset):
-        evaluate(model, [])
+        evaluate(model, graphs[:0])
 
 
 def test_predict_breaks_ties_toward_lowest_class():
@@ -454,7 +455,7 @@ def test_predict_breaks_ties_toward_lowest_class():
     model = init_model(dims, seed=0)
     model.W[:] = 0
     model.b[:] = 0
-    graphs = [ChainedGraph(np.zeros((2, 4), np.uint8), 1)]
+    graphs = graph_set([np.zeros((2, 4), np.uint8)], [1])
     probs = predict_probs(model, graphs)
     assert probs.shape == (1, 3)
     assert probs.argmax(axis=1).tolist() == [0]
@@ -462,13 +463,14 @@ def test_predict_breaks_ties_toward_lowest_class():
 
 def test_predict_numbers_graphs_across_batches(rng, monkeypatch):
     model = init_model(TINY_DIMS, seed=0)
-    graphs = random_graphs(rng, 7, p=6)
-    graphs.insert(5, ChainedGraph(np.full((15, 6), 7, np.uint8), 1))
+    features = [g.features for g in random_graphs(rng, 7, p=6)]
+    features.insert(5, np.full((15, 6), 7, np.uint8))
+    graphs = graph_set(features, [0] * 8)  # predict reads no label
     batches = []
 
-    def counting_batch(chunk):
-        batches.append([g.n for g in chunk])
-        return batch_graphs(chunk)
+    def counting_batch(chosen, idx):
+        batches.append(chosen.lengths[idx].tolist())
+        return batch_graphs(chosen, idx)
 
     monkeypatch.setattr(cgnn.model, "BATCH_GRAPHS", 3)
     monkeypatch.setattr(cgnn.model, "BATCH_ROWS", 12)
@@ -478,7 +480,7 @@ def test_predict_numbers_graphs_across_batches(rng, monkeypatch):
     # Batches keep graph order, hold at most 3 graphs and 12 rows (a
     # longer graph goes alone), and close only when the next graph
     # would break one of those limits.
-    assert [n for sizes in batches for n in sizes] == [g.n for g in graphs]
+    assert [n for sizes in batches for n in sizes] == graphs.lengths.tolist()
     assert len(batches) > 2
     for sizes, following in zip(batches, batches[1:] + [None]):
         assert len(sizes) <= 3
@@ -486,8 +488,8 @@ def test_predict_numbers_graphs_across_batches(rng, monkeypatch):
         if following is not None:
             assert len(sizes) == 3 or sum(sizes) + following[0] > 12
     labels = probs.argmax(axis=1)
-    for graph_id, graph in enumerate(graphs):
-        alone = predict_probs(model, [graph])[0]
+    for graph_id in range(len(graphs)):
+        alone = predict_probs(model, graphs[graph_id:graph_id + 1])[0]
         assert np.abs(probs[graph_id] - alone).max() <= 1e-6
         assert labels[graph_id] == alone.argmax()
-    assert predict_probs(model, []).shape == (0, 2)
+    assert predict_probs(model, graphs[:0]).shape == (0, 2)
