@@ -22,9 +22,10 @@ from .errors import CorruptLength
 @contextmanager
 def atomic_write(path: Path | str) -> Iterator[BinaryIO]:
     """A binary handle on a temporary sibling of path, renamed over path
-    when the block ends without an exception and deleted when it
-    raises."""
+    when the block ends without an exception. When it raises, the
+    temporary file and the directories this call made are deleted."""
     path = Path(path)
+    made = [d for d in path.parents if not d.exists()]  # innermost first
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                     prefix=path.name + ".", suffix=".tmp")
@@ -35,6 +36,8 @@ def atomic_write(path: Path | str) -> Iterator[BinaryIO]:
     except BaseException:
         try:
             os.unlink(tmp_name)
+            for directory in made:
+                directory.rmdir()
         except OSError:
             pass
         raise

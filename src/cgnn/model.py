@@ -30,10 +30,15 @@ POOLING_KINDS = ("avg", "max", "sum")
 
 # predict_probs closes a batch at BATCH_GRAPHS graphs, or before the next
 # graph would take it past BATCH_ROWS vertex rows; a longer graph goes
-# alone. The row cap bounds the (rows, p) feature matrix and the
-# activations of one inference batch.
+# alone. Time falls as a block's rows x d1 activations shrink toward the
+# cache and is flat from 2048 rows down; 1024 is as fast as 2048 in half
+# the memory. ms per predict_probs of 20,330 rows in 150 sessions at
+# d1 = 516 (2-vCPU Xeon, OpenBLAS), by cap:  512  1024  2048  4096  8192
+#                                 p = 1500   406   383   381   434   498
+#                                 p = 256    167   155   170   211   238
+#                                 p = 64     111   117   128   160   190
 BATCH_GRAPHS = 256
-BATCH_ROWS = 8192
+BATCH_ROWS = 1024
 
 
 @dataclass(frozen=True)

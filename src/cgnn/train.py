@@ -35,6 +35,9 @@ from .model import (CgnnModel, ForwardCache, ModelDims, forward,
 
 LOSS_FLOOR = 1e-12  # keeps log() finite when a probability collapses
 GRAD_SCALE = 2.0 ** 64  # backward-pass gradient scale; see the docstring
+# adam_step makes its 12 passes over one chunk of a parameter at a time,
+# so the five arrays a chunk touches stay in L2 between passes.
+ADAM_CHUNK = 2 ** 15
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -121,20 +124,23 @@ def adam_step(model: CgnnModel, grads: list[np.ndarray], state: AdamState,
     root = math.sqrt(1 - beta2 ** t)
     step = lr * root / (1 - beta1 ** t)
     eps_hat = eps * root
-    for param, grad, m, v, tmp in zip(model.params(), grads, state.m,
-                                      state.v, state.scratch):
-        m *= beta1
-        np.multiply(grad, 1 - beta1, out=tmp)
-        m += tmp
-        v *= beta2
-        np.square(grad, out=tmp)
-        tmp *= 1 - beta2
-        v += tmp
-        np.sqrt(v, out=tmp)
-        tmp += eps_hat
-        np.divide(m, tmp, out=tmp)
-        tmp *= step
-        param -= tmp
+    for arrays in zip(model.params(), grads, state.m, state.v,
+                      state.scratch):
+        flat = [a.reshape(-1) for a in arrays]  # C-contiguous, so views
+        for lo in range(0, flat[0].size, ADAM_CHUNK):
+            param, grad, m, v, tmp = (a[lo:lo + ADAM_CHUNK] for a in flat)
+            m *= beta1
+            np.multiply(grad, 1 - beta1, out=tmp)
+            m += tmp
+            v *= beta2
+            np.square(grad, out=tmp)
+            tmp *= 1 - beta2
+            v += tmp
+            np.sqrt(v, out=tmp)
+            tmp += eps_hat
+            np.divide(m, tmp, out=tmp)
+            tmp *= step
+            param -= tmp
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,16 @@ def test_preprocess_failing_second_capture_leaves_no_file(tmp_path, capsys):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["captures"]
 
 
+def test_preprocess_failing_leaves_no_new_directories(tmp_path, capsys):
+    root = tmp_path / "captures"
+    (root / "chat").mkdir(parents=True)
+    (root / "chat" / "notes.pcap").write_bytes(b"not a capture at all")
+    out = tmp_path / "newdir" / "sub" / "out.cgd1"
+    assert main(["preprocess", str(root), str(out), "--p", "64"]) == 1
+    assert "notes.pcap" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["captures"]
+
+
 def test_preprocess_rejects_unknown_config_key(tmp_path, capsys):
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)

@@ -342,6 +342,23 @@ def test_predict_probs_keeps_no_backward_cache(rng, monkeypatch):
                           forward(model, batch_graphs(graphs)).probs)
 
 
+def test_predict_probs_does_not_depend_on_block_size(rng, monkeypatch):
+    # Default dims. Standardized bytes keep the softmax off its rails and
+    # each graph gets its own byte range, so rows of different graphs
+    # differ and a reordering would show.
+    model = init_model(ModelDims(standardize=True), seed=0)
+    features = [rng.integers(0, 1 + int(rng.integers(256)), (n, 1500))
+                .astype(np.uint8) for n in rng.integers(1, 300, size=60)]
+    graphs = graph_set(features, [0] * len(features))
+    assert graphs.lengths.sum() > 3 * cgnn.model.BATCH_ROWS
+    alone = np.concatenate([forward(model, batch_graphs(graphs, [i])).probs
+                            for i in range(len(graphs))])
+    assert np.abs(alone - alone[::-1]).max() > 1e-2
+    for rows in (1, 97, cgnn.model.BATCH_ROWS, 10 ** 6):
+        monkeypatch.setattr(cgnn.model, "BATCH_ROWS", rows)
+        assert np.abs(predict_probs(model, graphs) - alone).max() <= 1e-5
+
+
 def test_predict_probs_empty_list(rng):
     model = init_model(TINY_DIMS, seed=0)
     assert predict_probs(model, random_graphs(rng, 0, p=6)).shape == (0, 2)

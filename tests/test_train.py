@@ -297,6 +297,24 @@ def test_adam_matches_reference_over_many_steps():
         assert np.abs(mine - ref).max() <= 1e-12
 
 
+def test_adam_chunk_size_changes_no_bit(monkeypatch):
+    dims = ModelDims(p=40, d1=30, d2=20, m=3)
+    rng = np.random.default_rng(9)
+    grads = [[rng.standard_normal(p.shape).astype(np.float32)
+              for p in init_model(dims).params()] for _ in range(3)]
+    results = []
+    for chunk in (7, 10 ** 6):  # 7 splits every matrix; 10**6 nothing
+        monkeypatch.setattr(cgnn.train, "ADAM_CHUNK", chunk)
+        model = init_model(dims, seed=2)
+        state = AdamState.for_model(model)
+        for step_grads in grads:
+            adam_step(model, step_grads, state)
+        results.append([a.tobytes() for a in
+                        [*model.params(), *state.m, *state.v]])
+    assert max(p.size for p in init_model(dims).params()) < 10 ** 6
+    assert results[0] == results[1]
+
+
 def test_train_config_validation():
     TrainConfig().validate()
     for bad in (TrainConfig(lr=0), TrainConfig(beta1=1.0),
