@@ -2,9 +2,9 @@
 and inspect the binary artifacts.
 
 Configuration is a flat key=value file; command-line flags override file
-values, and every command echoes its effective configuration at startup
-in the same key=value form, so a run can be reproduced by feeding the
-echo back in as a config file.
+values. Each command takes flags for, and echoes at startup, only the keys
+it reads (COMMAND_KEYS), in the same key=value form, so a run can be
+reproduced by feeding the echo back in as a config file.
 """
 
 from __future__ import annotations
@@ -69,6 +69,17 @@ RunConfig = dataclasses.make_dataclass(
 
 _FIELD_TYPES = get_type_hints(RunConfig)
 
+# The keys each command reads; one config file may hold them all. Only
+# preprocess sets p: train reads it from the dataset, and evaluate and
+# predict take the whole model from the checkpoint.
+COMMAND_KEYS = {
+    "preprocess": ("p", "fraction", "drop_dns"),
+    "train": tuple(k for k in _FIELD_TYPES
+                   if k not in ("p", "fraction", "drop_dns")),
+    "evaluate": ("split_seed",),
+    "predict": ("fraction", "drop_dns"),
+}
+
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
@@ -94,11 +105,11 @@ def _parse_value(key: str, text: str):
         raise ConfigError(f"{key} expects {kind.__name__}, got {text!r}")
 
 
-def format_config(cfg: RunConfig) -> str:
-    """The effective configuration as a re-parseable key=value block."""
+def format_config(cfg: RunConfig, keys=tuple(_FIELD_TYPES)) -> str:
+    """The given keys of cfg (all by default) as a key=value block."""
     lines = ["# configuration"]
-    for f in dataclasses.fields(cfg):
-        lines.append(f"{f.name} = {_format_value(getattr(cfg, f.name))}")
+    for key in keys:
+        lines.append(f"{key} = {_format_value(getattr(cfg, key))}")
     lines.append("# end configuration")
     return "\n".join(lines)
 
@@ -124,20 +135,23 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 
 def parse_config_file(path: Path | str,
                       base: RunConfig | None = None) -> RunConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), base)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}")
+    return parse_config_text(text, base)
 
 
 def _resolve_config(args) -> RunConfig:
+    """Defaults < --config file < flags; echoes the command's keys."""
     cfg = RunConfig()
     if args.config is not None:
         cfg = parse_config_file(args.config, base=cfg)
-    overrides = {}
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    cfg = dataclasses.replace(cfg, **overrides)
+    keys = COMMAND_KEYS[args.command]
+    cfg = dataclasses.replace(cfg, **{
+        k: getattr(args, k) for k in keys if getattr(args, k) is not None})
     cfg.validate()
+    print(format_config(cfg, keys))
     return cfg
 
 
@@ -153,7 +167,6 @@ def _ingest_capture(path: Path, label: int, p: int, cfg: RunConfig):
 
 def cmd_preprocess(args) -> int:
     cfg = _resolve_config(args)
-    print(format_config(cfg))
     root = Path(args.root)
     if not root.is_dir():
         raise NoLabels(f"{root} is not a directory")
@@ -192,7 +205,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    print(format_config(cfg))
+    out_dir = Path(args.out)
+    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{existing} is not a directory")
     dataset = load_dataset(args.data)
     graphs = dataset.graphs
     if not len(graphs):
@@ -212,12 +228,11 @@ def cmd_train(args) -> int:
     model, report = fit(train_set, valid_set, dims, _pick(TrainConfig, cfg),
                         log=print)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / CHECKPOINT_NAME
     save_checkpoint(model, dataset.label_names, checkpoint_path)
-    atomic_write_bytes(out_dir / "config.txt",
-                       (format_config(cfg) + "\n").encode("utf-8"))
+    atomic_write_bytes(out_dir / "config.txt", (format_config(
+        cfg, COMMAND_KEYS["train"]) + "\n").encode("utf-8"))
 
     history = ["epoch,train_loss,valid_loss,valid_accuracy"]
     for i in range(report.epochs_run):
@@ -239,7 +254,6 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
-    print(format_config(cfg))
     dataset = load_dataset(args.data)
     checkpoint = load_checkpoint(args.checkpoint)
     model = checkpoint.model
@@ -276,7 +290,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _resolve_config(args)
-    print(format_config(cfg))
     checkpoint = load_checkpoint(args.checkpoint)
     model = checkpoint.model
     pcap_path = Path(args.pcap)
@@ -330,19 +343,17 @@ def cmd_inspect(args) -> int:
     raise BadMagic(f"{args.file} is not a dataset or checkpoint file")
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+def _add_config_flags(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--config", type=Path, default=None,
                      help="key=value config file; flags override it")
-    for f in dataclasses.fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if _FIELD_TYPES[f.name] is bool:
-            sub.add_argument(flag, dest=f.name, default=None,
-                             action=argparse.BooleanOptionalAction,
-                             help=f"(default {_format_value(f.default)})")
-        else:
-            sub.add_argument(flag, dest=f.name, default=None,
-                             type=_FIELD_TYPES[f.name],
-                             help=f"(default {_format_value(f.default)})")
+    defaults = RunConfig()
+    for key in COMMAND_KEYS[command]:
+        kind = _FIELD_TYPES[key]
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                         help=f"(default "
+                              f"{_format_value(getattr(defaults, key))})",
+                         **({"action": argparse.BooleanOptionalAction}
+                            if kind is bool else {"type": kind}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,22 +363,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "neural network.")
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # Whole flag names only, so a knob a command lacks is always refused.
     sub = commands.add_parser(
-        "preprocess",
+        "preprocess", allow_abbrev=False,
         help="build a dataset from <root>/<label>/*.pcap directories")
     sub.add_argument("root", help="directory of per-label pcap directories")
     sub.add_argument("out", help="output dataset path (.cgd1)")
-    _add_config_flags(sub)
+    _add_config_flags(sub, "preprocess")
     sub.set_defaults(func=cmd_preprocess)
 
-    sub = commands.add_parser("train",
+    sub = commands.add_parser("train", allow_abbrev=False,
                               help="train a model on a dataset file")
     sub.add_argument("data", help="dataset path (.cgd1)")
     sub.add_argument("out", help="output directory for the checkpoint")
-    _add_config_flags(sub)
+    _add_config_flags(sub, "train")
     sub.set_defaults(func=cmd_train)
 
-    sub = commands.add_parser("evaluate",
+    sub = commands.add_parser("evaluate", allow_abbrev=False,
                               help="score a checkpoint against a dataset")
     sub.add_argument("data", help="dataset path (.cgd1)")
     sub.add_argument("checkpoint", help="checkpoint path (.cgm1)")
@@ -377,16 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="confusion CSV path (default next to checkpoint)")
     sub.add_argument("--weighted", action="store_true",
                      help="weigh macro averages by class support")
-    _add_config_flags(sub)
+    _add_config_flags(sub, "evaluate")
     sub.set_defaults(func=cmd_evaluate)
 
-    sub = commands.add_parser("predict",
+    sub = commands.add_parser("predict", allow_abbrev=False,
                               help="classify every session in one pcap")
     sub.add_argument("pcap", help="capture file to classify")
     sub.add_argument("checkpoint", help="checkpoint path (.cgm1)")
     sub.add_argument("--csv", type=Path, default=None,
                      help="also write per-session probabilities as CSV")
-    _add_config_flags(sub)
+    _add_config_flags(sub, "predict")
     sub.set_defaults(func=cmd_predict)
 
     sub = commands.add_parser("inspect",

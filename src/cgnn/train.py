@@ -155,13 +155,15 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, "
+                              f"got {self.lr}")
         if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
             raise ConfigError(f"betas must lie in (0, 1), got "
                               f"{self.beta1}, {self.beta2}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be positive and finite, "
+                              f"got {self.eps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be positive, "
                               f"got {self.batch_size}")

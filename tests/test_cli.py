@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,32 @@ from cgnn.errors import ConfigError
 from cgnn.model import load_checkpoint
 
 from conftest import arp_frame, pcap_bytes, tcp_frame, udp_frame
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Positional arguments that let each command parse; nothing need exist.
+POSITIONALS = {"preprocess": ["captures", "data.cgd1"],
+               "train": ["data.cgd1", "run"],
+               "evaluate": ["data.cgd1", "run/best.cgm1"],
+               "predict": ["fresh.pcap", "run/best.cgm1"]}
+
+# Options of each command that are not configuration keys.
+OWN_OPTIONS = {"preprocess": set(), "train": set(),
+               "evaluate": {"split", "heatmap", "weighted"},
+               "predict": {"csv"}}
+
+
+def readme_key_table() -> dict[str, list[str]]:
+    """The README's per-command configuration key table."""
+    table = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = line.strip().strip("|").split("|")
+        if len(cells) == 2 and cells[0].strip().startswith("`"):
+            table[cells[0].strip().strip("`")] = re.findall(r"`(\w+)`",
+                                                            cells[1])
+    assert sorted(table) == sorted(POSITIONALS), table
+    return table
 
 
 def config_echo(captured: str) -> str:
@@ -53,12 +81,15 @@ def test_config_defaults_round_trip():
     assert parse_config_text(format_config(RunConfig())) == RunConfig()
 
 
-def test_default_config_echo_is_pinned():
-    # RunConfig is derived from ModelDims and TrainConfig; the echo's
-    # keys, their order and the defaults are part of the command line.
-    assert format_config(RunConfig()) == """\
+DEFAULT_ECHOES = {
+    "preprocess": """\
 # configuration
 p = 1500
+fraction = 1.0
+drop_dns = false
+# end configuration""",
+    "train": """\
+# configuration
 d1 = 516
 d2 = 256
 layers = 2
@@ -66,8 +97,6 @@ k1 = 1
 k2 = 1
 pooling = avg
 standardize = false
-fraction = 1.0
-drop_dns = false
 lr = 0.001
 beta1 = 0.9
 beta2 = 0.999
@@ -77,7 +106,51 @@ max_epochs = 400
 patience = 20
 seed = 0
 split_seed = 0
-# end configuration"""
+# end configuration""",
+    "evaluate": """\
+# configuration
+split_seed = 0
+# end configuration""",
+    "predict": """\
+# configuration
+fraction = 1.0
+drop_dns = false
+# end configuration""",
+}
+
+
+def test_default_config_echo_is_pinned(tmp_path, capsys, monkeypatch):
+    # Each command echoes the keys it reads, in RunConfig's order, with
+    # their defaults; the echo is printed before any input is opened.
+    monkeypatch.chdir(tmp_path)
+    for command, echo in DEFAULT_ECHOES.items():
+        assert main([command, *POSITIONALS[command]]) == 1
+        captured = capsys.readouterr()
+        assert config_echo(captured.out) == echo, command
+        assert "error:" in captured.err
+
+
+def test_command_flags_match_the_readme_table(capsys):
+    for command, keys in readme_key_table().items():
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        flags = set(re.findall(r"--([\w-]+)", capsys.readouterr().out))
+        flags -= {"help", "config"} | OWN_OPTIONS[command]
+        flags -= {"no-" + flag for flag in flags}  # --no-standardize
+        assert flags == {k.replace("_", "-") for k in keys}, command
+
+
+def test_commands_refuse_config_flags_they_do_not_read(capsys):
+    every_key = {f.name for f in dataclasses.fields(RunConfig)}
+    for command, keys in readme_key_table().items():
+        for key in sorted(every_key - set(keys)):
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, *POSITIONALS[command], flag, "1"])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in \
+                capsys.readouterr().err
 
 
 def test_package_root_exposes_what_the_benchmark_reads():
@@ -158,14 +231,45 @@ def test_flags_override_config_file(tmp_path, capsys):
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)
     config = tmp_path / "run.conf"
-    config.write_text("p = 32\nlr = 0.005\n")
+    config.write_text("p = 32\nfraction = 0.5\n")
     out = tmp_path / "data.cgd1"
     assert main(["preprocess", str(root), str(out),
                  "--config", str(config), "--p", "64"]) == 0
     cfg = parse_config_text(config_echo(capsys.readouterr().out))
     assert cfg.p == 64  # flag wins
-    assert cfg.lr == 0.005  # file survives where no flag is given
+    assert cfg.fraction == 0.5  # file survives where no flag is given
     assert load_dataset(out).p == 64
+
+
+def test_config_file_keys_of_other_commands_are_checked_not_echoed(
+        tmp_path, capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    config = tmp_path / "run.conf"
+    config.write_text("p = 64\nlr = 0.005\nsplit_seed = 4\n")
+    out = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(out),
+                 "--config", str(config)]) == 0
+    assert config_echo(capsys.readouterr().out) == \
+        "# configuration\np = 64\nfraction = 1.0\ndrop_dns = false\n" \
+        "# end configuration"
+    config.write_text("p = 64\nlr = -1\n")
+    assert main(["preprocess", str(root), str(out),
+                 "--config", str(config)]) == 1
+    assert "learning rate" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"p = 64\n\xff\xfe\n")
+    out = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(out),
+                 "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
+    assert not out.exists()
 
 
 def test_preprocess_rejects_missing_or_empty_root(tmp_path, capsys):
@@ -227,7 +331,7 @@ def test_preprocess_rejects_unknown_config_key(tmp_path, capsys):
 
 # --- train, evaluate, predict ------------------------------------------------
 
-TRAIN_FLAGS = ["--p", "64", "--d1", "8", "--d2", "8", "--lr", "0.01",
+TRAIN_FLAGS = ["--d1", "8", "--d2", "8", "--lr", "0.01",
                "--batch-size", "4", "--max-epochs", "6", "--patience", "6",
                "--standardize"]
 
@@ -253,8 +357,12 @@ def test_train_writes_the_advertised_artifacts(trained):
     assert checkpoint_path.exists()
 
     run = checkpoint_path.parent
-    saved_config = parse_config_text((run / "config.txt").read_text())
-    assert saved_config.p == 64 and saved_config.standardize is True
+    saved_text = (run / "config.txt").read_text()
+    assert saved_text.startswith("# configuration\n")
+    assert saved_text in captured  # the echo, saved
+    assert not any(line.startswith("p ") for line in saved_text.splitlines())
+    saved_config = parse_config_text(saved_text)
+    assert saved_config.d1 == 8 and saved_config.standardize is True
 
     history = (run / "history.csv").read_text().splitlines()
     assert history[0] == "epoch,train_loss,valid_loss,valid_accuracy"
@@ -285,10 +393,70 @@ def test_train_rejects_bad_dimensions_before_working(tmp_path, capsys):
     assert not run.exists()
 
 
+def epoch_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("epoch")]
+
+
+def test_train_rejects_non_finite_optimizer_values(tmp_path, capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    for flag in ("--lr", "--eps"):
+        for value in ("nan", "inf"):
+            assert main(["train", str(data), str(run), "--max-epochs", "3",
+                         flag, value]) == 1
+            captured = capsys.readouterr()
+            assert "must be positive and finite" in captured.err
+            assert epoch_lines(captured.out) == []
+    assert not run.exists()
+
+
+def test_train_rejects_an_output_path_that_is_a_file(tmp_path, capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    run.write_text("not a directory")
+    for out in (run, run / "sub"):
+        assert main(["train", str(data), str(out), "--max-epochs", "2"]) == 1
+        captured = capsys.readouterr()
+        assert f"{run} is not a directory" in captured.err
+        assert epoch_lines(captured.out) == []
+    # Checked before the dataset is opened.
+    assert main(["train", str(tmp_path / "missing.cgd1"), str(run)]) == 1
+    assert "is not a directory" in capsys.readouterr().err
+    assert run.read_text() == "not a directory"
+
+
+def test_train_echo_reproduces_the_run(tmp_path, capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=12)
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    first, second = tmp_path / "first", tmp_path / "second"
+    flags = ["--pooling", "max", "--seed", "3", "--split-seed", "5"]
+    assert main(["train", str(data), str(first)] + TRAIN_FLAGS + flags) == 0
+    out = capsys.readouterr().out
+    config = tmp_path / "echo.conf"
+    config.write_text(config_echo(out))
+    assert main(["train", str(data), str(second),
+                 "--config", str(config)]) == 0
+    assert capsys.readouterr().out == out.replace(str(first), str(second))
+    for name in ("best.cgm1", "history.csv", "config.txt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert load_checkpoint(second / "best.cgm1").model.dims.pooling == "max"
+
+
 def test_evaluate_scores_and_writes_heatmap(trained, tmp_path, capsys):
     data, checkpoint_path, _ = trained
     assert main(["evaluate", str(data), str(checkpoint_path),
-                 "--split", "all"] + TRAIN_FLAGS) == 0
+                 "--split", "all"]) == 0
     captured = capsys.readouterr().out
     assert "accuracy" in captured
     default_heatmap = checkpoint_path.parent / "confusion.csv"
@@ -298,9 +466,25 @@ def test_evaluate_scores_and_writes_heatmap(trained, tmp_path, capsys):
 
     elsewhere = tmp_path / "elsewhere.csv"
     assert main(["evaluate", str(data), str(checkpoint_path),
-                 "--split", "all", "--heatmap", str(elsewhere)]
-                + TRAIN_FLAGS) == 0
+                 "--split", "all", "--heatmap", str(elsewhere)]) == 0
     assert elsewhere.exists()
+
+
+def test_evaluate_echo_reproduces_the_run(trained, tmp_path, capsys):
+    data, checkpoint_path, _ = trained
+    heatmap = tmp_path / "confusion.csv"
+    args = ["evaluate", str(data), str(checkpoint_path),
+            "--heatmap", str(heatmap)]
+    assert main(args + ["--split-seed", "7"]) == 0
+    out = capsys.readouterr().out
+    first_heatmap = heatmap.read_bytes()
+    assert config_echo(out) == \
+        "# configuration\nsplit_seed = 7\n# end configuration"
+    config = tmp_path / "echo.conf"
+    config.write_text(config_echo(out))
+    assert main(args + ["--config", str(config)]) == 0
+    assert capsys.readouterr().out == out
+    assert heatmap.read_bytes() == first_heatmap
 
 
 def test_evaluate_test_split_needs_enough_graphs(tmp_path, capsys):
@@ -317,7 +501,7 @@ def test_evaluate_test_split_needs_enough_graphs(tmp_path, capsys):
     assert main(["preprocess", str(tiny_root), str(tiny), "--p", "64"]) == 0
     capsys.readouterr()
     assert main(["evaluate", str(tiny), str(run / "best.cgm1"),
-                 "--split", "test"] + TRAIN_FLAGS) == 1
+                 "--split", "test"]) == 1
     assert "test split is empty" in capsys.readouterr().err
 
 
@@ -331,7 +515,7 @@ def test_evaluate_rejects_mismatched_dataset(trained, tmp_path, capsys):
     assert main(["preprocess", str(solo_root), str(solo), "--p", "64"]) == 0
     capsys.readouterr()
     assert main(["evaluate", str(solo), str(checkpoint_path),
-                 "--split", "all"] + TRAIN_FLAGS) == 1
+                 "--split", "all"]) == 1
     assert "classes" in capsys.readouterr().err
 
 
@@ -379,6 +563,27 @@ def test_predict_uses_udp_sessions(trained, tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", str(capture), str(checkpoint_path)]) == 0
     assert "/udp [2 packets]" in capsys.readouterr().out
+
+
+def test_predict_echo_reproduces_the_run(trained, tmp_path, capsys):
+    _, checkpoint_path, _ = trained
+    capture = tmp_path / "fresh.pcap"
+    capture.write_bytes(pcap_bytes(
+        session_frames(0x11, 2, packets=4)
+        + [udp_frame(b"\x11" * 30, dport=53)] * 2))
+    csv_path = tmp_path / "predictions.csv"
+    args = ["predict", str(capture), str(checkpoint_path),
+            "--csv", str(csv_path)]
+    capsys.readouterr()
+    assert main(args + ["--fraction", "0.5", "--drop-dns"]) == 0
+    out = capsys.readouterr().out
+    first_csv = csv_path.read_bytes()
+    assert out.count("[2 packets]") == 2 and "/udp" not in out
+    config = tmp_path / "echo.conf"
+    config.write_text(config_echo(out))
+    assert main(args + ["--config", str(config)]) == 0
+    assert capsys.readouterr().out == out
+    assert csv_path.read_bytes() == first_csv
 
 
 # --- inspect -----------------------------------------------------------------

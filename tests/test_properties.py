@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgnn.cli import RunConfig, format_config, parse_config_text
+from cgnn.cli import (RunConfig, format_config, parse_config_file,
+                      parse_config_text)
 from cgnn.dataset import Dataset, parse_dataset
-from cgnn.errors import CgnnError
+from cgnn.errors import CgnnError, ConfigError
 from cgnn.model import (ModelDims, init_model, parse_checkpoint,
                         save_checkpoint, softmax)
 from cgnn.pcap import walk_pcap
@@ -187,4 +188,30 @@ def test_parsers_return_a_value_or_raise_cgnn_error(parse, valid, data):
     try:
         parse(raw)
     except CgnnError:
+        pass
+
+
+def _config_from_bytes(raw: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.conf"
+        path.write_bytes(raw)
+        return parse_config_file(path)
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_config_file_bytes_give_a_config_or_config_error(data):
+    """Arbitrary bytes, or a full config file with bytes flipped and cut:
+    reading it as a config file gives a RunConfig or raises ConfigError."""
+    good = format_config(RunConfig(pooling="max", fraction=0.5)).encode()
+    raw = data.draw(st.one_of(
+        st.binary(max_size=256),
+        st.text(max_size=256).map(lambda text: text.encode("utf-8")),
+        st.builds(_mangle, st.just(good),
+                  st.lists(st.tuples(st.integers(0, len(good) - 1),
+                                     st.integers(1, 255)), max_size=4),
+                  st.integers(0, len(good)))))
+    try:
+        assert isinstance(_config_from_bytes(raw), RunConfig)
+    except ConfigError:
         pass

@@ -317,8 +317,10 @@ def test_adam_chunk_size_changes_no_bit(monkeypatch):
 
 def test_train_config_validation():
     TrainConfig().validate()
-    for bad in (TrainConfig(lr=0), TrainConfig(beta1=1.0),
+    for bad in (TrainConfig(lr=0), TrainConfig(lr=math.nan),
+                TrainConfig(lr=math.inf), TrainConfig(beta1=1.0),
                 TrainConfig(beta2=0.0), TrainConfig(eps=0),
+                TrainConfig(eps=math.nan), TrainConfig(eps=math.inf),
                 TrainConfig(batch_size=0), TrainConfig(max_epochs=-1),
                 TrainConfig(patience=0)):
         with pytest.raises(ConfigError):
