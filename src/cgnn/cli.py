@@ -25,7 +25,6 @@ from .ioutil import atomic_write_bytes
 from .metrics import classification_report, format_report, write_heatmap_csv
 from .model import (CHECKPOINT_MAGIC, ModelDims, load_checkpoint,
                     parse_checkpoint, predict_probs, save_checkpoint)
-from .pcap import walk_pcap
 from .preprocess import IngestStats, graphs_from_records
 from .train import TrainConfig, fit
 
@@ -158,11 +157,12 @@ def _resolve_config(args) -> RunConfig:
 def _ingest_capture(path: Path, label: int, p: int, cfg: RunConfig):
     """Graphs, session keys and stats of one capture file. The capture
     bytes are released when this returns."""
-    table = walk_pcap(path.read_bytes())
-    if table.truncated:
+    graphs, keys, stats = graphs_from_records(
+        path.read_bytes(), label, p, cfg.fraction, cfg.drop_dns)
+    if stats.truncated:
         print(f"warning: {path} ends mid-record; kept what parsed",
               file=sys.stderr)
-    return graphs_from_records(table, label, p, cfg.fraction, cfg.drop_dns)
+    return graphs, keys, stats
 
 
 def cmd_preprocess(args) -> int:

@@ -76,6 +76,10 @@ class ModelDims:
         if self.pooling not in POOLING_KINDS:
             raise ConfigError(f"pooling must be one of {POOLING_KINDS}, "
                               f"got {self.pooling!r}")
+        for name in ("p", "d1", "d2", "k1", "k2"):  # files store them as u32
+            if not 0 <= getattr(self, name) <= 0xFFFFFFFF:
+                raise ConfigError(f"{name} must fit in an unsigned 32-bit "
+                                  f"field, got {getattr(self, name)}")
 
     @property
     def hidden_widths(self) -> list[int]:

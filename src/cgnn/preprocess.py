@@ -1,21 +1,31 @@
-"""Turn captured Ethernet frames into per-session packet vectors.
+"""Turn a classic pcap capture into per-session packet vectors.
 
-A session is the bidirectional stream of packets sharing one 5-tuple
-(both directions map onto the same key). Each packet is cleaned before
-use: the Ethernet header is removed, the IP source and destination
-addresses are zeroed, the UDP header is padded with zeros to the 20-byte
-TCP header length, and packets with no transport payload are discarded.
-The surviving bytes are cut or zero-padded to a fixed length p.
+The capture is a 24-byte global header, then per-packet records of a
+16-byte header plus the raw Ethernet frame; the byte order of every
+header field follows the file's magic value. A session is the
+bidirectional stream of packets sharing one 5-tuple (both directions
+map onto the same key). Each packet is cleaned before use: the Ethernet
+header is removed, the IP source and destination addresses are zeroed,
+the UDP header is padded with zeros to the 20-byte TCP header length,
+and packets with no transport payload are discarded. The surviving
+bytes are cut or zero-padded to a fixed length p.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import BadMagic, UnsupportedLinkType
 from .graph import GraphSet
-from .pcap import RecordTable
+
+MAGIC_MICROS = 0xA1B2C3D4
+MAGIC_NANOS = 0xA1B23C4D
+GLOBAL_HEADER_LEN = 24
+RECORD_HEADER_LEN = 16
+LINKTYPE_ETHERNET = 1
 
 ETHERNET_HEADER_LEN = 14
 ETHERTYPE_IPV4 = 0x0800
@@ -56,6 +66,7 @@ class IngestStats:
     """Counts of what preprocessing kept and dropped."""
 
     files: int = 0
+    truncated: int = 0  # captures that ended mid-record
     sessions: int = 0
     vertices: int = 0
     non_ipv4: int = 0  # other ethertypes, 802.1Q VLAN and IPv6 included
@@ -85,7 +96,48 @@ class IngestStats:
                 f"{self.dropped_dns} DNS packets")
 
 
-def _decode_headers(table: RecordTable, stats: IngestStats) -> np.ndarray:
+def walk_pcap(data: bytes) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Where each frame of a capture sits in its bytes, in file order: the
+    int64 offset of its first byte, its captured length, and whether the
+    file ended mid-record. No frame is copied.
+
+    Raises BadMagic for unknown magic values and UnsupportedLinkType for
+    non-Ethernet captures. A record header that claims more bytes than
+    remain stops the walk; the records found so far are returned.
+    """
+    if len(data) < GLOBAL_HEADER_LEN:
+        raise BadMagic("file shorter than the 24-byte pcap global header")
+    magics = (MAGIC_MICROS, MAGIC_NANOS)
+    (magic,) = struct.unpack_from("<I", data)
+    end = "<" if magic in magics else ">"
+    if struct.unpack_from(end + "I", data)[0] not in magics:
+        raise BadMagic(f"not a pcap file (magic 0x{magic:08x})")
+    snaplen, network = struct.unpack_from(end + "II", data, 16)
+    if network != LINKTYPE_ETHERNET:
+        raise UnsupportedLinkType(f"link type {network}, "
+                                  f"expected Ethernet (1)")
+
+    captured_len = struct.Struct(end + "I").unpack_from
+    starts: list[int] = []
+    lengths: list[int] = []
+    offset, total = GLOBAL_HEADER_LEN, len(data)
+    while offset < total:  # a break leaves offset short of the end
+        start = offset + RECORD_HEADER_LEN
+        if start > total:
+            break
+        (incl_len,) = captured_len(data, offset + 8)
+        # incl_len beyond the snaplen means the stream is desynced or corrupt
+        if start + incl_len > total or (snaplen and incl_len > snaplen):
+            break
+        starts.append(start)
+        lengths.append(incl_len)
+        offset = start + incl_len
+    return (np.array(starts, dtype=np.int64),
+            np.array(lengths, dtype=np.int64), offset < total)
+
+
+def _decode_headers(data: bytes, start: np.ndarray, length: np.ndarray,
+                    stats: IngestStats) -> np.ndarray:
     """Decode the Ethernet, IPv4 and TCP/UDP headers of every frame at
     once. Returns one row per field (IPv4 header offset in the capture,
     its length, transport length, payload offset, protocol, and the
@@ -97,9 +149,8 @@ def _decode_headers(table: RecordTable, stats: IngestStats) -> np.ndarray:
     and options or the UDP header; the datagram ends at min(total
     length, captured bytes). Reads are clipped to the capture, and a
     read past a frame's end is masked by the check that fails."""
-    buf = np.frombuffer(table.data, dtype=np.uint8)
+    buf = np.frombuffer(data, dtype=np.uint8)
     last = buf.size - 1
-    start, length = table.starts, table.lengths
 
     def u8(pos: np.ndarray) -> np.ndarray:
         return buf[np.minimum(pos, last)].astype(np.int64)
@@ -142,15 +193,17 @@ def _decode_headers(table: RecordTable, stats: IngestStats) -> np.ndarray:
         (u16(ip + 16) << 32) | (u16(ip + 18) << 16) | u16(tp + 2)])
 
 
-def graphs_from_records(table: RecordTable, label: int, p: int,
+def graphs_from_records(data: bytes, label: int, p: int,
                         fraction: float = 1.0, drop_dns: bool = False,
                         ) -> tuple[GraphSet, list[FiveTuple], IngestStats]:
-    """Full ingest of a walked capture: decode every frame's headers at
-    once, group the frames into bidirectional sessions in order of first
-    appearance, and build one graph per session with a cleaned row per
-    packet that carries a payload. Only the first ceil(fraction * n) of
-    a session's n such packets get a row; the rest are never copied.
-    The graphs share one buffer, their rows in session order.
+    """Full ingest of a capture's bytes: walk its records (one that ends
+    mid-record keeps what parsed and counts in stats.truncated), decode
+    every frame's headers at once, group the frames into bidirectional
+    sessions in order of first appearance, and build one graph per
+    session with a cleaned row per packet that carries a payload. Only
+    the first ceil(fraction * n) of a session's n such packets get a
+    row; the rest are never copied. The graphs share one buffer, their
+    rows in session order.
 
     A packet with an empty payload still opens its session; with
     drop_dns, a packet on port 53 never does.
@@ -159,8 +212,9 @@ def graphs_from_records(table: RecordTable, label: int, p: int,
         raise ValueError(f"feature length must be positive, got {p}")
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    stats = IngestStats()
-    columns = _decode_headers(table, stats)
+    starts, lengths, truncated = walk_pcap(data)
+    stats = IngestStats(truncated=int(truncated))
+    columns = _decode_headers(data, starts, lengths, stats)
     if drop_dns:
         dns = ((columns[5:] & 0xFFFF) == DNS_PORT).any(axis=0)  # endpoints
         stats.dropped_dns = int(np.count_nonzero(dns))
@@ -189,7 +243,7 @@ def graphs_from_records(table: RecordTable, label: int, p: int,
     kept = kept[place < np.repeat(keep, counts)]
 
     features = np.zeros((kept.size, p), dtype=np.uint8)
-    _fill_rows(features, table.data, ip[kept], header_len[kept],
+    _fill_rows(features, data, ip[kept], header_len[kept],
                transport_len[kept], protocol[kept] == PROTO_UDP)
     features[:, 12:20] = 0  # anonymize source and destination
 

@@ -11,8 +11,6 @@ import struct
 import numpy as np
 import pytest
 
-from cgnn.pcap import RecordTable, walk_pcap
-
 IP_A = bytes([10, 0, 0, 1])
 IP_B = bytes([10, 0, 0, 2])
 
@@ -76,11 +74,6 @@ def pcap_bytes(frames: list[bytes], *, magic: int = 0xA1B2C3D4,
                                len(frame), len(frame)))
         out.append(frame)
     return b"".join(out)
-
-
-def table_of(frames: list[bytes]) -> RecordTable:
-    """The walked capture holding the given frames, as ingest reads it."""
-    return walk_pcap(pcap_bytes(frames))
 
 
 def graph_set(features: list[np.ndarray], labels: list[int],

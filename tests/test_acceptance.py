@@ -21,8 +21,8 @@ from cgnn.model import (ModelDims, forward, init_model, load_checkpoint,
 from cgnn.preprocess import FiveTuple, graphs_from_records
 from cgnn.train import TrainConfig, backward, evaluate, fit
 
-from conftest import (IP_A, IP_B, arp_frame, graph_set, random_graphs,
-                      table_of, tcp_frame, udp_frame)
+from conftest import (IP_A, IP_B, arp_frame, graph_set, pcap_bytes,
+                      random_graphs, tcp_frame, udp_frame)
 from test_graph import dense_propagation_oracle
 from test_preprocess import (_only_row, expected_tcp_clean,
                              expected_udp_clean)
@@ -133,7 +133,7 @@ def test_criterion_5_golden_capture_cleaning(capsys):
 
     # SYN-only handshake packet: no payload, discarded.
     graphs, _, stats = graphs_from_records(
-        table_of([tcp_frame(b"", flags=0x02)]), 0, p)
+        pcap_bytes([tcp_frame(b"", flags=0x02)]), 0, p)
     checks.append(len(graphs) == 0 and stats.discarded_empty == 1)
 
     # UDP: 8-byte header padded to 20 with zeros.
@@ -141,7 +141,7 @@ def test_criterion_5_golden_capture_cleaning(capsys):
                          expected_udp_clean(b"ping")))
 
     # ARP noise: not a session packet, skipped not fatal.
-    graphs, _, stats = graphs_from_records(table_of([arp_frame()]), 0, p)
+    graphs, _, stats = graphs_from_records(pcap_bytes([arp_frame()]), 0, p)
     checks.append(len(graphs) == 0 and stats.non_ipv4 == 1)
 
     # Bidirectional flow: both directions in one session, order kept,
@@ -151,7 +151,7 @@ def test_criterion_5_golden_capture_cleaning(capsys):
                         src=IP_B, dst=IP_A),
               tcp_frame(payload, sport=50000, dport=80),
               arp_frame()]
-    graphs, keys, stats = graphs_from_records(table_of(frames), 0, p)
+    graphs, keys, stats = graphs_from_records(pcap_bytes(frames), 0, p)
     checks.append(len(graphs) == 1)
     checks.append(stats.skipped == 1)
     checks.append(keys == [FiveTuple(IP_A, 50000, IP_B, 80, 6)])

@@ -3,7 +3,8 @@
 bench/run.py imports the package and wraps its functions by name, reads
 datasets and the training split through the public objects, and checks
 every run's outputs; a refactor that breaks what it reads makes each
-run fail. Three runs per workload take about 12 s on a 2-vCPU host.
+run fail, and one that renames a set-up boundary is reported as
+missing. Three runs per workload take about 12 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -25,3 +26,6 @@ def test_benchmark_runs_every_workload_correctly():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stdout[-2000:]
     assert result["failed"] == 0, done.stdout[-2000:]
+    # setup_s ends at the dataset or checkpoint load; a renamed loader
+    # would silently move it back to the end of the import.
+    assert "boundary missing:" not in done.stdout, done.stdout[-2000:]

@@ -6,12 +6,14 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cgnn
 from cgnn.cli import (RunConfig, format_config, main, parse_config_text)
 from cgnn.dataset import load_dataset
 from cgnn.errors import ConfigError
+from cgnn.graph import split_dataset
 from cgnn.model import load_checkpoint
 
 from conftest import arp_frame, pcap_bytes, tcp_frame, udp_frame
@@ -397,6 +399,30 @@ def epoch_lines(out: str) -> list[str]:
     return [line for line in out.splitlines() if line.startswith("epoch")]
 
 
+def test_commands_reject_sizes_the_files_cannot_store(tmp_path, capsys):
+    # The dataset stores p, and the checkpoint p, d1, d2, k1 and k2, as u32.
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    out = tmp_path / "big.cgd1"
+    assert main(["preprocess", str(root), str(out),
+                 "--p", str(2 ** 32)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    for flags in (["--layers", "1", "--d2", str(2 ** 32)],
+                  ["--layers", "1", "--d2", "-1"], ["--d1", str(2 ** 32)],
+                  ["--k1", str(2 ** 32)], ["--k2", str(2 ** 32)]):
+        assert main(["train", str(data), str(run), "--max-epochs", "2",
+                     *flags]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "32-bit" in captured.err
+        assert epoch_lines(captured.out) == []
+    assert not run.exists()
+
+
 def test_train_rejects_non_finite_optimizer_values(tmp_path, capsys):
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)
@@ -487,6 +513,35 @@ def test_evaluate_echo_reproduces_the_run(trained, tmp_path, capsys):
     assert heatmap.read_bytes() == first_heatmap
 
 
+def test_evaluate_with_train_config_scores_the_held_out_split(tmp_path,
+                                                             capsys):
+    # train's config.txt carries its split seed, so evaluate --config
+    # scores the test split train held out, as the README advises.
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=12)
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    run = tmp_path / "run"
+    assert main(["train", str(data), str(run), "--split-seed", "5"]
+                + TRAIN_FLAGS) == 0
+    capsys.readouterr()
+    args = ["evaluate", str(data), str(run / "best.cgm1")]
+    assert main(args + ["--config", str(run / "config.txt")]) == 0
+    out = capsys.readouterr().out
+    assert config_echo(out) == \
+        "# configuration\nsplit_seed = 5\n# end configuration"
+    dataset = load_dataset(data)
+    _, _, test_idx = split_dataset(dataset.graphs, seed=5)
+    want = np.bincount(dataset.graphs.labels[test_idx],
+                       minlength=dataset.num_classes)
+    support = {line.split()[0]: int(line.split()[-1])
+               for line in out.splitlines()
+               if line.split()[:1] in (["chat"], ["mail"])}
+    assert support == dict(zip(dataset.label_names, want.tolist()))
+    assert main(args + ["--split-seed", "5"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_evaluate_test_split_needs_enough_graphs(tmp_path, capsys):
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=12)
@@ -543,6 +598,35 @@ def test_predict_labels_each_session(trained, tmp_path, capsys):
     for c in cells:
         probs = [float(v) for v in c[2:]]
         assert c[1] == names[probs.index(max(probs))]
+
+
+def test_capture_cut_mid_record_warns_and_keeps_what_parsed(
+        trained, tmp_path, capsys):
+    _, checkpoint_path, _ = trained
+    root = tmp_path / "cut"
+    write_capture_tree(root, sessions=2)
+    capture = root / "chat" / "traffic.pcap"
+    # A third session's only packet is cut short.
+    capture.write_bytes(pcap_bytes(
+        session_frames(0x11, 2) + [tcp_frame(b"x" * 40, sport=43000)])[:-5])
+    data = tmp_path / "cut.cgd1"
+    warning = f"warning: {capture} ends mid-record; kept what parsed"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines().count(warning) == 1
+    assert "label chat (id 0): 1 files, 2 sessions, 6 vertices" \
+        in captured.out
+    graphs = load_dataset(data).graphs
+    assert graphs.labels.tolist() == [0, 0, 1, 1]
+    assert graphs.lengths.tolist() == [3, 3, 3, 3]
+
+    assert main(["predict", str(capture), str(checkpoint_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [warning]
+    lines = [l for l in captured.out.splitlines() if "->" in l]
+    assert [l.split(" -> ")[0].split(" ", 1)[1] for l in lines] \
+        == ["[3 packets]", "[3 packets]"]
+    assert all(":4100" in l.split(" ")[0] for l in lines)
 
 
 def test_predict_with_no_usable_sessions(trained, tmp_path, capsys):

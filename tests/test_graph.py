@@ -12,7 +12,7 @@ from cgnn.graph import (ChainPropagation, batch_graphs, propagation_matrix,
                         split_dataset)
 from cgnn.preprocess import graphs_from_records
 
-from conftest import graph_set, random_graphs, table_of, tcp_frame
+from conftest import graph_set, pcap_bytes, random_graphs, tcp_frame
 
 
 def dense_propagation_oracle(n: int) -> np.ndarray:
@@ -103,7 +103,7 @@ def _session_graphs(payloads: list[bytes], p: int, label: int = 0,
                     fraction: float = 1.0):
     """Graphs ingest builds from one TCP session's packets."""
     frames = [tcp_frame(payload) for payload in payloads]
-    graphs, _, _ = graphs_from_records(table_of(frames), label, p, fraction)
+    graphs, _, _ = graphs_from_records(pcap_bytes(frames), label, p, fraction)
     return graphs
 
 
@@ -163,7 +163,7 @@ def test_truncate_rejects_bad_fraction():
 
 def test_truncation_copies_no_cut_row():
     graphs, _, stats = graphs_from_records(
-        table_of([tcp_frame(bytes([i + 1])) for i in range(10)]
+        pcap_bytes([tcp_frame(bytes([i + 1])) for i in range(10)]
                  + [tcp_frame(b"u", sport=40001)]), 0, 48, 0.3)
     assert graphs.lengths.tolist() == [3, 1]
     assert graphs.buffer.size == 4 * 48

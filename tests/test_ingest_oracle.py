@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from cgnn.preprocess import graphs_from_records
 
 import scalar_ingest
-from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, table_of, tcp,
-                      tcp_frame, udp, udp_frame)
+from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, pcap_bytes,
+                      tcp, tcp_frame, udp, udp_frame)
 
 IPS = [IP_A, IP_B, bytes([192, 168, 1, 9])]
 PORTS = [53, 80, 443, 40000]
@@ -102,12 +102,12 @@ def frames(draw) -> bytes:
 @given(capture=st.lists(frames(), max_size=24), label=st.integers(0, 3))
 @settings(deadline=None, max_examples=200)
 def test_columnar_ingest_matches_the_scalar_oracle(capture, label):
-    table = table_of(capture)
+    data = pcap_bytes(capture)
     for p in (16, 64, 1500):
         for fraction in (1.0, 0.5):
             for drop_dns in (False, True):
                 graphs, keys, stats = graphs_from_records(
-                    table, label, p, fraction, drop_dns)
+                    data, label, p, fraction, drop_dns)
                 want_graphs, want_keys, want_stats = \
                     scalar_ingest.graphs_from_frames(capture, label, p,
                                                      fraction, drop_dns)

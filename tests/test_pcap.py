@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cgnn.errors import BadMagic, UnsupportedLinkType
-from cgnn.pcap import RECORD_HEADER_LEN, walk_pcap
+from cgnn.preprocess import RECORD_HEADER_LEN, walk_pcap
 
 from conftest import pcap_bytes
 
@@ -29,31 +29,29 @@ def golden_single_record(magic: int = 0xA1B2C3D4,
     return header + record + FRAME
 
 
-def frames_of(table) -> list[bytes]:
-    """The frame bytes a walked table points at."""
-    return [table.data[s:s + n] for s, n in zip(table.starts.tolist(),
-                                                table.lengths.tolist())]
+def frames_of(data: bytes) -> list[bytes]:
+    """The frame bytes the walk of a capture points at."""
+    starts, lengths, _ = walk_pcap(data)
+    return [data[s:s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
 
 
 def test_golden_single_record_little_endian():
     data = golden_single_record()
-    table = walk_pcap(data)
-    assert table.starts.tolist() == [24 + RECORD_HEADER_LEN]
-    assert table.lengths.tolist() == [60]  # captured length
-    assert frames_of(table) == [FRAME]
-    assert table.snaplen == 65535
-    assert not table.nanosecond
-    assert not table.big_endian
-    assert not table.truncated
+    starts, lengths, truncated = walk_pcap(data)
+    assert starts.tolist() == [24 + RECORD_HEADER_LEN]
+    assert lengths.tolist() == [60]  # captured length
+    assert frames_of(data) == [FRAME]
+    assert not truncated
 
 
 def test_byte_swapped_magic_gives_identical_record():
     little = walk_pcap(golden_single_record())
     big = walk_pcap(golden_single_record(big_endian=True))
-    assert big.starts.tolist() == little.starts.tolist()
-    assert big.lengths.tolist() == little.lengths.tolist()
-    assert frames_of(big) == frames_of(little)
-    assert big.big_endian and not little.big_endian
+    assert big[0].tolist() == little[0].tolist()
+    assert big[1].tolist() == little[1].tolist()
+    assert big[2] is little[2] is False
+    assert frames_of(golden_single_record(big_endian=True)) \
+        == frames_of(golden_single_record())
 
 
 @pytest.mark.parametrize("magic,big_endian,nanos", [
@@ -63,16 +61,21 @@ def test_byte_swapped_magic_gives_identical_record():
     (0xA1B23C4D, True, True),
 ])
 def test_all_four_magic_values(magic, big_endian, nanos):
-    table = walk_pcap(golden_single_record(magic, big_endian))
-    assert table.nanosecond == nanos
-    assert table.big_endian == big_endian
-    assert frames_of(table) == [FRAME]
+    """Every magic value in either byte order walks to the records of the
+    little-endian microsecond file."""
+    data = golden_single_record(magic, big_endian)
+    assert nanos == (magic == 0xA1B23C4D)  # the walk reads no timestamp
+    starts, lengths, truncated = walk_pcap(data)
+    assert starts.tolist() == [24 + RECORD_HEADER_LEN]
+    assert lengths.tolist() == [60]
+    assert not truncated
+    assert frames_of(data) == [FRAME]
 
 
 def test_header_only_file_gives_zero_records():
-    table = walk_pcap(pcap_bytes([]))
-    assert table.starts.size == table.lengths.size == 0
-    assert not table.truncated
+    starts, lengths, truncated = walk_pcap(pcap_bytes([]))
+    assert starts.size == lengths.size == 0
+    assert not truncated
 
 
 def test_bad_magic():
@@ -93,48 +96,46 @@ def test_non_ethernet_link_type():
 
 
 def test_record_body_truncated_keeps_earlier_records():
-    data = pcap_bytes([FRAME, FRAME])
-    cut = walk_pcap(data[:-10])
+    cut = pcap_bytes([FRAME, FRAME])[:-10]
     assert frames_of(cut) == [FRAME]
-    assert cut.truncated
+    assert walk_pcap(cut)[2]
 
 
 def test_partial_record_header_sets_flag():
-    data = pcap_bytes([FRAME])
-    cut = walk_pcap(data + b"\x01\x02\x03")  # 3 stray header bytes
+    cut = pcap_bytes([FRAME]) + b"\x01\x02\x03"  # 3 stray header bytes
     assert frames_of(cut) == [FRAME]
-    assert cut.truncated
+    assert walk_pcap(cut)[2]
 
 
 def test_captured_len_beyond_snaplen_stops():
-    table = walk_pcap(pcap_bytes([FRAME], snaplen=32))
-    assert table.starts.size == 0
-    assert table.truncated
+    starts, _, truncated = walk_pcap(pcap_bytes([FRAME], snaplen=32))
+    assert starts.size == 0
+    assert truncated
 
 
 def test_walk_locates_frames_without_copying():
     frames = [FRAME, b"", FRAME[:14], FRAME * 3]
     data = pcap_bytes(frames)
-    table = walk_pcap(data)
-    assert table.data is data
-    assert table.starts.dtype == table.lengths.dtype == np.int64
-    assert [data[s:s + n] for s, n in zip(table.starts.tolist(),
-                                          table.lengths.tolist())] == frames
-    assert not table.truncated
-    cut = walk_pcap(data[:-1])
-    assert cut.truncated and cut.lengths.tolist() == [60, 0, 14]
-    assert walk_pcap(pcap_bytes([FRAME], snaplen=32)).starts.size == 0
+    starts, lengths, truncated = walk_pcap(data)
+    assert starts.dtype == lengths.dtype == np.int64
+    assert [data[s:s + n] for s, n in zip(starts.tolist(),
+                                          lengths.tolist())] == frames
+    assert not truncated
+    for cut in (1, len(frames[-1])):  # into the frame, to its header's end
+        _, cut_lengths, cut_truncated = walk_pcap(data[:-cut])
+        assert cut_truncated and cut_lengths.tolist() == [60, 0, 14]
+    assert walk_pcap(pcap_bytes([FRAME], snaplen=32))[0].size == 0
 
 
 def test_round_trip_many_records(rng):
     frames = [bytes(rng.integers(0, 256, size=int(n)).astype("uint8"))
               for n in rng.integers(14, 200, size=20)]
+    reference = walk_pcap(pcap_bytes(frames))
     for magic in (0xA1B2C3D4, 0xA1B23C4D):
         for big_endian in (False, True):
-            table = walk_pcap(pcap_bytes(frames, magic=magic,
-                                         big_endian=big_endian))
-            assert frames_of(table) == frames
-            assert table.lengths.tolist() == [len(f) for f in frames]
-            assert table.nanosecond == (magic == 0xA1B23C4D)
-            assert table.big_endian == big_endian
-            assert not table.truncated
+            data = pcap_bytes(frames, magic=magic, big_endian=big_endian)
+            starts, lengths, truncated = walk_pcap(data)
+            assert frames_of(data) == frames
+            assert lengths.tolist() == [len(f) for f in frames]
+            assert starts.tolist() == reference[0].tolist()
+            assert not truncated

@@ -5,19 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import cgnn.pcap
 import cgnn.preprocess
 from cgnn.cli import RunConfig, _ingest_capture
 from cgnn.preprocess import FiveTuple, graphs_from_records
 
 from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, pcap_bytes,
-                      table_of, tcp, tcp_frame, udp_frame)
+                      tcp, tcp_frame, udp_frame)
 
 REASONS = ("non_ipv4", "non_tcp_udp", "fragments", "malformed")
 
 
 def ingest(frames: list[bytes], p: int = 64, **kwargs):
-    return graphs_from_records(table_of(frames), 0, p, **kwargs)
+    return graphs_from_records(pcap_bytes(frames), 0, p, **kwargs)
 
 
 def _only_row(frame: bytes, p: int) -> np.ndarray:
@@ -204,15 +203,14 @@ def test_last_frame_claiming_past_the_capture_end():
     whole = pcap_bytes([tcp_frame(b"a"), cut])
     truncated = pcap_bytes([tcp_frame(b"a"), cut, tcp_frame(b"b")])[:-3]
     for data in (whole, truncated):
-        table = cgnn.pcap.walk_pcap(data)
-        assert table.truncated == (data is truncated)
-        (graph,), _, stats = graphs_from_records(table, 0, 1500)
+        (graph,), _, stats = graphs_from_records(data, 0, 1500)
+        assert stats.truncated == (data is truncated)
         expected = expected_tcp_clean(payload)[:70]
         assert bytes(graph.features[1, :70]) == expected
         assert not graph.features[1, 70:].any()
         assert stats.skipped == 0
-    table = cgnn.pcap.walk_pcap(pcap_bytes([tcp_frame(b"a"), header_only]))
-    graphs, _, stats = graphs_from_records(table, 0, 1500)
+    graphs, _, stats = graphs_from_records(
+        pcap_bytes([tcp_frame(b"a"), header_only]), 0, 1500)
     assert len(graphs) == 1 and stats.malformed == 1
 
 

@@ -18,11 +18,10 @@ from cgnn.dataset import Dataset, parse_dataset
 from cgnn.errors import CgnnError, ConfigError
 from cgnn.model import (ModelDims, init_model, parse_checkpoint,
                         save_checkpoint, softmax)
-from cgnn.pcap import walk_pcap
-from cgnn.preprocess import graphs_from_records
+from cgnn.preprocess import graphs_from_records, walk_pcap
 
 from conftest import (arp_frame, graph_set, pcap_bytes, random_graphs,
-                      table_of, tcp_frame, udp_frame)
+                      tcp_frame, udp_frame)
 from test_preprocess import expected_tcp_clean
 
 # Text that survives a UTF-8 round trip (no surrogates).
@@ -33,7 +32,7 @@ utf8_text = st.text(
 
 @given(data=st.binary(min_size=1, max_size=300), p=st.integers(1, 400))
 def test_vectorize_pads_and_truncates(data, p):
-    (graph,), _, _ = graphs_from_records(table_of([tcp_frame(data)]), 0, p)
+    (graph,), _, _ = graphs_from_records(pcap_bytes([tcp_frame(data)]), 0, p)
     vector = graph.features[0]
     assert vector.shape == (p,)
     assert vector.dtype == np.uint8
@@ -54,15 +53,15 @@ def test_five_tuple_canonical_ignores_direction(src_ip, dst_ip, src_port,
                     dst=dst_ip)
     reverse = build(b"y", sport=dst_port, dport=src_port, src=dst_ip,
                     dst=src_ip)
-    _, (forward_key,), _ = graphs_from_records(table_of([forward]), 0, 8)
-    _, (reverse_key,), _ = graphs_from_records(table_of([reverse]), 0, 8)
+    _, (forward_key,), _ = graphs_from_records(pcap_bytes([forward]), 0, 8)
+    _, (reverse_key,), _ = graphs_from_records(pcap_bytes([reverse]), 0, 8)
     assert forward_key == reverse_key
     assert (forward_key.ip_a, forward_key.port_a) \
         <= (forward_key.ip_b, forward_key.port_b)
     assert {(forward_key.ip_a, forward_key.port_a),
             (forward_key.ip_b, forward_key.port_b)} \
         == {(src_ip, src_port), (dst_ip, dst_port)}
-    (graph,), _, _ = graphs_from_records(table_of([forward, reverse]), 0, 8)
+    (graph,), _, _ = graphs_from_records(pcap_bytes([forward, reverse]), 0, 8)
     assert graph.n == 2
 
 
@@ -72,12 +71,14 @@ def test_five_tuple_canonical_ignores_direction(src_ip, dst_ip, src_port,
 def test_capture_files_round_trip(frames, nanosecond, big_endian):
     data = pcap_bytes(frames, magic=0xA1B23C4D if nanosecond else 0xA1B2C3D4,
                       big_endian=big_endian)
-    table = walk_pcap(data)
-    assert [data[s:s + n] for s, n in zip(table.starts.tolist(),
-                                          table.lengths.tolist())] == frames
-    assert table.nanosecond == nanosecond
-    assert table.big_endian == big_endian
-    assert table.truncated is False
+    starts, lengths, truncated = walk_pcap(data)
+    assert [data[s:s + n] for s, n in zip(starts.tolist(),
+                                          lengths.tolist())] == frames
+    assert truncated is False
+    # every magic value and byte order lays the records out alike
+    reference, ref_lengths, _ = walk_pcap(pcap_bytes(frames))
+    assert starts.tolist() == reference.tolist()
+    assert lengths.tolist() == ref_lengths.tolist()
 
 
 @given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)),
@@ -118,8 +119,8 @@ def test_softmax_rows_are_distributions(rows):
 @settings(deadline=None)
 def test_truncation_keeps_a_leading_ceil_fraction(n, fraction):
     frames = [tcp_frame(bytes([i + 1])) for i in range(n)]
-    (whole,), _, _ = graphs_from_records(table_of(frames), 0, 48)
-    (graph,), _, stats = graphs_from_records(table_of(frames), 0, 48,
+    (whole,), _, _ = graphs_from_records(pcap_bytes(frames), 0, 48)
+    (graph,), _, stats = graphs_from_records(pcap_bytes(frames), 0, 48,
                                              fraction)
     kept = graph.n
     assert kept == math.ceil(fraction * n) == stats.vertices
@@ -152,11 +153,11 @@ def _valid_capture() -> bytes:
 
 
 def _ingest(raw: bytes):
-    return graphs_from_records(walk_pcap(raw), 0, 64, drop_dns=True)
+    return graphs_from_records(raw, 0, 64, drop_dns=True)
 
 
 def _ingest_frame(raw: bytes):
-    return graphs_from_records(table_of([raw]), 0, 64)
+    return graphs_from_records(pcap_bytes([raw]), 0, 64)
 
 
 def _mangle(valid: bytes, flips: list[tuple[int, int]], cut: int) -> bytes:
