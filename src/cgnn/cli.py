@@ -18,8 +18,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .dataset import DATASET_MAGIC, load_dataset, parse_dataset, save_dataset
-from .errors import (BadMagic, CgnnError, ConfigError, DimsMismatch,
-                     EmptyDataset, EmptySplit, NoLabels, NoSessions)
+from .errors import (CgnnError, ConfigError, CorruptFile, DimsMismatch,
+                     EmptyDataset)
 from .graph import split_dataset
 from .ioutil import atomic_write_bytes
 from .metrics import classification_report, format_report, write_heatmap_csv
@@ -169,10 +169,10 @@ def cmd_preprocess(args) -> int:
     cfg = _resolve_config(args)
     root = Path(args.root)
     if not root.is_dir():
-        raise NoLabels(f"{root} is not a directory")
+        raise EmptyDataset(f"{root} is not a directory")
     labels = sorted(d.name for d in root.iterdir() if d.is_dir())
     if not labels:
-        raise NoLabels(f"no label directories under {root}")
+        raise EmptyDataset(f"no label directories under {root}")
 
     per_label = [IngestStats() for _ in labels]
 
@@ -219,8 +219,8 @@ def cmd_train(args) -> int:
     missing = np.flatnonzero(np.bincount(
         train_set.labels, minlength=dataset.num_classes) == 0)
     if missing.size:
-        raise EmptySplit(f"label {dataset.label_names[missing[0]]} has no "
-                         f"graphs in the training split")
+        raise EmptyDataset(f"label {dataset.label_names[missing[0]]} has "
+                           f"no graphs in the training split")
     print(f"split: {len(train_idx)} train, {len(valid_idx)} validation, "
           f"{len(test_idx)} test")
 
@@ -272,7 +272,7 @@ def cmd_evaluate(args) -> int:
         _, _, test_idx = split_dataset(graphs, seed=cfg.split_seed)
         graphs = graphs[test_idx]
         if not len(graphs):
-            raise EmptySplit("test split is empty; too few graphs per label")
+            raise EmptyDataset("test split is empty; too few graphs per label")
     elif not len(graphs):
         raise EmptyDataset(f"{args.data} holds no graphs")
 
@@ -295,8 +295,8 @@ def cmd_predict(args) -> int:
     pcap_path = Path(args.pcap)
     graphs, keys, stats = _ingest_capture(pcap_path, 0, model.dims.p, cfg)
     if not len(graphs):
-        raise NoSessions(f"no sessions survived cleaning in {pcap_path} "
-                         f"({stats.describe()})")
+        raise EmptyDataset(f"no sessions survived cleaning in {pcap_path} "
+                           f"({stats.describe()})")
 
     rows = []
     probs = predict_probs(model, graphs)
@@ -340,7 +340,7 @@ def cmd_inspect(args) -> int:
         print(f"labels: {', '.join(checkpoint.label_names)}")
         print(f"parameters: {total}")
         return 0
-    raise BadMagic(f"{args.file} is not a dataset or checkpoint file")
+    raise CorruptFile(f"{args.file} is not a dataset or checkpoint file")
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, command: str) -> None:

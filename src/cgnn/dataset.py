@@ -26,8 +26,7 @@ from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .errors import (BadMagic, CorruptLength, LabelOutOfRange,
-                     VersionMismatch)
+from .errors import CorruptFile
 from .graph import GraphSet
 from .ioutil import ByteReader, ByteWriter, atomic_write
 
@@ -97,15 +96,15 @@ def save_dataset(parts: Iterable[GraphSet], path: Path | str,
 def parse_dataset(data: bytes) -> Dataset:
     r = ByteReader(data)
     if r.raw(4) != DATASET_MAGIC:
-        raise BadMagic("not a dataset file (bad magic)")
+        raise CorruptFile("not a dataset file (bad magic)")
     version = r.u32()
     if version != DATASET_VERSION:
-        raise VersionMismatch(
+        raise CorruptFile(
             f"dataset version {version}, this build reads "
             f"{DATASET_VERSION}")
     p = r.u32()
     if p == 0:
-        raise CorruptLength("dataset declares feature length 0")
+        raise CorruptFile("dataset declares feature length 0")
     num_classes = r.u32()
     label_names = [r.utf8() for _ in range(num_classes)]
     num_graphs = r.u32()
@@ -114,12 +113,12 @@ def parse_dataset(data: bytes) -> Dataset:
     for i in range(num_graphs):
         label = r.u32()
         if label >= num_classes:
-            raise LabelOutOfRange(
+            raise CorruptFile(
                 f"graph {i} has label {label}, file declares "
                 f"{num_classes} classes")
         n = r.u32()
         if n == 0:
-            raise CorruptLength(f"graph {i} has zero vertices")
+            raise CorruptFile(f"graph {i} has zero vertices")
         heads.append((r.skip(n * p), n, label))
     r.expect_end()
     starts, lengths, labels = np.array(heads, np.int64).reshape(-1, 3).T

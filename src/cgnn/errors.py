@@ -1,64 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per kind of failure."""
 
 
 class CgnnError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class BadMagic(CgnnError):
-    """File does not start with a recognized magic value."""
+class CorruptFile(CgnnError):
+    """A capture, dataset or checkpoint file's bytes are not a valid file
+    of its format: bad magic, other version or link type, a length that
+    overruns or a value out of range."""
 
 
-class UnsupportedLinkType(CgnnError):
-    """Capture link type is not Ethernet."""
+class EmptyDataset(CgnnError):
+    """An operation got no graphs, sessions, labels or rows to work on."""
 
 
-class VersionMismatch(CgnnError):
-    """Serialized file was written by an incompatible format version."""
-
-
-class CorruptLength(CgnnError):
-    """Serialized file ends before its declared payload."""
-
-
-class ShapeMismatch(CgnnError):
-    """Matrix operands have incompatible shapes."""
-
-
-class EmptySegment(CgnnError):
-    """Pooling segment contains no rows."""
+class DimsMismatch(CgnnError):
+    """Operand shapes, label ranges or model dimensions disagree."""
 
 
 class NonFiniteInput(CgnnError):
     """Classifier input contains NaN or infinity."""
-
-
-class LabelOutOfRange(CgnnError):
-    """Class label is outside [0, num_classes)."""
-
-
-class EmptyDataset(CgnnError):
-    """Operation requires at least one graph."""
-
-
-class DimsMismatch(CgnnError):
-    """Model dimensions do not match the data or checkpoint."""
-
-
-class NoLabels(CgnnError):
-    """Dataset root contains no label directories."""
-
-
-class NoSessions(CgnnError):
-    """No sessions survived preprocessing."""
-
-
-class EmptySplit(CgnnError):
-    """Requested evaluation split contains no graphs."""
-
-
-class EmptyMatrix(CgnnError):
-    """Confusion matrix holds no observations to score."""
 
 
 class ConfigError(CgnnError):

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, ShapeMismatch
+from .errors import DimsMismatch, EmptyDataset
 
 
 @dataclass
@@ -103,7 +103,7 @@ class ChainPropagation:
         """Multiply S @ x (hops times) without forming S. The matrix is
         symmetric, so this also serves as multiplication by its transpose."""
         if x.shape[0] != self.n:
-            raise ShapeMismatch(
+            raise DimsMismatch(
                 f"matrix has {x.shape[0]} rows, propagation covers {self.n}")
         diag = self.diag.astype(x.dtype, copy=False)
         off = self.off.astype(x.dtype, copy=False)

@@ -16,7 +16,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .errors import CorruptLength
+from .errors import CorruptFile
 
 
 @contextmanager
@@ -74,7 +74,7 @@ class ByteWriter:
 
 
 class ByteReader:
-    """Walks a byte string, raising CorruptLength on any overrun. raw()
+    """Walks a byte string, raising CorruptFile on any overrun. raw()
     returns a view into the string, not a copy; skip() only its offset."""
 
     def __init__(self, data: bytes) -> None:
@@ -88,7 +88,7 @@ class ByteReader:
     def skip(self, count: int) -> int:
         """Step over count bytes; returns the offset of the first."""
         if count < 0 or count > self.remaining:
-            raise CorruptLength(
+            raise CorruptFile(
                 f"need {count} bytes at offset {self._pos}, "
                 f"have {self.remaining}")
         self._pos += count
@@ -107,7 +107,7 @@ class ByteReader:
         try:
             return str(data, "utf-8")
         except UnicodeDecodeError as exc:
-            raise CorruptLength(f"string field is not valid UTF-8: {exc}")
+            raise CorruptFile(f"string field is not valid UTF-8: {exc}")
 
     def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -117,5 +117,5 @@ class ByteReader:
 
     def expect_end(self) -> None:
         if self.remaining:
-            raise CorruptLength(
+            raise CorruptFile(
                 f"{self.remaining} trailing bytes after the last field")

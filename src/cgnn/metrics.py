@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMatrix, LabelOutOfRange, ShapeMismatch
+from .errors import DimsMismatch, EmptyDataset
 from .ioutil import atomic_write_bytes
 
 
@@ -24,14 +24,14 @@ def confusion_matrix(true: np.ndarray, pred: np.ndarray,
     true = np.asarray(true, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
     if true.shape != pred.shape:
-        raise ShapeMismatch(f"{true.size} true labels against "
-                            f"{pred.size} predictions")
+        raise DimsMismatch(f"{true.size} true labels against "
+                           f"{pred.size} predictions")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     if true.size == 0:
         return counts
     both = np.concatenate([true, pred])
     if both.min() < 0 or both.max() >= num_classes:
-        raise LabelOutOfRange(
+        raise DimsMismatch(
             f"labels span [{both.min()}, {both.max()}], "
             f"expected 0..{num_classes - 1}")
     np.add.at(counts, (true, pred), 1)
@@ -73,7 +73,7 @@ def report_from_confusion(counts: np.ndarray, label_names: list[str],
                           weighted: bool = False) -> EvalReport:
     """Score an already-tallied confusion matrix."""
     if counts.sum() == 0:
-        raise EmptyMatrix("confusion matrix holds no observations")
+        raise EmptyDataset("confusion matrix holds no observations")
     diag = np.diag(counts).astype(np.float64)
     precision = _safe_divide(diag, counts.sum(axis=0))
     recall = _safe_divide(diag, counts.sum(axis=1))

@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadMagic, ConfigError, CorruptLength, DimsMismatch,
-                     EmptySegment, NonFiniteInput, ShapeMismatch,
-                     VersionMismatch)
+from .errors import (ConfigError, CorruptFile, DimsMismatch, EmptyDataset,
+                     NonFiniteInput)
 from .graph import BatchedGraph, GraphSet, batch_graphs
 from .ioutil import ByteReader, ByteWriter, atomic_write_bytes
 
@@ -28,16 +27,15 @@ CHECKPOINT_VERSION = 1
 
 POOLING_KINDS = ("avg", "max", "sum")
 
-# predict_probs closes a batch at BATCH_GRAPHS graphs, or before the next
-# graph would take it past BATCH_ROWS vertex rows; a longer graph goes
-# alone. Time falls as a block's rows x d1 activations shrink toward the
-# cache and is flat from 2048 rows down; 1024 is as fast as 2048 in half
-# the memory. ms per predict_probs of 20,330 rows in 150 sessions at
-# d1 = 516 (2-vCPU Xeon, OpenBLAS), by cap:  512  1024  2048  4096  8192
+# predict_probs closes a batch before the next graph would take it past
+# BATCH_ROWS vertex rows; a longer graph goes alone. Time falls as a
+# block's rows x d1 activations shrink toward the cache and is flat from
+# 2048 rows down; 1024 is as fast as 2048 in half the memory. ms per
+# predict_probs of 20,330 rows in 150 sessions at d1 = 516 (2-vCPU Xeon,
+# OpenBLAS), by cap:                         512  1024  2048  4096  8192
 #                                 p = 1500   406   383   381   434   498
 #                                 p = 256    167   155   170   211   238
 #                                 p = 64     111   117   128   160   190
-BATCH_GRAPHS = 256
 BATCH_ROWS = 1024
 
 
@@ -142,8 +140,8 @@ def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
               k: int = 1) -> np.ndarray:
     """One graph-convolution layer before its activation: S^k (X theta)."""
     if x.shape[1] != theta.shape[0]:
-        raise ShapeMismatch(f"features are {x.shape[1]} wide, layer weights "
-                            f"expect {theta.shape[0]}")
+        raise DimsMismatch(f"features are {x.shape[1]} wide, layer weights "
+                           f"expect {theta.shape[0]}")
     return prop.apply(x @ theta, k)
 
 
@@ -155,18 +153,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def fc_softmax(y: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Class distribution(s) from pooled features: softmax(y W + b).
-
-    Accepts one vector or a batch of row vectors, returning the same
-    arrangement.
-    """
-    single = y.ndim == 1
+    """Class distributions of a batch of pooled rows: softmax(y W + b)."""
     with np.errstate(invalid="ignore", over="ignore"):
-        logits = np.atleast_2d(y) @ W + b
+        logits = y @ W + b
     if not np.isfinite(logits).all():
         raise NonFiniteInput("classifier logits are not finite")
-    probs = softmax(logits)
-    return probs[0] if single else probs
+    return softmax(logits)
 
 
 def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
@@ -177,7 +169,7 @@ def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
     index that won each feature (needed to route gradients back).
     """
     if lengths.size == 0 or np.any(lengths <= 0):
-        raise EmptySegment("cannot pool over an empty segment")
+        raise EmptyDataset("cannot pool over an empty segment")
     starts = offsets[:-1]
     if kind == "avg":
         total = np.add.reduceat(x, starts, axis=0)
@@ -243,16 +235,16 @@ def forward(model: CgnnModel, batch: BatchedGraph,
 
 def predict_probs(model: CgnnModel, graphs: GraphSet) -> np.ndarray:
     """Class distributions of a set of graphs, shape (len(graphs), m):
-    row i belongs to graphs[i]. A batch holds at most BATCH_GRAPHS graphs
-    and, unless one graph alone is longer, at most BATCH_ROWS vertices;
-    no batch keeps activations for a backward pass."""
+    row i belongs to graphs[i]. Consecutive graphs share a batch up to
+    BATCH_ROWS vertices in all; a longer graph is a batch alone. No batch
+    keeps activations for a backward pass."""
     offsets = np.concatenate([[0], np.cumsum(graphs.lengths)])
     parts = []
     start = 0
     while start < len(graphs):
         stop = int(np.searchsorted(offsets, offsets[start] + BATCH_ROWS,
                                    "right")) - 1  # the most that fit
-        stop = min(max(stop, start + 1), start + BATCH_GRAPHS)
+        stop = max(stop, start + 1)
         batch = batch_graphs(graphs, slice(start, stop))
         parts.append(forward(model, batch, for_backward=False).probs)
         start = stop
@@ -292,10 +284,10 @@ class Checkpoint:
 def parse_checkpoint(data: bytes) -> Checkpoint:
     r = ByteReader(data)
     if r.raw(4) != CHECKPOINT_MAGIC:
-        raise BadMagic("not a checkpoint file (bad magic)")
+        raise CorruptFile("not a checkpoint file (bad magic)")
     version = r.u32()
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(
+        raise CorruptFile(
             f"checkpoint version {version}, this build reads "
             f"{CHECKPOINT_VERSION}")
     p, d1, d2, m, layers, k1, k2 = (r.u32() for _ in range(7))
@@ -306,7 +298,7 @@ def parse_checkpoint(data: bytes) -> Checkpoint:
     try:
         dims.validate()
     except ConfigError as exc:
-        raise CorruptLength(f"checkpoint dimensions invalid: {exc}")
+        raise CorruptFile(f"checkpoint dimensions invalid: {exc}")
     label_names = [r.utf8() for _ in range(m)]
     thetas = []
     fan_in = dims.p

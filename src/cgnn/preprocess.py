@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BadMagic, UnsupportedLinkType
+from .errors import CorruptFile
 from .graph import GraphSet
 
 MAGIC_MICROS = 0xA1B2C3D4
@@ -101,21 +101,21 @@ def walk_pcap(data: bytes) -> tuple[np.ndarray, np.ndarray, bool]:
     int64 offset of its first byte, its captured length, and whether the
     file ended mid-record. No frame is copied.
 
-    Raises BadMagic for unknown magic values and UnsupportedLinkType for
-    non-Ethernet captures. A record header that claims more bytes than
-    remain stops the walk; the records found so far are returned.
+    Raises CorruptFile for a file shorter than the global header, an
+    unknown magic value or a non-Ethernet capture. A record header that
+    claims more bytes than remain stops the walk; the records found so
+    far are returned.
     """
     if len(data) < GLOBAL_HEADER_LEN:
-        raise BadMagic("file shorter than the 24-byte pcap global header")
+        raise CorruptFile("file shorter than the 24-byte pcap global header")
     magics = (MAGIC_MICROS, MAGIC_NANOS)
     (magic,) = struct.unpack_from("<I", data)
     end = "<" if magic in magics else ">"
     if struct.unpack_from(end + "I", data)[0] not in magics:
-        raise BadMagic(f"not a pcap file (magic 0x{magic:08x})")
+        raise CorruptFile(f"not a pcap file (magic 0x{magic:08x})")
     snaplen, network = struct.unpack_from(end + "II", data, 16)
     if network != LINKTYPE_ETHERNET:
-        raise UnsupportedLinkType(f"link type {network}, "
-                                  f"expected Ethernet (1)")
+        raise CorruptFile(f"link type {network}, expected Ethernet (1)")
 
     captured_len = struct.Struct(end + "I").unpack_from
     starts: list[int] = []

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, EmptyDataset, EmptySplit, LabelOutOfRange,
-                     NonFiniteInput)
+from .errors import ConfigError, DimsMismatch, EmptyDataset, NonFiniteInput
 from .graph import BatchedGraph, GraphSet, batch_graphs
 from .model import (CgnnModel, ForwardCache, ModelDims, forward,
                     init_model, predict_probs)
@@ -46,7 +45,7 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     if labels.size == 0:
         raise EmptyDataset("cross entropy over zero rows")
     if labels.min() < 0 or labels.max() >= probs.shape[1]:
-        raise LabelOutOfRange(
+        raise DimsMismatch(
             f"labels span [{labels.min()}, {labels.max()}], "
             f"distribution has {probs.shape[1]} classes")
     p_true = probs[np.arange(labels.size), labels]
@@ -93,12 +92,12 @@ def backward(model: CgnnModel, batch: BatchedGraph,
 @dataclass
 class AdamState:
     """First and second moment accumulators, one pair per parameter,
-    and one scratch array per parameter for the update."""
+    and one ADAM_CHUNK-element scratch array the update reuses."""
 
     step: int
     m: list[np.ndarray]
     v: list[np.ndarray]
-    scratch: list[np.ndarray]
+    scratch: np.ndarray
 
     @classmethod
     def for_model(cls, model: CgnnModel) -> "AdamState":
@@ -106,7 +105,7 @@ class AdamState:
         return cls(step=0,
                    m=[np.zeros_like(p) for p in params],
                    v=[np.zeros_like(p) for p in params],
-                   scratch=[np.empty_like(p) for p in params])
+                   scratch=np.empty(ADAM_CHUNK, dtype=params[0].dtype))
 
 
 def adam_step(model: CgnnModel, grads: list[np.ndarray], state: AdamState,
@@ -124,11 +123,11 @@ def adam_step(model: CgnnModel, grads: list[np.ndarray], state: AdamState,
     root = math.sqrt(1 - beta2 ** t)
     step = lr * root / (1 - beta1 ** t)
     eps_hat = eps * root
-    for arrays in zip(model.params(), grads, state.m, state.v,
-                      state.scratch):
+    for arrays in zip(model.params(), grads, state.m, state.v):
         flat = [a.reshape(-1) for a in arrays]  # C-contiguous, so views
         for lo in range(0, flat[0].size, ADAM_CHUNK):
-            param, grad, m, v, tmp = (a[lo:lo + ADAM_CHUNK] for a in flat)
+            param, grad, m, v = (a[lo:lo + ADAM_CHUNK] for a in flat)
+            tmp = state.scratch[:param.size]
             m *= beta1
             np.multiply(grad, 1 - beta1, out=tmp)
             m += tmp
@@ -211,10 +210,10 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
     if not len(train_graphs):
         raise EmptyDataset("cannot train on zero graphs")
     if not len(valid_graphs):
-        raise EmptySplit("early stopping needs a non-empty validation split")
+        raise EmptyDataset("early stopping needs a non-empty validation split")
     worst = max(train_graphs.labels.max(), valid_graphs.labels.max())
     if worst >= dims.m:
-        raise LabelOutOfRange(
+        raise DimsMismatch(
             f"graphs carry label {worst}, model has {dims.m} classes")
 
     rng = np.random.default_rng(config.seed)

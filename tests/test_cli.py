@@ -63,13 +63,22 @@ def session_frames(fill: int, sessions: int, packets: int = 3,
     return frames
 
 
-def write_capture_tree(root, sessions: int = 12) -> None:
+def write_capture_tree(root, sessions: int = 12,
+                       names: tuple[str, str] = ("chat", "mail")) -> None:
     """Two label directories with separable payload patterns."""
-    for name, fill in (("chat", 0x11), ("mail", 0xEE)):
+    for name, fill in zip(names, (0x11, 0xEE)):
         directory = root / name
         directory.mkdir(parents=True)
         (directory / "traffic.pcap").write_bytes(
             pcap_bytes(session_frames(fill, sessions)))
+
+
+def write_sessionless_label(root, name: str) -> None:
+    """A label directory whose only capture is SYN-only traffic: no
+    packet carries payload, so the label yields no session."""
+    (root / name).mkdir(parents=True)
+    (root / name / "syn.pcap").write_bytes(
+        pcap_bytes([tcp_frame(b"", flags=0x02)]))
 
 
 # --- config handling ---------------------------------------------------------
@@ -287,11 +296,7 @@ def test_preprocess_rejects_missing_or_empty_root(tmp_path, capsys):
 def test_preprocess_warns_on_sessionless_label(tmp_path, capsys):
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)
-    quiet = root / "quiet"
-    quiet.mkdir()
-    # SYN-only traffic carries no payload, so every packet is discarded.
-    (quiet / "syn.pcap").write_bytes(
-        pcap_bytes([tcp_frame(b"", flags=0x02)]))
+    write_sessionless_label(root, "quiet")
     out = tmp_path / "data.cgd1"
     assert main(["preprocess", str(root), str(out), "--p", "64"]) == 0
     captured = capsys.readouterr()
@@ -382,6 +387,85 @@ def test_train_learns_the_separable_corpus(trained):
     history = (checkpoint_path.parent / "history.csv").read_text()
     last = history.strip().splitlines()[-1].split(",")
     assert float(last[3]) == 1.0  # validation accuracy
+
+
+def test_out_of_range_fraction_or_seed_stops_before_any_work(tmp_path,
+                                                             capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    data = tmp_path / "data.cgd1"
+    for value in ("0", "1.5"):
+        assert main(["preprocess", str(root), str(data),
+                     "--fraction", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: fraction must lie in (0, 1], got {float(value)}\n"
+        assert not data.exists()
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", str(data), str(run), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seeds cannot be negative\n"
+    assert not run.exists()
+
+
+def test_dataset_with_zero_graphs_is_refused(trained, tmp_path, capsys):
+    _, checkpoint_path, _ = trained
+    root = tmp_path / "quiet"
+    for name in ("chat", "mail"):
+        write_sessionless_label(root, name)
+    data = tmp_path / "empty.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    assert "wrote 0 graphs" in capsys.readouterr().out
+    run = tmp_path / "run-empty"
+    assert main(["train", str(data), str(run)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {data} holds no graphs\n"
+    assert epoch_lines(captured.out) == [] and not run.exists()
+    assert main(["evaluate", str(data), str(checkpoint_path),
+                 "--split", "all"]) == 1
+    assert capsys.readouterr().err == f"error: {data} holds no graphs\n"
+
+
+def test_train_refuses_a_label_with_no_training_graph(tmp_path, capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    write_sessionless_label(root, "quiet")
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", str(data), str(run)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "error: label quiet has no graphs in the training split\n"
+    assert "split:" not in captured.out and not run.exists()
+
+
+def test_train_with_zero_epochs_saves_the_initialized_model(tmp_path,
+                                                            capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=12)
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", str(data), str(run), "--d1", "8", "--d2", "8",
+                 "--max-epochs", "0"]) == 0
+    captured = capsys.readouterr()
+    assert epoch_lines(captured.out) == []
+    assert captured.out.splitlines()[-2:] == [
+        "no epochs ran; saved the initialized model",
+        f"wrote {run / 'best.cgm1'}"]
+    assert captured.err == ""
+    assert (run / "history.csv").read_text() == \
+        "epoch,train_loss,valid_loss,valid_accuracy\n"
+    checkpoint = load_checkpoint(run / "best.cgm1")
+    assert checkpoint.label_names == ["chat", "mail"]
+    assert (checkpoint.model.dims.p, checkpoint.model.dims.d1) == (64, 8)
 
 
 def test_train_rejects_bad_dimensions_before_working(tmp_path, capsys):
@@ -572,6 +656,35 @@ def test_evaluate_rejects_mismatched_dataset(trained, tmp_path, capsys):
     assert main(["evaluate", str(solo), str(checkpoint_path),
                  "--split", "all"]) == 1
     assert "classes" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_another_feature_length(trained, tmp_path,
+                                                 capsys):
+    _, checkpoint_path, _ = trained
+    root = tmp_path / "narrow"
+    write_capture_tree(root, sessions=12)
+    data = tmp_path / "narrow.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "32"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", str(data), str(checkpoint_path),
+                 "--split", "all"]) == 1
+    assert capsys.readouterr().err == \
+        "error: checkpoint expects feature length 64, dataset has 32\n"
+
+
+def test_evaluate_warns_when_label_names_differ(trained, tmp_path, capsys):
+    _, checkpoint_path, _ = trained
+    root = tmp_path / "renamed"
+    write_capture_tree(root, names=("alpha", "beta"))
+    data = tmp_path / "renamed.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", str(data), str(checkpoint_path),
+                 "--split", "all"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "warning: checkpoint and dataset label names differ\n"
+    assert "accuracy" in captured.out and "alpha" in captured.out
 
 
 def test_predict_labels_each_session(trained, tmp_path, capsys):

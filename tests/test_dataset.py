@@ -9,8 +9,7 @@ import pytest
 
 from cgnn.dataset import (DATASET_MAGIC, Dataset, load_dataset, parse_dataset,
                           save_dataset)
-from cgnn.errors import (BadMagic, CgnnError, CorruptLength,
-                         LabelOutOfRange, VersionMismatch)
+from cgnn.errors import CorruptFile
 from cgnn.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 
 from conftest import graph_set, random_graphs
@@ -108,27 +107,27 @@ def test_unicode_label_names():
 def test_rejects_wrong_magic():
     raw = bytearray(small_dataset().to_bytes())
     raw[:4] = b"NOPE"
-    with pytest.raises(BadMagic):
+    with pytest.raises(CorruptFile, match="not a dataset file"):
         parse_dataset(bytes(raw))
 
 
 def test_rejects_unknown_version():
     raw = bytearray(small_dataset().to_bytes())
     struct.pack_into("<I", raw, 4, 99)
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(CorruptFile, match="dataset version 99"):
         parse_dataset(bytes(raw))
 
 
 def test_rejects_truncation_at_every_prefix():
     raw = small_dataset().to_bytes()
     for cut in range(4, len(raw), 7):
-        with pytest.raises((BadMagic, CorruptLength)):
+        with pytest.raises(CorruptFile, match=r"need \d+ bytes at offset"):
             parse_dataset(raw[:cut])
 
 
 def test_rejects_trailing_garbage():
     raw = small_dataset().to_bytes()
-    with pytest.raises(CorruptLength):
+    with pytest.raises(CorruptFile, match="1 trailing bytes"):
         parse_dataset(raw + b"\x00")
 
 
@@ -136,7 +135,7 @@ def test_rejects_zero_feature_width():
     data = empty_dataset(["a"], 4)
     raw = bytearray(data.to_bytes())
     struct.pack_into("<I", raw, 8, 0)
-    with pytest.raises(CorruptLength):
+    with pytest.raises(CorruptFile, match="feature length 0"):
         parse_dataset(bytes(raw))
 
 
@@ -148,14 +147,14 @@ FIRST_GRAPH_OFFSET = 4 + 4 + 4 + 4 + (4 + 4) + (4 + 4) + 4
 def test_rejects_zero_vertex_graph():
     raw = bytearray(small_dataset().to_bytes())
     struct.pack_into("<I", raw, FIRST_GRAPH_OFFSET + 4, 0)
-    with pytest.raises(CorruptLength):
+    with pytest.raises(CorruptFile, match="graph 0 has zero vertices"):
         parse_dataset(bytes(raw))
 
 
 def test_rejects_label_id_beyond_class_count():
     raw = bytearray(small_dataset().to_bytes())
     struct.pack_into("<I", raw, FIRST_GRAPH_OFFSET, 7)
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(CorruptFile, match="graph 0 has label 7"):
         parse_dataset(bytes(raw))
 
 
@@ -176,9 +175,9 @@ def test_failed_part_leaves_no_file(tmp_path, rng):
 
     def parts():
         yield random_graphs(rng, 3, p=4)
-        raise CorruptLength("second capture is broken")
+        raise CorruptFile("second capture is broken")
 
-    with pytest.raises(CgnnError):
+    with pytest.raises(CorruptFile, match="second capture is broken"):
         save_dataset(parts(), path, ["a", "b"], 4)
     assert list(tmp_path.iterdir()) == []
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cgnn.errors import EmptyDataset, ShapeMismatch
+from cgnn.errors import DimsMismatch, EmptyDataset
 from cgnn.graph import (ChainPropagation, batch_graphs, propagation_matrix,
                         split_dataset)
 from cgnn.preprocess import graphs_from_records
@@ -74,7 +74,7 @@ def test_apply_equals_dense_multiply(rng):
 
 def test_apply_rejects_wrong_row_count():
     prop = ChainPropagation.for_batch([3])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimsMismatch, match="propagation covers 3"):
         prop.apply(np.zeros((4, 2)))
 
 
@@ -93,7 +93,7 @@ def test_batched_propagation_is_block_diagonal():
 
 
 def test_batch_propagation_rejects_empty():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(EmptyDataset, match="no graphs to build"):
         ChainPropagation.for_batch([])
 
 
@@ -230,7 +230,7 @@ def test_batch_takes_the_chosen_graphs_in_order(rng):
 
 
 def test_batch_rejects_empty_list(rng):
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(EmptyDataset, match="no graphs to build"):
         batch_graphs(random_graphs(rng, 0, p=4))
 
 
@@ -285,7 +285,7 @@ def test_balanced_classes_stay_balanced():
 
 
 def test_split_rejects_empty_and_bad_fractions(rng):
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(EmptyDataset, match="cannot split zero graphs"):
         split_dataset(random_graphs(rng, 0, p=4), seed=0)
     graphs = random_graphs(rng, 5, p=4)
     with pytest.raises(ValueError):

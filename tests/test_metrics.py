@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cgnn.errors import EmptyMatrix, LabelOutOfRange, ShapeMismatch
+from cgnn.errors import DimsMismatch, EmptyDataset
 from cgnn.metrics import (classification_report, confusion_matrix,
                           format_report, normalized_confusion,
                           report_from_confusion, write_heatmap_csv)
@@ -36,14 +36,14 @@ def test_matrix_total_equals_sample_count(rng):
 
 
 def test_rejects_label_outside_range():
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(DimsMismatch, match=r"labels span \[0, 3\]"):
         confusion_matrix(np.array([0, 3]), np.array([0, 0]), 2)
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(DimsMismatch, match=r"labels span \[-1, 0\]"):
         confusion_matrix(np.array([0]), np.array([-1]), 2)
 
 
 def test_rejects_length_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimsMismatch, match="2 true labels against 1"):
         confusion_matrix(np.array([0, 1]), np.array([0]), 2)
 
 
@@ -79,7 +79,7 @@ def test_absent_class_scores_zero_not_nan():
 
 
 def test_empty_matrix_is_rejected():
-    with pytest.raises(EmptyMatrix):
+    with pytest.raises(EmptyDataset, match="holds no observations"):
         report_from_confusion(np.zeros((2, 2), dtype=np.int64), ["a", "b"])
 
 

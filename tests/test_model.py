@@ -10,9 +10,8 @@ import pytest
 
 import cgnn.model
 
-from cgnn.errors import (BadMagic, ConfigError, CorruptLength, DimsMismatch,
-                         EmptySegment, NonFiniteInput, ShapeMismatch,
-                         VersionMismatch)
+from cgnn.errors import (ConfigError, CorruptFile, DimsMismatch,
+                         EmptyDataset, NonFiniteInput)
 from cgnn.graph import ChainPropagation, batch_graphs
 from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims, fc_softmax,
                         forward, init_model, load_checkpoint,
@@ -143,7 +142,7 @@ def test_sgc_layer_two_hops_matches_dense(rng):
 
 def test_sgc_layer_rejects_width_mismatch():
     prop = ChainPropagation.for_batch([2])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimsMismatch, match="layer weights expect 4"):
         sgc_layer(prop, np.zeros((2, 3)), np.zeros((4, 2)))
 
 
@@ -195,9 +194,9 @@ def test_avg_pool_brute_force_oracle(rng):
 
 
 def test_pool_rejects_empty_segments():
-    with pytest.raises(EmptySegment):
+    with pytest.raises(EmptyDataset, match="empty segment"):
         pool(np.zeros((0, 2)), np.array([0]), np.array([], dtype=int), "avg")
-    with pytest.raises(EmptySegment):
+    with pytest.raises(EmptyDataset, match="empty segment"):
         pool(np.zeros((2, 2)), np.array([0, 0, 2]), np.array([0, 2]), "avg")
 
 
@@ -213,7 +212,7 @@ def test_softmax_uniform_on_equal_logits():
 
 
 def test_fc_softmax_zero_everything_is_uniform():
-    probs = fc_softmax(np.zeros(3), np.zeros((3, 2)), np.zeros(2))
+    probs = fc_softmax(np.zeros((1, 3)), np.zeros((3, 2)), np.zeros(2))[0]
     assert probs.tolist() == [0.5, 0.5]
     assert probs.shape == (2,)
 
@@ -224,8 +223,8 @@ def test_fc_softmax_batch_keeps_rows():
 
 
 def test_fc_softmax_stable_for_huge_logits():
-    probs = fc_softmax(np.array([1000.0]), np.array([[1.0, 0.0]]),
-                       np.zeros(2))
+    probs = fc_softmax(np.array([[1000.0]]), np.array([[1.0, 0.0]]),
+                       np.zeros(2))[0]
     assert np.isfinite(probs).all()
     assert probs[0] == pytest.approx(1.0)
     assert probs.sum() == pytest.approx(1.0)
@@ -233,7 +232,8 @@ def test_fc_softmax_stable_for_huge_logits():
 
 def test_fc_softmax_rejects_non_finite():
     with pytest.raises(NonFiniteInput):
-        fc_softmax(np.array([np.inf]), np.array([[1.0, 0.0]]), np.zeros(2))
+        fc_softmax(np.array([[np.inf]]), np.array([[1.0, 0.0]]),
+                   np.zeros(2))
 
 
 # --- full forward pass -------------------------------------------------------
@@ -298,7 +298,7 @@ def test_forward_chain_reversal_same_distribution(rng):
 def test_forward_rejects_wrong_feature_length(rng):
     model = init_model(TINY_DIMS, seed=0)
     graphs = random_graphs(rng, 2, p=9)
-    with pytest.raises(DimsMismatch):
+    with pytest.raises(DimsMismatch, match="batch has feature length 9"):
         forward(model, batch_graphs(graphs))
 
 
@@ -318,10 +318,10 @@ def test_forward_cache_holds_layer_intermediates(rng):
 def test_predict_probs_and_labels(rng, monkeypatch):
     model = init_model(TINY_DIMS, seed=0)
     graphs = random_graphs(rng, 10, p=6)
-    monkeypatch.setattr(cgnn.model, "BATCH_GRAPHS", 3)
+    monkeypatch.setattr(cgnn.model, "BATCH_ROWS", 12)
     probs = predict_probs(model, graphs)
     assert probs.shape == (10, 2)
-    monkeypatch.setattr(cgnn.model, "BATCH_GRAPHS", 100)
+    monkeypatch.setattr(cgnn.model, "BATCH_ROWS", 10 ** 6)
     whole = predict_probs(model, graphs)
     assert np.abs(probs - whole).max() <= 1e-6
 
@@ -392,7 +392,7 @@ def test_checkpoint_round_trip_all_poolings(tmp_path):
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
-    with pytest.raises(BadMagic):
+    with pytest.raises(CorruptFile, match="bad magic"):
         parse_checkpoint(b"XXXX" + b"\x00" * 64)
 
 
@@ -402,7 +402,7 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     save_checkpoint(model, ["a", "b"], path)
     raw = bytearray(path.read_bytes())
     struct.pack_into("<I", raw, 4, 2)
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(CorruptFile, match="checkpoint version 2"):
         parse_checkpoint(bytes(raw))
 
 
@@ -412,13 +412,13 @@ def test_checkpoint_rejects_truncation(tmp_path):
     save_checkpoint(model, ["a", "b"], path)
     raw = path.read_bytes()
     for cut in (8, len(raw) // 2, len(raw) - 1):
-        with pytest.raises(CorruptLength):
+        with pytest.raises(CorruptFile, match=r"need \d+ bytes at offset"):
             parse_checkpoint(raw[:cut])
-    with pytest.raises(CorruptLength):
+    with pytest.raises(CorruptFile, match="1 trailing bytes"):
         parse_checkpoint(raw + b"\x01")
 
 
 def test_save_checkpoint_rejects_wrong_name_count(tmp_path):
     model = init_model(TINY_DIMS, seed=0)
-    with pytest.raises(DimsMismatch):
+    with pytest.raises(DimsMismatch, match="1 label names for 2 classes"):
         save_checkpoint(model, ["only-one"], tmp_path / "model.cgm1")

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from cgnn.errors import BadMagic, UnsupportedLinkType
+from cgnn.errors import CorruptFile
 from cgnn.preprocess import RECORD_HEADER_LEN, walk_pcap
 
 from conftest import pcap_bytes
@@ -79,19 +79,19 @@ def test_header_only_file_gives_zero_records():
 
 
 def test_bad_magic():
-    with pytest.raises(BadMagic):
+    with pytest.raises(CorruptFile, match="not a pcap file"):
         walk_pcap(b"\xde\xad\xbe\xef" + b"\x00" * 20)
 
 
 def test_file_shorter_than_global_header():
-    with pytest.raises(BadMagic):
+    with pytest.raises(CorruptFile, match="shorter than the 24-byte"):
         walk_pcap(b"\xd4\xc3\xb2\xa1\x02\x00")
 
 
 def test_non_ethernet_link_type():
     data = bytearray(golden_single_record())
     data[20:24] = struct.pack("<I", 101)  # raw IP link type
-    with pytest.raises(UnsupportedLinkType):
+    with pytest.raises(CorruptFile, match="link type 101"):
         walk_pcap(bytes(data))
 
 

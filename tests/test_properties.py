@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cgnn.cli import (RunConfig, format_config, parse_config_file,
                       parse_config_text)
 from cgnn.dataset import Dataset, parse_dataset
-from cgnn.errors import CgnnError, ConfigError
+from cgnn.errors import ConfigError, CorruptFile
 from cgnn.model import (ModelDims, init_model, parse_checkpoint,
                         save_checkpoint, softmax)
 from cgnn.preprocess import graphs_from_records, walk_pcap
@@ -177,7 +177,7 @@ def _mangle(valid: bytes, flips: list[tuple[int, int]], cut: int) -> bytes:
 @settings(deadline=None, max_examples=150)
 def test_parsers_return_a_value_or_raise_cgnn_error(parse, valid, data):
     """Arbitrary bytes, or a valid file with bytes flipped and cut at
-    random offsets: the parser returns or raises CgnnError, nothing
+    random offsets: the parser returns or raises CorruptFile, nothing
     else."""
     good = valid()
     raw = data.draw(st.one_of(
@@ -188,7 +188,7 @@ def test_parsers_return_a_value_or_raise_cgnn_error(parse, valid, data):
                   st.integers(0, len(good)))))
     try:
         parse(raw)
-    except CgnnError:
+    except CorruptFile:
         pass
 
 

@@ -10,8 +10,8 @@ import pytest
 
 import cgnn.model
 import cgnn.train
-from cgnn.errors import (ConfigError, EmptyDataset, EmptySplit,
-                         LabelOutOfRange, NonFiniteInput)
+from cgnn.errors import (ConfigError, DimsMismatch, EmptyDataset,
+                         NonFiniteInput)
 from cgnn.graph import ChainPropagation, batch_graphs
 from cgnn.model import (POOLING_KINDS, CgnnModel, ModelDims, forward,
                         init_model, predict_probs)
@@ -122,11 +122,11 @@ def test_cross_entropy_floors_impossible_events():
 
 def test_cross_entropy_rejects_bad_labels():
     probs = np.array([[0.5, 0.5]])
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(DimsMismatch, match=r"labels span \[2, 2\]"):
         cross_entropy(probs, np.array([2]))
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(DimsMismatch, match=r"labels span \[-1, -1\]"):
         cross_entropy(probs, np.array([-1]))
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(EmptyDataset, match="cross entropy over zero rows"):
         cross_entropy(np.zeros((0, 2)), np.array([], dtype=int))
 
 
@@ -307,6 +307,7 @@ def test_adam_chunk_size_changes_no_bit(monkeypatch):
         monkeypatch.setattr(cgnn.train, "ADAM_CHUNK", chunk)
         model = init_model(dims, seed=2)
         state = AdamState.for_model(model)
+        assert state.scratch.shape == (chunk,)  # one chunk, not a copy
         for step_grads in grads:
             adam_step(model, step_grads, state)
         results.append([a.tobytes() for a in
@@ -436,12 +437,12 @@ def test_fit_logs_one_line_per_epoch(rng):
 def test_fit_input_validation(rng):
     graphs = two_pattern_graphs(rng, 10)
     dims = ModelDims(p=16, d1=6, d2=4, m=2)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(EmptyDataset, match="cannot train on zero graphs"):
         fit(graphs[:0], graphs[:2], dims, TrainConfig(max_epochs=1))
-    with pytest.raises(EmptySplit):
+    with pytest.raises(EmptyDataset, match="non-empty validation split"):
         fit(graphs[:8], graphs[:0], dims, TrainConfig(max_epochs=1))
     bad = dataclasses.replace(graphs[:1], labels=np.array([5]))
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(DimsMismatch, match="graphs carry label 5"):
         fit(bad, graphs[:2], dims, TrainConfig(max_epochs=1))
     with pytest.raises(ConfigError):
         fit(graphs[:8], graphs[8:], dims, TrainConfig(lr=-1.0))
@@ -466,7 +467,7 @@ def test_evaluate_uniform_model(rng):
     loss, acc = evaluate(model, graphs)
     assert loss == pytest.approx(math.log(2), abs=1e-6)
     assert acc == 0.5  # uniform rows tie, argmax picks class 0
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(EmptyDataset, match="cross entropy over zero rows"):
         evaluate(model, graphs[:0])
 
 
@@ -492,21 +493,18 @@ def test_predict_numbers_graphs_across_batches(rng, monkeypatch):
         batches.append(chosen.lengths[idx].tolist())
         return batch_graphs(chosen, idx)
 
-    monkeypatch.setattr(cgnn.model, "BATCH_GRAPHS", 3)
     monkeypatch.setattr(cgnn.model, "BATCH_ROWS", 12)
     monkeypatch.setattr(cgnn.model, "batch_graphs", counting_batch)
     probs = predict_probs(model, graphs)
     monkeypatch.undo()
-    # Batches keep graph order, hold at most 3 graphs and 12 rows (a
-    # longer graph goes alone), and close only when the next graph
-    # would break one of those limits.
+    # Batches keep graph order, hold at most 12 rows (a longer graph goes
+    # alone), and close only when the next graph would pass that limit.
     assert [n for sizes in batches for n in sizes] == graphs.lengths.tolist()
     assert len(batches) > 2
     for sizes, following in zip(batches, batches[1:] + [None]):
-        assert len(sizes) <= 3
         assert sum(sizes) <= 12 or len(sizes) == 1
         if following is not None:
-            assert len(sizes) == 3 or sum(sizes) + following[0] > 12
+            assert sum(sizes) + following[0] > 12
     labels = probs.argmax(axis=1)
     for graph_id in range(len(graphs)):
         alone = predict_probs(model, graphs[graph_id:graph_id + 1])[0]
