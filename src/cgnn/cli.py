@@ -3,8 +3,8 @@ and inspect the binary artifacts.
 
 Configuration is a flat key=value file; command-line flags override file
 values. Each command takes flags for, and echoes at startup, only the keys
-it reads (COMMAND_KEYS), in the same key=value form, so a run can be
-reproduced by feeding the echo back in as a config file.
+it reads (COMMAND_KEYS; evaluate reads none), in the same key=value form,
+so a run can be reproduced by feeding the echo back in as a config file.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ def _validate(cfg) -> None:
         raise ConfigError(f"fraction must lie in (0, 1], got {cfg.fraction}")
     if cfg.seed < 0 or cfg.split_seed < 0:
         raise ConfigError("seeds cannot be negative")
+    if cfg.split_seed > 0xFFFFFFFF:  # the checkpoint stores it as u32
+        raise ConfigError(f"split_seed must fit in an unsigned 32-bit "
+                          f"field, got {cfg.split_seed}")
 
 
 # Every knob of the pipeline, with the recommended defaults: the model
@@ -69,13 +72,12 @@ RunConfig = dataclasses.make_dataclass(
 _FIELD_TYPES = get_type_hints(RunConfig)
 
 # The keys each command reads; one config file may hold them all. Only
-# preprocess sets p: train reads it from the dataset, and evaluate and
-# predict take the whole model from the checkpoint.
+# preprocess sets p: train reads it from the dataset, and predict takes
+# the whole model from the checkpoint. evaluate reads no key.
 COMMAND_KEYS = {
     "preprocess": ("p", "fraction", "drop_dns"),
     "train": tuple(k for k in _FIELD_TYPES
                    if k not in ("p", "fraction", "drop_dns")),
-    "evaluate": ("split_seed",),
     "predict": ("fraction", "drop_dns"),
 }
 
@@ -230,7 +232,8 @@ def cmd_train(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / CHECKPOINT_NAME
-    save_checkpoint(model, dataset.label_names, checkpoint_path)
+    save_checkpoint(model, dataset.label_names, checkpoint_path,
+                    cfg.split_seed)
     atomic_write_bytes(out_dir / "config.txt", (format_config(
         cfg, COMMAND_KEYS["train"]) + "\n").encode("utf-8"))
 
@@ -253,7 +256,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args)
     dataset = load_dataset(args.data)
     checkpoint = load_checkpoint(args.checkpoint)
     model = checkpoint.model
@@ -268,13 +270,13 @@ def cmd_evaluate(args) -> int:
               file=sys.stderr)
 
     graphs = dataset.graphs
-    if args.split == "test":
-        _, _, test_idx = split_dataset(graphs, seed=cfg.split_seed)
+    if not len(graphs):
+        raise EmptyDataset(f"{args.data} holds no graphs")
+    if args.split == "test":  # the graphs train held out
+        _, _, test_idx = split_dataset(graphs, seed=checkpoint.split_seed)
         graphs = graphs[test_idx]
         if not len(graphs):
             raise EmptyDataset("test split is empty; too few graphs per label")
-    elif not len(graphs):
-        raise EmptyDataset(f"{args.data} holds no graphs")
 
     pred = predict_probs(model, graphs).argmax(axis=1)
     report = classification_report(graphs.labels, pred, dataset.label_names,
@@ -338,6 +340,7 @@ def cmd_inspect(args) -> int:
             f"{f.name}={_format_value(getattr(dims, f.name))}"
             for f in dataclasses.fields(dims)))
         print(f"labels: {', '.join(checkpoint.label_names)}")
+        print(f"split seed: {checkpoint.split_seed}")
         print(f"parameters: {total}")
         return 0
     raise CorruptFile(f"{args.file} is not a dataset or checkpoint file")
@@ -389,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="confusion CSV path (default next to checkpoint)")
     sub.add_argument("--weighted", action="store_true",
                      help="weigh macro averages by class support")
-    _add_config_flags(sub, "evaluate")
     sub.set_defaults(func=cmd_evaluate)
 
     sub = commands.add_parser("predict", allow_abbrev=False,

@@ -6,7 +6,7 @@ matrix; projecting before propagating keeps S at the hidden width, and S
 is a fixed linear map, so the order does not change the result. Pooling
 averages (or maxes, or sums) each graph's vertex rows;
 the head computes softmax(y W + b). Checkpoints (magic "CGM1") store the
-dimensions, the label names, and the float32 weights.
+dimensions, the split seed, the label names, and the float32 weights.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .graph import BatchedGraph, GraphSet, batch_graphs
 from .ioutil import ByteReader, ByteWriter, atomic_write_bytes
 
 CHECKPOINT_MAGIC = b"CGM1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 POOLING_KINDS = ("avg", "max", "sum")
 
@@ -253,8 +253,9 @@ def predict_probs(model: CgnnModel, graphs: GraphSet) -> np.ndarray:
 
 
 def save_checkpoint(model: CgnnModel, label_names: list[str],
-                    path: Path | str) -> None:
-    """Serialize dimensions, label names, and weights (magic "CGM1")."""
+                    path: Path | str, split_seed: int = 0) -> None:
+    """Serialize dimensions, the training split seed, label names, and
+    weights (magic "CGM1")."""
     if len(label_names) != model.dims.m:
         raise DimsMismatch(
             f"{len(label_names)} label names for {model.dims.m} classes")
@@ -268,6 +269,7 @@ def save_checkpoint(model: CgnnModel, label_names: list[str],
         w.u32(value)
     w.utf8(dims.pooling)
     w.u32(int(dims.standardize))
+    w.u32(split_seed)
     for name in label_names:
         w.utf8(name)
     for arr in model.params():
@@ -279,6 +281,7 @@ def save_checkpoint(model: CgnnModel, label_names: list[str],
 class Checkpoint:
     model: CgnnModel
     label_names: list[str]
+    split_seed: int
 
 
 def parse_checkpoint(data: bytes) -> Checkpoint:
@@ -293,6 +296,7 @@ def parse_checkpoint(data: bytes) -> Checkpoint:
     p, d1, d2, m, layers, k1, k2 = (r.u32() for _ in range(7))
     pooling = r.utf8()
     standardize = bool(r.u32())
+    split_seed = r.u32()
     dims = ModelDims(p=p, d1=d1, d2=d2, m=m, layers=layers, k1=k1, k2=k2,
                      pooling=pooling, standardize=standardize)
     try:
@@ -309,7 +313,7 @@ def parse_checkpoint(data: bytes) -> Checkpoint:
     b = r.f32_array((m,))
     r.expect_end()
     model = CgnnModel(dims=dims, thetas=tuple(thetas), W=W, b=b)
-    return Checkpoint(model=model, label_names=label_names)
+    return Checkpoint(model, label_names, split_seed)
 
 
 def load_checkpoint(path: Path | str) -> Checkpoint:

@@ -11,7 +11,7 @@ import pytest
 
 import cgnn
 from cgnn.cli import (RunConfig, format_config, main, parse_config_text)
-from cgnn.dataset import load_dataset
+from cgnn.dataset import load_dataset, save_dataset
 from cgnn.errors import ConfigError
 from cgnn.graph import split_dataset
 from cgnn.model import load_checkpoint
@@ -116,10 +116,6 @@ batch_size = 32
 max_epochs = 400
 patience = 20
 seed = 0
-split_seed = 0
-# end configuration""",
-    "evaluate": """\
-# configuration
 split_seed = 0
 # end configuration""",
     "predict": """\
@@ -484,7 +480,8 @@ def epoch_lines(out: str) -> list[str]:
 
 
 def test_commands_reject_sizes_the_files_cannot_store(tmp_path, capsys):
-    # The dataset stores p, and the checkpoint p, d1, d2, k1 and k2, as u32.
+    # The dataset stores p, and the checkpoint p, d1, d2, k1, k2 and the
+    # split seed, as u32.
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)
     out = tmp_path / "big.cgd1"
@@ -498,7 +495,8 @@ def test_commands_reject_sizes_the_files_cannot_store(tmp_path, capsys):
     run = tmp_path / "run"
     for flags in (["--layers", "1", "--d2", str(2 ** 32)],
                   ["--layers", "1", "--d2", "-1"], ["--d1", str(2 ** 32)],
-                  ["--k1", str(2 ** 32)], ["--k2", str(2 ** 32)]):
+                  ["--k1", str(2 ** 32)], ["--k2", str(2 ** 32)],
+                  ["--split-seed", str(2 ** 32)]):
         assert main(["train", str(data), str(run), "--max-epochs", "2",
                      *flags]) == 1
         captured = capsys.readouterr()
@@ -580,27 +578,10 @@ def test_evaluate_scores_and_writes_heatmap(trained, tmp_path, capsys):
     assert elsewhere.exists()
 
 
-def test_evaluate_echo_reproduces_the_run(trained, tmp_path, capsys):
-    data, checkpoint_path, _ = trained
-    heatmap = tmp_path / "confusion.csv"
-    args = ["evaluate", str(data), str(checkpoint_path),
-            "--heatmap", str(heatmap)]
-    assert main(args + ["--split-seed", "7"]) == 0
-    out = capsys.readouterr().out
-    first_heatmap = heatmap.read_bytes()
-    assert config_echo(out) == \
-        "# configuration\nsplit_seed = 7\n# end configuration"
-    config = tmp_path / "echo.conf"
-    config.write_text(config_echo(out))
-    assert main(args + ["--config", str(config)]) == 0
-    assert capsys.readouterr().out == out
-    assert heatmap.read_bytes() == first_heatmap
-
-
 def test_evaluate_with_train_config_scores_the_held_out_split(tmp_path,
                                                              capsys):
-    # train's config.txt carries its split seed, so evaluate --config
-    # scores the test split train held out, as the README advises.
+    # The checkpoint carries train's split seed, so a plain evaluate
+    # scores the test split train held out.
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=12)
     data = tmp_path / "data.cgd1"
@@ -609,11 +590,10 @@ def test_evaluate_with_train_config_scores_the_held_out_split(tmp_path,
     assert main(["train", str(data), str(run), "--split-seed", "5"]
                 + TRAIN_FLAGS) == 0
     capsys.readouterr()
-    args = ["evaluate", str(data), str(run / "best.cgm1")]
-    assert main(args + ["--config", str(run / "config.txt")]) == 0
+    assert load_checkpoint(run / "best.cgm1").split_seed == 5
+    assert main(["evaluate", str(data), str(run / "best.cgm1")]) == 0
     out = capsys.readouterr().out
-    assert config_echo(out) == \
-        "# configuration\nsplit_seed = 5\n# end configuration"
+    assert "# configuration" not in out
     dataset = load_dataset(data)
     _, _, test_idx = split_dataset(dataset.graphs, seed=5)
     want = np.bincount(dataset.graphs.labels[test_idx],
@@ -622,8 +602,22 @@ def test_evaluate_with_train_config_scores_the_held_out_split(tmp_path,
                for line in out.splitlines()
                if line.split()[:1] in (["chat"], ["mail"])}
     assert support == dict(zip(dataset.label_names, want.tolist()))
-    assert main(args + ["--split-seed", "5"]) == 0
-    assert capsys.readouterr().out == out
+
+
+def test_evaluate_takes_no_config_file(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", *POSITIONALS["evaluate"], "--config", "run.conf"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_evaluate_default_split_refuses_zero_graphs(trained, tmp_path,
+                                                    capsys):
+    _, checkpoint_path, _ = trained
+    data = tmp_path / "empty.cgd1"
+    save_dataset([], data, ["chat", "mail"], 64)
+    assert main(["evaluate", str(data), str(checkpoint_path)]) == 1
+    assert capsys.readouterr().err == f"error: {data} holds no graphs\n"
 
 
 def test_evaluate_test_split_needs_enough_graphs(tmp_path, capsys):
@@ -802,7 +796,7 @@ def test_inspect_checkpoint(trained, capsys):
     assert main(["inspect", str(checkpoint_path)]) == 0
     captured = capsys.readouterr().out
     assert "checkpoint: p=64 d1=8 d2=8 m=2" in captured
-    assert "labels: chat, mail" in captured
+    assert "labels: chat, mail\nsplit seed: 0\n" in captured
     assert "parameters:" in captured
 
 

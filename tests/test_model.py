@@ -401,9 +401,11 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "model.cgm1"
     save_checkpoint(model, ["a", "b"], path)
     raw = bytearray(path.read_bytes())
-    struct.pack_into("<I", raw, 4, 2)
-    with pytest.raises(CorruptFile, match="checkpoint version 2"):
-        parse_checkpoint(bytes(raw))
+    for version in (1, 3):
+        struct.pack_into("<I", raw, 4, version)
+        with pytest.raises(CorruptFile, match=f"checkpoint version {version}, "
+                                              f"this build reads 2"):
+            parse_checkpoint(bytes(raw))
 
 
 def test_checkpoint_rejects_truncation(tmp_path):
