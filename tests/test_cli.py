@@ -11,7 +11,7 @@ import pytest
 
 import cgnn
 from cgnn.cli import (RunConfig, format_config, main, parse_config_text)
-from cgnn.dataset import load_dataset, save_dataset
+from cgnn.dataset import load_dataset
 from cgnn.errors import ConfigError
 from cgnn.graph import split_dataset
 from cgnn.model import load_checkpoint
@@ -421,9 +421,10 @@ def test_dataset_with_zero_graphs_is_refused(trained, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {data} holds no graphs\n"
     assert epoch_lines(captured.out) == [] and not run.exists()
-    assert main(["evaluate", str(data), str(checkpoint_path),
-                 "--split", "all"]) == 1
-    assert capsys.readouterr().err == f"error: {data} holds no graphs\n"
+    for split in ("test", "all"):
+        assert main(["evaluate", str(data), str(checkpoint_path),
+                     "--split", split]) == 1
+        assert capsys.readouterr().err == f"error: {data} holds no graphs\n"
 
 
 def test_train_refuses_a_label_with_no_training_graph(tmp_path, capsys):
@@ -609,15 +610,6 @@ def test_evaluate_takes_no_config_file(capsys):
         main(["evaluate", *POSITIONALS["evaluate"], "--config", "run.conf"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --config" in capsys.readouterr().err
-
-
-def test_evaluate_default_split_refuses_zero_graphs(trained, tmp_path,
-                                                    capsys):
-    _, checkpoint_path, _ = trained
-    data = tmp_path / "empty.cgd1"
-    save_dataset([], data, ["chat", "mail"], 64)
-    assert main(["evaluate", str(data), str(checkpoint_path)]) == 1
-    assert capsys.readouterr().err == f"error: {data} holds no graphs\n"
 
 
 def test_evaluate_test_split_needs_enough_graphs(tmp_path, capsys):
