@@ -115,8 +115,8 @@ def format_config(cfg: RunConfig, keys=tuple(_FIELD_TYPES)) -> str:
     return "\n".join(lines)
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse key=value lines over a base config. Comments (#) and blank
+def parse_config_text(text: str) -> RunConfig:
+    """Parse key=value lines over the defaults. Comments (#) and blank
     lines are ignored; unknown keys are rejected."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -131,23 +131,21 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, text_value)
-    return dataclasses.replace(base or RunConfig(), **values)
+    return RunConfig(**values)
 
 
-def parse_config_file(path: Path | str,
-                      base: RunConfig | None = None) -> RunConfig:
+def parse_config_file(path: Path | str) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}")
-    return parse_config_text(text, base)
+    return parse_config_text(text)
 
 
 def _resolve_config(args) -> RunConfig:
     """Defaults < --config file < flags; echoes the command's keys."""
-    cfg = RunConfig()
-    if args.config is not None:
-        cfg = parse_config_file(args.config, base=cfg)
+    cfg = RunConfig() if args.config is None else \
+        parse_config_file(args.config)
     keys = COMMAND_KEYS[args.command]
     cfg = dataclasses.replace(cfg, **{
         k: getattr(args, k) for k in keys if getattr(args, k) is not None})
@@ -415,10 +413,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CgnnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CgnnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -167,30 +167,24 @@ def batch_graphs(graphs: GraphSet, idx=slice(None)) -> BatchedGraph:
                         labels=chosen.labels, prop=prop)
 
 
-def split_dataset(graphs: GraphSet, seed: int = 0, valid_frac: float = 0.1,
-                  test_frac: float = 0.1,
+def split_dataset(graphs: GraphSet, seed: int = 0,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stratified train/validation/test split as three index arrays into
-    graphs, deterministic per seed.
+    """Stratified 8:1:1 train/validation/test split as three index
+    arrays into graphs, deterministic per seed.
 
-    Within every label the graphs are shuffled, then floor(valid_frac*n)
-    go to validation, floor(test_frac*n) to test, and the rest to train.
-    Each part lists the labels in increasing order. Defaults give the
-    8:1:1 split.
+    Within every label the graphs are shuffled, then floor(n/10) go to
+    validation, floor(n/10) to test, and the rest to train. Each part
+    lists the labels in increasing order.
     """
     if not len(graphs):
         raise EmptyDataset("cannot split zero graphs")
-    if valid_frac < 0 or test_frac < 0 or valid_frac + test_frac >= 1:
-        raise ValueError("split fractions must be nonnegative and leave "
-                         "room for training data")
     rng = np.random.default_rng(seed)
     train, valid, test = [], [], []
     for label in np.unique(graphs.labels):
         group = np.flatnonzero(graphs.labels == label)
         group = group[rng.permutation(group.size)]
-        n_valid = int(valid_frac * group.size)
-        test_end = n_valid + int(test_frac * group.size)
-        valid.append(group[:n_valid])
-        test.append(group[n_valid:test_end])
-        train.append(group[test_end:])
+        tenth = int(0.1 * group.size)
+        valid.append(group[:tenth])
+        test.append(group[tenth:2 * tenth])
+        train.append(group[2 * tenth:])
     return np.concatenate(train), np.concatenate(valid), np.concatenate(test)

@@ -68,8 +68,8 @@ class ModelDims:
                               f"got {self.d2}")
         if self.m < 2:
             raise ConfigError(f"need at least 2 classes, got {self.m}")
-        if self.k1 < 1 or self.k2 < 1:
-            raise ConfigError(f"propagation hops must be positive, "
+        if self.k1 < 0 or self.k2 < 0:
+            raise ConfigError(f"propagation hops cannot be negative, "
                               f"got k1={self.k1} k2={self.k2}")
         if self.pooling not in POOLING_KINDS:
             raise ConfigError(f"pooling must be one of {POOLING_KINDS}, "

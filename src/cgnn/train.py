@@ -37,6 +37,7 @@ GRAD_SCALE = 2.0 ** 64  # backward-pass gradient scale; see the docstring
 # adam_step makes its 12 passes over one chunk of a parameter at a time,
 # so the five arrays a chunk touches stay in L2 between passes.
 ADAM_CHUNK = 2 ** 15
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, 2015)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -109,31 +110,30 @@ class AdamState:
 
 
 def adam_step(model: CgnnModel, grads: list[np.ndarray], state: AdamState,
-              lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              lr: float = 1e-3) -> None:
     """One bias-corrected Adam update, applied to the model in place.
 
-    lr * m_hat / (sqrt(v_hat) + eps) is computed as
+    lr * m_hat / (sqrt(v_hat) + EPS) is computed as
     step * m / (sqrt(v) + eps_hat), with the bias corrections folded
-    into the scalars step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
-    eps_hat = eps * sqrt(1 - beta2^t).
+    into the scalars step = lr * sqrt(1 - BETA2^t) / (1 - BETA1^t) and
+    eps_hat = EPS * sqrt(1 - BETA2^t).
     """
     state.step += 1
     t = state.step
-    root = math.sqrt(1 - beta2 ** t)
-    step = lr * root / (1 - beta1 ** t)
-    eps_hat = eps * root
+    root = math.sqrt(1 - BETA2 ** t)
+    step = lr * root / (1 - BETA1 ** t)
+    eps_hat = EPS * root
     for arrays in zip(model.params(), grads, state.m, state.v):
         flat = [a.reshape(-1) for a in arrays]  # C-contiguous, so views
         for lo in range(0, flat[0].size, ADAM_CHUNK):
             param, grad, m, v = (a[lo:lo + ADAM_CHUNK] for a in flat)
             tmp = state.scratch[:param.size]
-            m *= beta1
-            np.multiply(grad, 1 - beta1, out=tmp)
+            m *= BETA1
+            np.multiply(grad, 1 - BETA1, out=tmp)
             m += tmp
-            v *= beta2
+            v *= BETA2
             np.square(grad, out=tmp)
-            tmp *= 1 - beta2
+            tmp *= 1 - BETA2
             v += tmp
             np.sqrt(v, out=tmp)
             tmp += eps_hat
@@ -145,9 +145,6 @@ def adam_step(model: CgnnModel, grads: list[np.ndarray], state: AdamState,
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 400
     patience: int = 20
@@ -157,12 +154,6 @@ class TrainConfig:
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"learning rate must be positive and finite, "
                               f"got {self.lr}")
-        if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
-            raise ConfigError(f"betas must lie in (0, 1), got "
-                              f"{self.beta1}, {self.beta2}")
-        if not 0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be positive and finite, "
-                              f"got {self.eps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be positive, "
                               f"got {self.batch_size}")
@@ -235,8 +226,7 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
                 raise NonFiniteInput(
                     f"training loss became {loss} in epoch {epoch}")
             grads = backward(model, batch, cache)
-            adam_step(model, grads, state, lr=config.lr, beta1=config.beta1,
-                      beta2=config.beta2, eps=config.eps)
+            adam_step(model, grads, state, lr=config.lr)
             batch_losses.append(loss)
 
         train_loss = float(np.mean(batch_losses))

@@ -109,9 +109,6 @@ k2 = 1
 pooling = avg
 standardize = false
 lr = 0.001
-beta1 = 0.9
-beta2 = 0.999
-eps = 1e-08
 batch_size = 32
 max_epochs = 400
 patience = 20
@@ -513,13 +510,30 @@ def test_train_rejects_non_finite_optimizer_values(tmp_path, capsys):
     assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
     capsys.readouterr()
     run = tmp_path / "run"
-    for flag in ("--lr", "--eps"):
-        for value in ("nan", "inf"):
-            assert main(["train", str(data), str(run), "--max-epochs", "3",
-                         flag, value]) == 1
-            captured = capsys.readouterr()
-            assert "must be positive and finite" in captured.err
-            assert epoch_lines(captured.out) == []
+    for value in ("nan", "inf"):
+        assert main(["train", str(data), str(run), "--max-epochs", "3",
+                     "--lr", value]) == 1
+        captured = capsys.readouterr()
+        assert "must be positive and finite" in captured.err
+        assert epoch_lines(captured.out) == []
+    assert not run.exists()
+
+
+def test_train_refuses_a_config_with_retired_adam_keys(tmp_path, capsys):
+    # Adam's beta1, beta2 and eps are constants, not keys. A config.txt
+    # that still holds them is refused rather than partly applied.
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    config = tmp_path / "config.txt"
+    config.write_text("lr = 0.001\nbeta1 = 0.9\nbatch_size = 32\n")
+    run = tmp_path / "run"
+    assert main(["train", str(data), str(run), "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert "unknown key 'beta1'" in captured.err
+    assert epoch_lines(captured.out) == []
     assert not run.exists()
 
 

@@ -287,6 +287,3 @@ def test_balanced_classes_stay_balanced():
 def test_split_rejects_empty_and_bad_fractions(rng):
     with pytest.raises(EmptyDataset, match="cannot split zero graphs"):
         split_dataset(random_graphs(rng, 0, p=4), seed=0)
-    graphs = random_graphs(rng, 5, p=4)
-    with pytest.raises(ValueError):
-        split_dataset(graphs, seed=0, valid_frac=0.6, test_frac=0.5)

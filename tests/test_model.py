@@ -96,9 +96,10 @@ def test_init_three_layer_widths():
 
 
 def test_dims_validation_errors():
+    ModelDims(k1=0, k2=0).validate()  # S^0 = I: the bag-of-packets model
     for bad in (ModelDims(p=0), ModelDims(d1=0), ModelDims(d2=0),
-                ModelDims(m=1), ModelDims(layers=4), ModelDims(k1=0),
-                ModelDims(pooling="median")):
+                ModelDims(m=1), ModelDims(layers=4), ModelDims(k1=-1),
+                ModelDims(k2=-1), ModelDims(pooling="median")):
         with pytest.raises(ConfigError):
             bad.validate()
 
