@@ -29,6 +29,7 @@ from .preprocess import IngestStats, graphs_from_records
 from .train import TrainConfig, fit
 
 CHECKPOINT_NAME = "best.cgm1"
+TEST_NAME = "test.cgd1"  # the graphs train held out, beside the checkpoint
 
 
 def _field_specs(cls, skip: tuple[str, ...] = ()) -> list[tuple]:
@@ -52,9 +53,6 @@ def _validate(cfg) -> None:
         raise ConfigError(f"fraction must lie in (0, 1], got {cfg.fraction}")
     if cfg.seed < 0 or cfg.split_seed < 0:
         raise ConfigError("seeds cannot be negative")
-    if cfg.split_seed > 0xFFFFFFFF:  # the checkpoint stores it as u32
-        raise ConfigError(f"split_seed must fit in an unsigned 32-bit "
-                          f"field, got {cfg.split_seed}")
 
 
 # Every knob of the pipeline, with the recommended defaults: the model
@@ -228,10 +226,12 @@ def cmd_train(args) -> int:
     model, report = fit(train_set, valid_set, dims, _pick(TrainConfig, cfg),
                         log=print)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / CHECKPOINT_NAME
-    save_checkpoint(model, dataset.label_names, checkpoint_path,
-                    cfg.split_seed)
+    save_checkpoint(model, dataset.label_names, checkpoint_path)
+    test_path = out_dir / TEST_NAME
+    save_dataset([graphs[test_idx]], test_path, dataset.label_names,
+                 dataset.p)
+    print(f"wrote {test_path}")
     atomic_write_bytes(out_dir / "config.txt", (format_config(
         cfg, COMMAND_KEYS["train"]) + "\n").encode("utf-8"))
 
@@ -254,8 +254,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = load_dataset(args.data)
     checkpoint = load_checkpoint(args.checkpoint)
+    data = args.data or Path(args.checkpoint).parent / TEST_NAME
+    dataset = load_dataset(data)
     model = checkpoint.model
     if model.dims.m != dataset.num_classes:
         raise DimsMismatch(f"checkpoint has {model.dims.m} classes, "
@@ -269,12 +270,7 @@ def cmd_evaluate(args) -> int:
 
     graphs = dataset.graphs
     if not len(graphs):
-        raise EmptyDataset(f"{args.data} holds no graphs")
-    if args.split == "test":  # the graphs train held out
-        _, _, test_idx = split_dataset(graphs, seed=checkpoint.split_seed)
-        graphs = graphs[test_idx]
-        if not len(graphs):
-            raise EmptyDataset("test split is empty; too few graphs per label")
+        raise EmptyDataset(f"{data} holds no graphs")
 
     pred = predict_probs(model, graphs).argmax(axis=1)
     report = classification_report(graphs.labels, pred, dataset.label_names,
@@ -338,7 +334,6 @@ def cmd_inspect(args) -> int:
             f"{f.name}={_format_value(getattr(dims, f.name))}"
             for f in dataclasses.fields(dims)))
         print(f"labels: {', '.join(checkpoint.label_names)}")
-        print(f"split seed: {checkpoint.split_seed}")
         print(f"parameters: {total}")
         return 0
     raise CorruptFile(f"{args.file} is not a dataset or checkpoint file")
@@ -382,10 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("evaluate", allow_abbrev=False,
                               help="score a checkpoint against a dataset")
-    sub.add_argument("data", help="dataset path (.cgd1)")
     sub.add_argument("checkpoint", help="checkpoint path (.cgm1)")
-    sub.add_argument("--split", choices=("test", "all"), default="test",
-                     help="which graphs to score (default test)")
+    sub.add_argument("data", nargs="?", default=None,
+                     help="dataset path (.cgd1; default the test.cgd1 "
+                          "train wrote next to the checkpoint)")
     sub.add_argument("--heatmap", type=Path, default=None,
                      help="confusion CSV path (default next to checkpoint)")
     sub.add_argument("--weighted", action="store_true",

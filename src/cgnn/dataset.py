@@ -61,8 +61,7 @@ def _write(handle: BinaryIO, parts: Iterable[GraphSet],
     handle, each feature row written from its buffer without a copy.
     Returns the graph count, which is patched in after the last part."""
     w = ByteWriter(handle)
-    w.raw(DATASET_MAGIC)
-    w.u32(DATASET_VERSION)
+    w.header(DATASET_MAGIC, DATASET_VERSION)
     w.u32(p)
     w.u32(len(label_names))
     for name in label_names:
@@ -95,13 +94,7 @@ def save_dataset(parts: Iterable[GraphSet], path: Path | str,
 
 def parse_dataset(data: bytes) -> Dataset:
     r = ByteReader(data)
-    if r.raw(4) != DATASET_MAGIC:
-        raise CorruptFile("not a dataset file (bad magic)")
-    version = r.u32()
-    if version != DATASET_VERSION:
-        raise CorruptFile(
-            f"dataset version {version}, this build reads "
-            f"{DATASET_VERSION}")
+    r.header(DATASET_MAGIC, DATASET_VERSION, "dataset")
     p = r.u32()
     if p == 0:
         raise CorruptFile("dataset declares feature length 0")

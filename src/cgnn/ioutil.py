@@ -59,6 +59,10 @@ class ByteWriter:
         """Any C-contiguous buffer: bytes, or a uint8 array unconverted."""
         self._handle.write(data)
 
+    def header(self, magic: bytes, version: int) -> None:
+        self.raw(magic)
+        self.u32(version)
+
     def u32(self, value: int) -> None:
         if not 0 <= value <= 0xFFFFFFFF:
             raise ValueError(f"value {value} does not fit in u32")
@@ -101,6 +105,16 @@ class ByteReader:
     def u32(self) -> int:
         (value,) = struct.unpack("<I", self.raw(4))
         return value
+
+    def header(self, magic: bytes, version: int, kind: str) -> None:
+        """Check a file's magic and format version; kind names the file
+        in the error."""
+        if self.raw(len(magic)) != magic:
+            raise CorruptFile(f"not a {kind} file (bad magic)")
+        found = self.u32()
+        if found != version:
+            raise CorruptFile(
+                f"{kind} version {found}, this build reads {version}")
 
     def utf8(self) -> str:
         data = self.raw(self.u32())

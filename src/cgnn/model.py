@@ -6,12 +6,11 @@ matrix; projecting before propagating keeps S at the hidden width, and S
 is a fixed linear map, so the order does not change the result. Pooling
 averages (or maxes, or sums) each graph's vertex rows;
 the head computes softmax(y W + b). Checkpoints (magic "CGM1") store the
-dimensions, the split seed, the label names, and the float32 weights.
+dimensions, the label names, and the float32 weights.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +19,10 @@ import numpy as np
 from .errors import (ConfigError, CorruptFile, DimsMismatch, EmptyDataset,
                      NonFiniteInput)
 from .graph import BatchedGraph, GraphSet, batch_graphs
-from .ioutil import ByteReader, ByteWriter, atomic_write_bytes
+from .ioutil import ByteReader, ByteWriter, atomic_write
 
 CHECKPOINT_MAGIC = b"CGM1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 POOLING_KINDS = ("avg", "max", "sum")
 
@@ -253,50 +252,38 @@ def predict_probs(model: CgnnModel, graphs: GraphSet) -> np.ndarray:
 
 
 def save_checkpoint(model: CgnnModel, label_names: list[str],
-                    path: Path | str, split_seed: int = 0) -> None:
-    """Serialize dimensions, the training split seed, label names, and
-    weights (magic "CGM1")."""
+                    path: Path | str) -> None:
+    """Serialize dimensions, label names, and weights (magic "CGM1")."""
     if len(label_names) != model.dims.m:
         raise DimsMismatch(
             f"{len(label_names)} label names for {model.dims.m} classes")
     dims = model.dims
-    buf = io.BytesIO()
-    w = ByteWriter(buf)
-    w.raw(CHECKPOINT_MAGIC)
-    w.u32(CHECKPOINT_VERSION)
-    for value in (dims.p, dims.d1, dims.d2, dims.m, dims.layers,
-                  dims.k1, dims.k2):
-        w.u32(value)
-    w.utf8(dims.pooling)
-    w.u32(int(dims.standardize))
-    w.u32(split_seed)
-    for name in label_names:
-        w.utf8(name)
-    for arr in model.params():
-        w.f32_array(arr)
-    atomic_write_bytes(path, buf.getvalue())
+    with atomic_write(path) as handle:
+        w = ByteWriter(handle)
+        w.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        for value in (dims.p, dims.d1, dims.d2, dims.m, dims.layers,
+                      dims.k1, dims.k2):
+            w.u32(value)
+        w.utf8(dims.pooling)
+        w.u32(int(dims.standardize))
+        for name in label_names:
+            w.utf8(name)
+        for arr in model.params():
+            w.f32_array(arr)
 
 
 @dataclass
 class Checkpoint:
     model: CgnnModel
     label_names: list[str]
-    split_seed: int
 
 
 def parse_checkpoint(data: bytes) -> Checkpoint:
     r = ByteReader(data)
-    if r.raw(4) != CHECKPOINT_MAGIC:
-        raise CorruptFile("not a checkpoint file (bad magic)")
-    version = r.u32()
-    if version != CHECKPOINT_VERSION:
-        raise CorruptFile(
-            f"checkpoint version {version}, this build reads "
-            f"{CHECKPOINT_VERSION}")
+    r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     p, d1, d2, m, layers, k1, k2 = (r.u32() for _ in range(7))
     pooling = r.utf8()
     standardize = bool(r.u32())
-    split_seed = r.u32()
     dims = ModelDims(p=p, d1=d1, d2=d2, m=m, layers=layers, k1=k1, k2=k2,
                      pooling=pooling, standardize=standardize)
     try:
@@ -313,7 +300,7 @@ def parse_checkpoint(data: bytes) -> Checkpoint:
     b = r.f32_array((m,))
     r.expect_end()
     model = CgnnModel(dims=dims, thetas=tuple(thetas), W=W, b=b)
-    return Checkpoint(model, label_names, split_seed)
+    return Checkpoint(model, label_names)
 
 
 def load_checkpoint(path: Path | str) -> Checkpoint:

@@ -169,13 +169,20 @@ class TrainConfig:
 class TrainReport:
     """What happened during fit, epoch by epoch."""
 
-    epochs_run: int = 0
     best_epoch: int = 0  # 1-based; 0 when no epoch ran
-    best_val_loss: float = math.inf
     stopped_early: bool = False
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     val_accuracies: list[float] = field(default_factory=list)
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.train_losses)
+
+    @property
+    def best_val_loss(self) -> float:
+        return self.val_losses[self.best_epoch - 1] if self.best_epoch \
+            else math.inf
 
 
 def evaluate(model: CgnnModel, graphs: GraphSet) -> tuple[float, float]:
@@ -212,7 +219,6 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
     state = AdamState.for_model(model)
     best = model.copy()
     report = TrainReport()
-    since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_graphs))
@@ -231,7 +237,6 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
 
         train_loss = float(np.mean(batch_losses))
         val_loss, val_acc = evaluate(model, valid_graphs)
-        report.epochs_run = epoch
         report.train_losses.append(train_loss)
         report.val_losses.append(val_loss)
         report.val_accuracies.append(val_acc)
@@ -241,14 +246,10 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
                 f"validation accuracy {val_acc:.4f}")
 
         if val_loss < report.best_val_loss:
-            report.best_val_loss = val_loss
             report.best_epoch = epoch
             best = model.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                report.stopped_early = True
-                break
+        elif epoch - report.best_epoch >= config.patience:
+            report.stopped_early = True
+            break
 
     return best, report

@@ -11,10 +11,10 @@ import pytest
 
 import cgnn
 from cgnn.cli import (RunConfig, format_config, main, parse_config_text)
-from cgnn.dataset import load_dataset
+from cgnn.dataset import DATASET_VERSION, Dataset, load_dataset
 from cgnn.errors import ConfigError
 from cgnn.graph import split_dataset
-from cgnn.model import load_checkpoint
+from cgnn.model import CHECKPOINT_VERSION, load_checkpoint
 
 from conftest import arp_frame, pcap_bytes, tcp_frame, udp_frame
 
@@ -24,12 +24,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # Positional arguments that let each command parse; nothing need exist.
 POSITIONALS = {"preprocess": ["captures", "data.cgd1"],
                "train": ["data.cgd1", "run"],
-               "evaluate": ["data.cgd1", "run/best.cgm1"],
+               "evaluate": ["run/best.cgm1", "data.cgd1"],
                "predict": ["fresh.pcap", "run/best.cgm1"]}
 
 # Options of each command that are not configuration keys.
 OWN_OPTIONS = {"preprocess": set(), "train": set(),
-               "evaluate": {"split", "heatmap", "weighted"},
+               "evaluate": {"heatmap", "weighted"},
                "predict": {"csv"}}
 
 
@@ -143,6 +143,15 @@ def test_command_flags_match_the_readme_table(capsys):
         flags -= {"help", "config"} | OWN_OPTIONS[command]
         flags -= {"no-" + flag for flag in flags}  # --no-standardize
         assert flags == {k.replace("_", "-") for k in keys}, command
+
+
+def test_readme_states_the_format_versions():
+    text = README.read_text(encoding="utf-8")
+    formats = text.split("## Binary formats")[1].split("\n## ")[0]
+    stated = re.findall(r"`\.(cgd1|cgm1)`\*\* — magic `\w+`, "
+                        r"version u32 \((\d+)\)", formats)
+    assert dict(stated) == {"cgd1": str(DATASET_VERSION),
+                            "cgm1": str(CHECKPOINT_VERSION)}
 
 
 def test_commands_refuse_config_flags_they_do_not_read(capsys):
@@ -418,10 +427,8 @@ def test_dataset_with_zero_graphs_is_refused(trained, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {data} holds no graphs\n"
     assert epoch_lines(captured.out) == [] and not run.exists()
-    for split in ("test", "all"):
-        assert main(["evaluate", str(data), str(checkpoint_path),
-                     "--split", split]) == 1
-        assert capsys.readouterr().err == f"error: {data} holds no graphs\n"
+    assert main(["evaluate", str(checkpoint_path), str(data)]) == 1
+    assert capsys.readouterr().err == f"error: {data} holds no graphs\n"
 
 
 def test_train_refuses_a_label_with_no_training_graph(tmp_path, capsys):
@@ -478,8 +485,8 @@ def epoch_lines(out: str) -> list[str]:
 
 
 def test_commands_reject_sizes_the_files_cannot_store(tmp_path, capsys):
-    # The dataset stores p, and the checkpoint p, d1, d2, k1, k2 and the
-    # split seed, as u32.
+    # The dataset stores p, and the checkpoint p, d1, d2, k1 and k2, as
+    # u32.
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)
     out = tmp_path / "big.cgd1"
@@ -493,8 +500,7 @@ def test_commands_reject_sizes_the_files_cannot_store(tmp_path, capsys):
     run = tmp_path / "run"
     for flags in (["--layers", "1", "--d2", str(2 ** 32)],
                   ["--layers", "1", "--d2", "-1"], ["--d1", str(2 ** 32)],
-                  ["--k1", str(2 ** 32)], ["--k2", str(2 ** 32)],
-                  ["--split-seed", str(2 ** 32)]):
+                  ["--k1", str(2 ** 32)], ["--k2", str(2 ** 32)]):
         assert main(["train", str(data), str(run), "--max-epochs", "2",
                      *flags]) == 1
         captured = capsys.readouterr()
@@ -578,8 +584,7 @@ def test_train_echo_reproduces_the_run(tmp_path, capsys):
 
 def test_evaluate_scores_and_writes_heatmap(trained, tmp_path, capsys):
     data, checkpoint_path, _ = trained
-    assert main(["evaluate", str(data), str(checkpoint_path),
-                 "--split", "all"]) == 0
+    assert main(["evaluate", str(checkpoint_path), str(data)]) == 0
     captured = capsys.readouterr().out
     assert "accuracy" in captured
     default_heatmap = checkpoint_path.parent / "confusion.csv"
@@ -588,15 +593,45 @@ def test_evaluate_scores_and_writes_heatmap(trained, tmp_path, capsys):
     assert header == "true\\predicted,chat,mail"
 
     elsewhere = tmp_path / "elsewhere.csv"
-    assert main(["evaluate", str(data), str(checkpoint_path),
-                 "--split", "all", "--heatmap", str(elsewhere)]) == 0
+    assert main(["evaluate", str(checkpoint_path), str(data),
+                 "--heatmap", str(elsewhere)]) == 0
     assert elsewhere.exists()
+
+
+def class_support(out: str, names) -> dict[str, int]:
+    """Per-class support from a printed classification report."""
+    rows = (line.split() for line in out.splitlines())
+    return {row[0]: int(row[-1]) for row in rows if row and row[0] in names}
 
 
 def test_evaluate_with_train_config_scores_the_held_out_split(tmp_path,
                                                              capsys):
-    # The checkpoint carries train's split seed, so a plain evaluate
-    # scores the test split train held out.
+    # train writes the graphs it held out next to the checkpoint, and a
+    # plain evaluate scores them.
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=12)
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    run = tmp_path / "run"
+    assert main(["train", str(data), str(run), "--split-seed", "5"]
+                + TRAIN_FLAGS) == 0
+    assert f"wrote {run / 'test.cgd1'}\n" in capsys.readouterr().out
+    dataset = load_dataset(data)
+    _, _, test_idx = split_dataset(dataset.graphs, seed=5)
+    held_out = Dataset(dataset.graphs[test_idx], dataset.label_names)
+    assert (run / "test.cgd1").read_bytes() == held_out.to_bytes()
+    assert main(["evaluate", str(run / "best.cgm1")]) == 0
+    out = capsys.readouterr().out
+    assert "# configuration" not in out
+    want = np.bincount(held_out.graphs.labels, minlength=dataset.num_classes)
+    assert class_support(out, dataset.label_names) == \
+        dict(zip(dataset.label_names, want.tolist()))
+
+
+def test_evaluate_scores_the_same_graphs_after_the_dataset_grows(tmp_path,
+                                                                  capsys):
+    # A seed re-split of a grown dataset would move training graphs into
+    # the test split; the written held-out file does not move.
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=12)
     data = tmp_path / "data.cgd1"
@@ -605,18 +640,25 @@ def test_evaluate_with_train_config_scores_the_held_out_split(tmp_path,
     assert main(["train", str(data), str(run), "--split-seed", "5"]
                 + TRAIN_FLAGS) == 0
     capsys.readouterr()
-    assert load_checkpoint(run / "best.cgm1").split_seed == 5
-    assert main(["evaluate", str(data), str(run / "best.cgm1")]) == 0
-    out = capsys.readouterr().out
-    assert "# configuration" not in out
-    dataset = load_dataset(data)
-    _, _, test_idx = split_dataset(dataset.graphs, seed=5)
-    want = np.bincount(dataset.graphs.labels[test_idx],
-                       minlength=dataset.num_classes)
-    support = {line.split()[0]: int(line.split()[-1])
-               for line in out.splitlines()
-               if line.split()[:1] in (["chat"], ["mail"])}
-    assert support == dict(zip(dataset.label_names, want.tolist()))
+    assert main(["evaluate", str(run / "best.cgm1")]) == 0
+    before = capsys.readouterr().out
+    (root / "chat" / "more.pcap").write_bytes(
+        pcap_bytes(session_frames(0x11, 12, base_port=42000)))
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    grown = load_dataset(data).graphs
+    _, _, resplit = split_dataset(grown, seed=5)
+    assert np.bincount(grown.labels[resplit]).tolist() == [2, 1]
+    capsys.readouterr()
+    assert main(["evaluate", str(run / "best.cgm1")]) == 0
+    assert capsys.readouterr().out == before
+    assert class_support(before, ["chat", "mail"]) == {"chat": 1, "mail": 1}
+
+
+def test_evaluate_refuses_the_old_argument_order(trained, capsys):
+    data, checkpoint_path, _ = trained
+    assert main(["evaluate", str(data), str(checkpoint_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: not a checkpoint file (bad magic)\n"
 
 
 def test_evaluate_takes_no_config_file(capsys):
@@ -626,22 +668,17 @@ def test_evaluate_takes_no_config_file(capsys):
     assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
-def test_evaluate_test_split_needs_enough_graphs(tmp_path, capsys):
-    root = tmp_path / "captures"
-    write_capture_tree(root, sessions=12)
-    data = tmp_path / "data.cgd1"
-    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
-    run = tmp_path / "run"
-    assert main(["train", str(data), str(run)] + TRAIN_FLAGS) == 0
-
-    tiny_root = tmp_path / "tiny"
-    write_capture_tree(tiny_root, sessions=1)
-    tiny = tmp_path / "tiny.cgd1"
-    assert main(["preprocess", str(tiny_root), str(tiny), "--p", "64"]) == 0
+def test_evaluate_test_split_needs_enough_graphs(trained, tmp_path,
+                                                 capsys):
+    _, checkpoint_path, _ = trained
+    root = tmp_path / "quiet"
+    for name in ("chat", "mail"):
+        write_sessionless_label(root, name)
+    held_out = checkpoint_path.parent / "test.cgd1"
+    assert main(["preprocess", str(root), str(held_out), "--p", "64"]) == 0
     capsys.readouterr()
-    assert main(["evaluate", str(tiny), str(run / "best.cgm1"),
-                 "--split", "test"]) == 1
-    assert "test split is empty" in capsys.readouterr().err
+    assert main(["evaluate", str(checkpoint_path)]) == 1
+    assert capsys.readouterr().err == f"error: {held_out} holds no graphs\n"
 
 
 def test_evaluate_rejects_mismatched_dataset(trained, tmp_path, capsys):
@@ -653,8 +690,7 @@ def test_evaluate_rejects_mismatched_dataset(trained, tmp_path, capsys):
     solo = tmp_path / "solo.cgd1"
     assert main(["preprocess", str(solo_root), str(solo), "--p", "64"]) == 0
     capsys.readouterr()
-    assert main(["evaluate", str(solo), str(checkpoint_path),
-                 "--split", "all"]) == 1
+    assert main(["evaluate", str(checkpoint_path), str(solo)]) == 1
     assert "classes" in capsys.readouterr().err
 
 
@@ -666,8 +702,7 @@ def test_evaluate_rejects_another_feature_length(trained, tmp_path,
     data = tmp_path / "narrow.cgd1"
     assert main(["preprocess", str(root), str(data), "--p", "32"]) == 0
     capsys.readouterr()
-    assert main(["evaluate", str(data), str(checkpoint_path),
-                 "--split", "all"]) == 1
+    assert main(["evaluate", str(checkpoint_path), str(data)]) == 1
     assert capsys.readouterr().err == \
         "error: checkpoint expects feature length 64, dataset has 32\n"
 
@@ -679,8 +714,7 @@ def test_evaluate_warns_when_label_names_differ(trained, tmp_path, capsys):
     data = tmp_path / "renamed.cgd1"
     assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
     capsys.readouterr()
-    assert main(["evaluate", str(data), str(checkpoint_path),
-                 "--split", "all"]) == 0
+    assert main(["evaluate", str(checkpoint_path), str(data)]) == 0
     captured = capsys.readouterr()
     assert captured.err == \
         "warning: checkpoint and dataset label names differ\n"
@@ -802,7 +836,7 @@ def test_inspect_checkpoint(trained, capsys):
     assert main(["inspect", str(checkpoint_path)]) == 0
     captured = capsys.readouterr().out
     assert "checkpoint: p=64 d1=8 d2=8 m=2" in captured
-    assert "labels: chat, mail\nsplit seed: 0\n" in captured
+    assert "labels: chat, mail\nparameters: " in captured
     assert "parameters:" in captured
 
 

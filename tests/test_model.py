@@ -402,10 +402,10 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "model.cgm1"
     save_checkpoint(model, ["a", "b"], path)
     raw = bytearray(path.read_bytes())
-    for version in (1, 3):
+    for version in (2, 4):
         struct.pack_into("<I", raw, 4, version)
         with pytest.raises(CorruptFile, match=f"checkpoint version {version}, "
-                                              f"this build reads 2"):
+                                              f"this build reads 3"):
             parse_checkpoint(bytes(raw))
 
 

@@ -12,7 +12,7 @@ import cgnn.model
 import cgnn.train
 from cgnn.errors import (ConfigError, DimsMismatch, EmptyDataset,
                          NonFiniteInput)
-from cgnn.graph import ChainPropagation, batch_graphs
+from cgnn.graph import ChainPropagation, batch_graphs, split_dataset
 from cgnn.model import (POOLING_KINDS, CgnnModel, ModelDims, forward,
                         init_model, predict_probs)
 from cgnn.train import (AdamState, TrainConfig, adam_step, backward,
@@ -508,3 +508,37 @@ def test_predict_numbers_graphs_across_batches(rng, monkeypatch):
         assert np.abs(probs[graph_id] - alone).max() <= 1e-6
         assert labels[graph_id] == alone.argmax()
     assert predict_probs(model, graphs[:0]).shape == (0, 2)
+
+
+def order_planted_graphs(seed: int, count: int = 400, p: int = 64):
+    """Two classes with the same packets in another order: class 0
+    alternates A B A B..., class 1 sends all its A before all its B.
+    A and B are drawn once for the whole set, so a model that sees each
+    graph as a bag of packets finds the same bag in both classes."""
+    rng = np.random.default_rng(seed)
+    packets = rng.integers(0, 256, size=(2, p), dtype=np.uint8)  # A, B
+    features, labels = [], []
+    for i in range(count):
+        half = int(rng.integers(3, 9))  # 6 to 16 vertices
+        label = i % 2
+        order = np.repeat([0, 1], half) if label else np.tile([0, 1], half)
+        features.append(packets[order])
+        labels.append(label)
+    return graph_set(features, labels)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_chain_reads_packet_order_a_bag_of_packets_cannot(seed):
+    # The paper's claim that chaining packets keeps their order: one hop
+    # along the chain separates the classes, and S^0 = I (no edges)
+    # leaves both classes the same pooled vector, so chance is its ceiling.
+    graphs = order_planted_graphs(seed)
+    train_idx, valid_idx, test_idx = split_dataset(graphs, seed=seed)
+    accuracy = {}
+    for hops in (1, 0):
+        dims = ModelDims(p=64, d1=32, d2=16, m=2, k1=hops, k2=hops,
+                         pooling="avg", standardize=True)
+        model, _ = fit(graphs[train_idx], graphs[valid_idx], dims,
+                       TrainConfig(max_epochs=60, patience=10, seed=seed))
+        _, accuracy[hops] = evaluate(model, graphs[test_idx])
+    assert accuracy[1] >= 0.95 and accuracy[0] <= 0.65, accuracy
