@@ -207,6 +207,11 @@ def cmd_train(args) -> int:
     existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
     if not existing.is_dir():
         raise NotADirectoryError(f"{existing} is not a directory")
+    test_path = out_dir / TEST_NAME
+    if test_path.exists() and Path(args.data).exists() and \
+            test_path.samefile(args.data):
+        raise ConfigError(f"{args.data} is the {TEST_NAME} this run would "
+                          f"overwrite; train into another directory")
     dataset = load_dataset(args.data)
     graphs = dataset.graphs
     if not len(graphs):
@@ -228,7 +233,6 @@ def cmd_train(args) -> int:
 
     checkpoint_path = out_dir / CHECKPOINT_NAME
     save_checkpoint(model, dataset.label_names, checkpoint_path)
-    test_path = out_dir / TEST_NAME
     save_dataset([graphs[test_idx]], test_path, dataset.label_names,
                  dataset.p)
     print(f"wrote {test_path}")

@@ -30,6 +30,9 @@ def atomic_write(path: Path | str) -> Iterator[BinaryIO]:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                     prefix=path.name + ".", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)  # mkstemp made it 0600
         with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp_name, path)

@@ -2,16 +2,17 @@
 step that collapses each graph to one vector, and a softmax output layer.
 
 Layer l computes relu(S^k (X theta_l)) where S is the chain propagation
-matrix; projecting before propagating keeps S at the hidden width, and S
-is a fixed linear map, so the order does not change the result. Pooling
-averages (or maxes, or sums) each graph's vertex rows;
-the head computes softmax(y W + b). Checkpoints (magic "CGM1") store the
-dimensions, the label names, and the float32 weights.
+matrix and k = ModelDims.hops, the same for every layer; projecting
+before propagating keeps S at the hidden width, and S is a fixed linear
+map, so the order does not change the result. Pooling averages (or
+maxes, or sums) each graph's vertex rows; the head computes
+softmax(y W + b). Checkpoints (magic "CGM1") store the dimensions, the
+label names, and the float32 weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .graph import BatchedGraph, GraphSet, batch_graphs
 from .ioutil import ByteReader, ByteWriter, atomic_write
 
 CHECKPOINT_MAGIC = b"CGM1"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 POOLING_KINDS = ("avg", "max", "sum")
 
@@ -41,16 +42,16 @@ BATCH_ROWS = 1024
 @dataclass(frozen=True)
 class ModelDims:
     """Shape of the network. p is the per-packet feature length, d1/d2
-    the hidden widths, m the number of classes, k1/k2 the propagation
-    hops of the first and the later layers."""
+    the hidden widths, m the number of classes, hops the propagation
+    depth k of every layer. The field order is the order of a
+    checkpoint's shape header: ints and bools as u32, pooling as UTF-8."""
 
     p: int = 1500
     d1: int = 516
     d2: int = 256
     m: int = 2
     layers: int = 2
-    k1: int = 1
-    k2: int = 1
+    hops: int = 1
     pooling: str = "avg"
     standardize: bool = False
 
@@ -67,28 +68,25 @@ class ModelDims:
                               f"got {self.d2}")
         if self.m < 2:
             raise ConfigError(f"need at least 2 classes, got {self.m}")
-        if self.k1 < 0 or self.k2 < 0:
+        if self.hops < 0:
             raise ConfigError(f"propagation hops cannot be negative, "
-                              f"got k1={self.k1} k2={self.k2}")
+                              f"got {self.hops}")
         if self.pooling not in POOLING_KINDS:
             raise ConfigError(f"pooling must be one of {POOLING_KINDS}, "
                               f"got {self.pooling!r}")
-        for name in ("p", "d1", "d2", "k1", "k2"):  # files store them as u32
-            if not 0 <= getattr(self, name) <= 0xFFFFFFFF:
-                raise ConfigError(f"{name} must fit in an unsigned 32-bit "
-                                  f"field, got {getattr(self, name)}")
+        for f in fields(self):  # checkpoints store the ints as u32
+            value = getattr(self, f.name)
+            if type(f.default) is int and not 0 <= value <= 0xFFFFFFFF:
+                raise ConfigError(f"{f.name} must fit in an unsigned 32-bit "
+                                  f"field, got {value}")
 
     @property
-    def hidden_widths(self) -> list[int]:
-        if self.layers == 1:
-            return [self.d1]
-        if self.layers == 2:
-            return [self.d1, self.d2]
-        return [self.d1, self.d2, self.d2]
-
-    @property
-    def layer_hops(self) -> list[int]:
-        return [self.k1] + [self.k2] * (self.layers - 1)
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Shapes of the trainable arrays in CgnnModel.params() order:
+        each layer's theta, then W, then b."""
+        widths = [self.d1, self.d2, self.d2][:self.layers]
+        return [*zip([self.p, *widths], widths), (widths[-1], self.m),
+                (self.m,)]
 
 
 @dataclass
@@ -121,13 +119,9 @@ def init_model(dims: ModelDims, seed: int = 0) -> CgnnModel:
     matrices, zeros for the bias. Deterministic per seed."""
     dims.validate()
     rng = np.random.default_rng(seed)
-    thetas = []
-    fan_in = dims.p
-    for width in dims.hidden_widths:
-        thetas.append(_glorot(rng, fan_in, width))
-        fan_in = width
-    W = _glorot(rng, fan_in, dims.m)
-    b = np.zeros(dims.m, dtype=np.float32)
+    *matrices, b_shape = dims.param_shapes
+    *thetas, W = [_glorot(rng, *shape) for shape in matrices]
+    b = np.zeros(b_shape, dtype=np.float32)
     return CgnnModel(dims=dims, thetas=tuple(thetas), W=W, b=b)
 
 
@@ -216,11 +210,11 @@ def forward(model: CgnnModel, batch: BatchedGraph,
 
     cache = ForwardCache()
     # Overflow to inf, and the inf * 0 it meets in propagation, are
-    # tolerated here; fc_softmax and the training loop convert any
-    # non-finite outcome into a typed error.
+    # tolerated here; fc_softmax turns any non-finite outcome into a
+    # typed error.
     with np.errstate(over="ignore", invalid="ignore"):
-        for theta, hops in zip(model.thetas, dims.layer_hops):
-            pre_act = sgc_layer(batch.prop, x, theta, hops)
+        for theta in model.thetas:
+            pre_act = sgc_layer(batch.prop, x, theta, dims.hops)
             if for_backward:
                 cache.hop_inputs.append(x)
                 cache.pre_acts.append(pre_act)
@@ -261,11 +255,12 @@ def save_checkpoint(model: CgnnModel, label_names: list[str],
     with atomic_write(path) as handle:
         w = ByteWriter(handle)
         w.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-        for value in (dims.p, dims.d1, dims.d2, dims.m, dims.layers,
-                      dims.k1, dims.k2):
-            w.u32(value)
-        w.utf8(dims.pooling)
-        w.u32(int(dims.standardize))
+        for f in fields(dims):
+            value = getattr(dims, f.name)
+            if type(f.default) is str:
+                w.utf8(value)
+            else:
+                w.u32(int(value))
         for name in label_names:
             w.utf8(name)
         for arr in model.params():
@@ -281,23 +276,15 @@ class Checkpoint:
 def parse_checkpoint(data: bytes) -> Checkpoint:
     r = ByteReader(data)
     r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
-    p, d1, d2, m, layers, k1, k2 = (r.u32() for _ in range(7))
-    pooling = r.utf8()
-    standardize = bool(r.u32())
-    dims = ModelDims(p=p, d1=d1, d2=d2, m=m, layers=layers, k1=k1, k2=k2,
-                     pooling=pooling, standardize=standardize)
+    dims = ModelDims(**{f.name: r.utf8() if type(f.default) is str
+                        else type(f.default)(r.u32())
+                        for f in fields(ModelDims)})
     try:
         dims.validate()
     except ConfigError as exc:
         raise CorruptFile(f"checkpoint dimensions invalid: {exc}")
-    label_names = [r.utf8() for _ in range(m)]
-    thetas = []
-    fan_in = dims.p
-    for width in dims.hidden_widths:
-        thetas.append(r.f32_array((fan_in, width)))
-        fan_in = width
-    W = r.f32_array((fan_in, m))
-    b = r.f32_array((m,))
+    label_names = [r.utf8() for _ in range(dims.m)]
+    *thetas, W, b = [r.f32_array(shape) for shape in dims.param_shapes]
     r.expect_end()
     model = CgnnModel(dims=dims, thetas=tuple(thetas), W=W, b=b)
     return Checkpoint(model, label_names)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimsMismatch, EmptyDataset, NonFiniteInput
+from .errors import ConfigError, DimsMismatch, EmptyDataset
 from .graph import BatchedGraph, GraphSet, batch_graphs
 from .model import (CgnnModel, ForwardCache, ModelDims, forward,
                     init_model, predict_probs)
@@ -76,11 +76,10 @@ def backward(model: CgnnModel, batch: BatchedGraph,
                       dtype=dpooled.dtype)
         dx[cache.pool_winners, np.arange(dpooled.shape[1])] = dpooled
 
-    hops = dims.layer_hops
     dthetas: list[np.ndarray | None] = [None] * len(model.thetas)
     for layer in range(len(model.thetas) - 1, -1, -1):
         dx *= cache.pre_acts[layer] > 0
-        g = batch.prop.apply(dx, hops[layer])
+        g = batch.prop.apply(dx, dims.hops)
         dthetas[layer] = cache.hop_inputs[layer].T @ g
         if layer:
             dx = g @ model.thetas[layer].T
@@ -228,9 +227,6 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
                                  order[start:start + config.batch_size])
             cache = forward(model, batch)
             loss = cross_entropy(cache.probs, batch.labels)
-            if not math.isfinite(loss):
-                raise NonFiniteInput(
-                    f"training loss became {loss} in epoch {epoch}")
             grads = backward(model, batch, cache)
             adam_step(model, grads, state, lr=config.lr)
             batch_losses.append(loss)

@@ -207,8 +207,7 @@ def test_criterion_7_artifacts_round_trip_bit_exact(tmp_path, capsys):
                          d2=int(rng.integers(1, 8)),
                          m=int(rng.integers(2, 5)),
                          layers=int(rng.integers(1, 4)),
-                         k1=int(rng.integers(1, 3)),
-                         k2=int(rng.integers(1, 3)),
+                         hops=int(rng.integers(1, 3)),
                          pooling=("avg", "max", "sum")[trial % 3],
                          standardize=bool(trial % 2))
         model = init_model(dims, seed=trial)

@@ -14,7 +14,7 @@ from cgnn.cli import (RunConfig, format_config, main, parse_config_text)
 from cgnn.dataset import DATASET_VERSION, Dataset, load_dataset
 from cgnn.errors import ConfigError
 from cgnn.graph import split_dataset
-from cgnn.model import CHECKPOINT_VERSION, load_checkpoint
+from cgnn.model import CHECKPOINT_VERSION, ModelDims, load_checkpoint
 
 from conftest import arp_frame, pcap_bytes, tcp_frame, udp_frame
 
@@ -104,8 +104,7 @@ drop_dns = false
 d1 = 516
 d2 = 256
 layers = 2
-k1 = 1
-k2 = 1
+hops = 1
 pooling = avg
 standardize = false
 lr = 0.001
@@ -152,6 +151,16 @@ def test_readme_states_the_format_versions():
                         r"version u32 \((\d+)\)", formats)
     assert dict(stated) == {"cgd1": str(DATASET_VERSION),
                             "cgm1": str(CHECKPOINT_VERSION)}
+
+
+def test_readme_states_the_checkpoint_shape_in_field_order():
+    # ModelDims's field order is the checkpoint's shape header, so the
+    # README's list must follow it: reordering a field changes the format.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    shape = re.search(r"the model shape \((.*?)\)", text).group(1)
+    stated = [name.strip() for part in shape.split(";")
+              for name in re.split(r" as | flag ", part)[0].split(",")]
+    assert stated == [f.name for f in dataclasses.fields(ModelDims)]
 
 
 def test_commands_refuse_config_flags_they_do_not_read(capsys):
@@ -485,8 +494,8 @@ def epoch_lines(out: str) -> list[str]:
 
 
 def test_commands_reject_sizes_the_files_cannot_store(tmp_path, capsys):
-    # The dataset stores p, and the checkpoint p, d1, d2, k1 and k2, as
-    # u32.
+    # The dataset stores p, and the checkpoint every int of ModelDims,
+    # as u32.
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)
     out = tmp_path / "big.cgd1"
@@ -500,7 +509,7 @@ def test_commands_reject_sizes_the_files_cannot_store(tmp_path, capsys):
     run = tmp_path / "run"
     for flags in (["--layers", "1", "--d2", str(2 ** 32)],
                   ["--layers", "1", "--d2", "-1"], ["--d1", str(2 ** 32)],
-                  ["--k1", str(2 ** 32)], ["--k2", str(2 ** 32)]):
+                  ["--hops", str(2 ** 32)]):
         assert main(["train", str(data), str(run), "--max-epochs", "2",
                      *flags]) == 1
         captured = capsys.readouterr()
@@ -540,6 +549,20 @@ def test_train_refuses_a_config_with_retired_adam_keys(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "unknown key 'beta1'" in captured.err
     assert epoch_lines(captured.out) == []
+    assert not run.exists()
+
+
+def test_train_refuses_the_retired_per_layer_hops(tmp_path, capsys):
+    # Every layer propagates the same hops; k1 and k2 are no longer keys.
+    config = tmp_path / "config.txt"
+    config.write_text("k1 = 1\nk2 = 1\n")
+    run = tmp_path / "run"
+    assert main(["train", "data.cgd1", str(run), "--config", str(config)]) == 1
+    assert "unknown key 'k1'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "data.cgd1", str(run), "--k1", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --k1" in capsys.readouterr().err
     assert not run.exists()
 
 
@@ -652,6 +675,20 @@ def test_evaluate_scores_the_same_graphs_after_the_dataset_grows(tmp_path,
     assert main(["evaluate", str(run / "best.cgm1")]) == 0
     assert capsys.readouterr().out == before
     assert class_support(before, ["chat", "mail"]) == {"chat": 1, "mail": 1}
+
+
+def test_train_refuses_to_overwrite_its_own_input(trained, capsys):
+    # Retraining on a run's held-out split into the same run would
+    # replace the dataset with its own test split.
+    _, checkpoint_path, _ = trained
+    run = checkpoint_path.parent
+    held_out = run / "test.cgd1"
+    before = held_out.read_bytes()
+    assert main(["train", str(held_out), str(run)] + TRAIN_FLAGS) == 1
+    captured = capsys.readouterr()
+    assert f"error: {held_out} is the test.cgd1" in captured.err
+    assert epoch_lines(captured.out) == []
+    assert held_out.read_bytes() == before
 
 
 def test_evaluate_refuses_the_old_argument_order(trained, capsys):

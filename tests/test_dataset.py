@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from cgnn.dataset import (DATASET_MAGIC, Dataset, load_dataset, parse_dataset,
                           save_dataset)
 from cgnn.errors import CorruptFile
+from cgnn.ioutil import atomic_write_bytes
 from cgnn.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 
 from conftest import graph_set, random_graphs
@@ -180,6 +183,19 @@ def test_failed_part_leaves_no_file(tmp_path, rng):
     with pytest.raises(CorruptFile, match="second capture is broken"):
         save_dataset(parts(), path, ["a", "b"], 4)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_gives_the_mode_open_gives(tmp_path):
+    old = os.umask(0o022)
+    try:
+        atomic_write_bytes(tmp_path / "atomic", b"x")
+        with open(tmp_path / "plain", "wb") as handle:
+            handle.write(b"x")
+    finally:
+        os.umask(old)
+    mode = {name: stat.S_IMODE((tmp_path / name).stat().st_mode)
+            for name in ("atomic", "plain")}
+    assert mode["atomic"] == mode["plain"]
 
 
 def test_atomic_save_leaves_no_temp_files(tmp_path):

@@ -33,8 +33,8 @@ def dense_forward_oracle(model: CgnnModel, graphs) -> np.ndarray:
             x = x / 255.0
         from test_graph import dense_propagation_oracle
         s = dense_propagation_oracle(graph.n)
-        for theta, hops in zip(model.thetas, model.dims.layer_hops):
-            x = np.maximum(np.linalg.matrix_power(s, hops) @ x
+        for theta in model.thetas:
+            x = np.maximum(np.linalg.matrix_power(s, model.dims.hops) @ x
                            @ theta.astype(np.float64), 0.0)
         if model.dims.pooling == "avg":
             y = x.mean(axis=0)
@@ -92,14 +92,14 @@ def test_init_three_layer_widths():
     dims = ModelDims(p=6, d1=5, d2=4, m=2, layers=3)
     model = init_model(dims, seed=0)
     assert [t.shape for t in model.thetas] == [(6, 5), (5, 4), (4, 4)]
-    assert dims.layer_hops == [1, 1, 1]
+    assert dims.param_shapes == [(6, 5), (5, 4), (4, 4), (4, 2), (2,)]
 
 
 def test_dims_validation_errors():
-    ModelDims(k1=0, k2=0).validate()  # S^0 = I: the bag-of-packets model
+    ModelDims(hops=0).validate()  # S^0 = I: the bag-of-packets model
     for bad in (ModelDims(p=0), ModelDims(d1=0), ModelDims(d2=0),
-                ModelDims(m=1), ModelDims(layers=4), ModelDims(k1=-1),
-                ModelDims(k2=-1), ModelDims(pooling="median")):
+                ModelDims(m=1), ModelDims(layers=4), ModelDims(hops=-1),
+                ModelDims(pooling="median")):
         with pytest.raises(ConfigError):
             bad.validate()
 
@@ -262,7 +262,7 @@ def test_forward_matches_dense_oracle(rng):
 
 
 def test_forward_three_layers_two_hops_matches_oracle(rng):
-    dims = ModelDims(p=6, d1=5, d2=4, m=2, layers=3, k1=2, k2=2)
+    dims = ModelDims(p=6, d1=5, d2=4, m=2, layers=3, hops=2)
     model = init_model(dims, seed=1)
     graphs = random_graphs(rng, 6, p=6)
     got = forward(model, batch_graphs(graphs)).probs
@@ -402,10 +402,10 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "model.cgm1"
     save_checkpoint(model, ["a", "b"], path)
     raw = bytearray(path.read_bytes())
-    for version in (2, 4):
+    for version in (3, 5):
         struct.pack_into("<I", raw, 4, version)
         with pytest.raises(CorruptFile, match=f"checkpoint version {version}, "
-                                              f"this build reads 3"):
+                                              f"this build reads 4"):
             parse_checkpoint(bytes(raw))
 
 

@@ -168,10 +168,10 @@ def test_gradients_match_for_all_poolings(rng):
 
 
 def test_gradients_match_for_layer_counts_and_hops(rng):
-    for layers, k1 in ((1, 1), (2, 2), (3, 1), (1, 0), (2, 0)):
-        dims = ModelDims(p=6, d1=5, d2=4, m=3, layers=layers, k1=k1,
+    for layers, hops in ((1, 1), (2, 2), (3, 1), (1, 0), (2, 0)):
+        dims = ModelDims(p=6, d1=5, d2=4, m=3, layers=layers, hops=hops,
                          standardize=True)
-        assert check_gradients(dims, seed=2, rng=rng) <= 1e-4, (layers, k1)
+        assert check_gradients(dims, seed=2, rng=rng) <= 1e-4, (layers, hops)
 
 
 def spy_propagation(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -449,7 +449,8 @@ def test_fit_raises_on_exploding_loss(rng):
     graphs = random_graphs(rng, 8, p=6)
     dims = ModelDims(p=6, d1=5, d2=4, m=2)
     config = TrainConfig(lr=1e18, batch_size=4, max_epochs=5, seed=0)
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(NonFiniteInput,
+                       match="classifier logits are not finite"):
         fit(graphs[:6], graphs[6:], dims, config)
 
 
@@ -536,7 +537,7 @@ def test_the_chain_reads_packet_order_a_bag_of_packets_cannot(seed):
     train_idx, valid_idx, test_idx = split_dataset(graphs, seed=seed)
     accuracy = {}
     for hops in (1, 0):
-        dims = ModelDims(p=64, d1=32, d2=16, m=2, k1=hops, k2=hops,
+        dims = ModelDims(p=64, d1=32, d2=16, m=2, hops=hops,
                          pooling="avg", standardize=True)
         model, _ = fit(graphs[train_idx], graphs[valid_idx], dims,
                        TrainConfig(max_epochs=60, patience=10, seed=seed))
