@@ -25,7 +25,7 @@ from .ioutil import atomic_write_bytes
 from .metrics import classification_report, format_report, write_heatmap_csv
 from .model import (CHECKPOINT_MAGIC, ModelDims, load_checkpoint,
                     parse_checkpoint, predict_probs, save_checkpoint)
-from .preprocess import IngestStats, graphs_from_records
+from .preprocess import FiveTuple, IngestStats, graphs_from_records
 from .train import TrainConfig, fit
 
 CHECKPOINT_NAME = "best.cgm1"
@@ -152,9 +152,17 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
+def _refuse_overwrite(out: Path, *inputs) -> None:
+    """ConfigError when out is already the same file as an input."""
+    for source in inputs:
+        if out.exists() and Path(source).exists() and out.samefile(source):
+            raise ConfigError(f"{source} is the {out.name} this run would "
+                              f"overwrite; choose another output")
+
+
 def _ingest_capture(path: Path, label: int, p: int, cfg: RunConfig):
-    """Graphs, session keys and stats of one capture file. The capture
-    bytes are released when this returns."""
+    """Graphs, session key rows and stats of one capture file. The
+    capture bytes are released when this returns."""
     graphs, keys, stats = graphs_from_records(
         path.read_bytes(), label, p, cfg.fraction, cfg.drop_dns)
     if stats.truncated:
@@ -208,10 +216,7 @@ def cmd_train(args) -> int:
     if not existing.is_dir():
         raise NotADirectoryError(f"{existing} is not a directory")
     test_path = out_dir / TEST_NAME
-    if test_path.exists() and Path(args.data).exists() and \
-            test_path.samefile(args.data):
-        raise ConfigError(f"{args.data} is the {TEST_NAME} this run would "
-                          f"overwrite; train into another directory")
+    _refuse_overwrite(test_path, args.data)
     dataset = load_dataset(args.data)
     graphs = dataset.graphs
     if not len(graphs):
@@ -258,8 +263,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    checkpoint = load_checkpoint(args.checkpoint)
     data = args.data or Path(args.checkpoint).parent / TEST_NAME
+    heatmap = Path(args.heatmap) if args.heatmap else \
+        Path(args.checkpoint).parent / "confusion.csv"
+    _refuse_overwrite(heatmap, args.checkpoint, data)
+    checkpoint = load_checkpoint(args.checkpoint)
     dataset = load_dataset(data)
     model = checkpoint.model
     if model.dims.m != dataset.num_classes:
@@ -281,14 +289,14 @@ def cmd_evaluate(args) -> int:
                                    weighted=args.weighted)
     print(format_report(report))
 
-    heatmap = Path(args.heatmap) if args.heatmap else \
-        Path(args.checkpoint).parent / "confusion.csv"
     write_heatmap_csv(report, heatmap)
     print(f"wrote {heatmap}")
     return 0
 
 
 def cmd_predict(args) -> int:
+    if args.csv:
+        _refuse_overwrite(args.csv, args.pcap, args.checkpoint)
     cfg = _resolve_config(args)
     checkpoint = load_checkpoint(args.checkpoint)
     model = checkpoint.model
@@ -301,10 +309,11 @@ def cmd_predict(args) -> int:
     rows = []
     probs = predict_probs(model, graphs)
     for graph_id, (key, n, dist) in enumerate(
-            zip(keys, graphs.lengths.tolist(), probs)):
+            zip(keys.tolist(), graphs.lengths.tolist(), probs)):
         label = int(dist.argmax())
         name = checkpoint.label_names[label]
-        print(f"{key} [{n} packets] -> {name} ({dist[label]:.4f})")
+        print(f"{FiveTuple.unpack(*key)} [{n} packets] -> {name} "
+              f"({dist[label]:.4f})")
         columns = ",".join(f"{v:.6f}" for v in dist)
         rows.append(f"{graph_id},{name},{columns}")
     if args.csv:

@@ -50,15 +50,17 @@ class FiveTuple:
     port_b: int
     protocol: int
 
+    @classmethod
+    def unpack(cls, low: int, high: int, protocol: int) -> "FiveTuple":
+        """The key of one row of the keys graphs_from_records returns."""
+        return cls((low >> 16).to_bytes(4, "big"), low & 0xFFFF,
+                   (high >> 16).to_bytes(4, "big"), high & 0xFFFF, protocol)
+
     def __str__(self) -> str:
         name = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(
             self.protocol, str(self.protocol))
-        return (f"{_dotted(self.ip_a)}:{self.port_a}-"
-                f"{_dotted(self.ip_b)}:{self.port_b}/{name}")
-
-
-def _dotted(ip: bytes) -> str:
-    return ".".join(str(b) for b in ip)
+        a, b = (".".join(map(str, ip)) for ip in (self.ip_a, self.ip_b))
+        return f"{a}:{self.port_a}-{b}:{self.port_b}/{name}"
 
 
 @dataclass
@@ -195,7 +197,7 @@ def _decode_headers(data: bytes, start: np.ndarray, length: np.ndarray,
 
 def graphs_from_records(data: bytes, label: int, p: int,
                         fraction: float = 1.0, drop_dns: bool = False,
-                        ) -> tuple[GraphSet, list[FiveTuple], IngestStats]:
+                        ) -> tuple[GraphSet, np.ndarray, IngestStats]:
     """Full ingest of a capture's bytes: walk its records (one that ends
     mid-record keeps what parsed and counts in stats.truncated), decode
     every frame's headers at once, group the frames into bidirectional
@@ -203,7 +205,8 @@ def graphs_from_records(data: bytes, label: int, p: int,
     session with a cleaned row per packet that carries a payload. Only
     the first ceil(fraction * n) of a session's n such packets get a
     row; the rest are never copied. The graphs share one buffer, their
-    rows in session order.
+    rows in session order. Row i of the int64 keys is graph i's session
+    key: its low and high endpoints, each ip << 16 | port, and protocol.
 
     A packet with an empty payload still opens its session; with
     drop_dns, a packet on port 53 never does.
@@ -224,12 +227,14 @@ def graphs_from_records(data: bytes, label: int, p: int,
 
     # Canonical key: the smaller endpoint first, so both directions meet.
     low, high = np.minimum(src, dst), np.maximum(src, dst)
-    _, first, inverse = np.unique(np.stack([low, high, protocol], axis=1),
-                                  axis=0, return_index=True,
-                                  return_inverse=True)
+    order = np.lexsort((protocol, high, low))
+    key = np.stack([low, high, protocol])[:, order]  # all at least 0
+    opens = np.diff(key, axis=1, prepend=-1).any(axis=0)  # a new key
+    first = order[opens]  # the sort is stable: each key's first frame
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
-    session = rank[inverse.reshape(-1)]  # numbered by first appearance
+    session = np.empty_like(order)
+    session[order] = rank[np.cumsum(opens) - 1]  # by first appearance
 
     payload_len = transport_len - payload_offset
     stats.discarded_empty = int(np.count_nonzero(payload_len == 0))
@@ -251,10 +256,7 @@ def graphs_from_records(data: bytes, label: int, p: int,
     lengths = keep[emitted]
     begins = np.cumsum(lengths) - lengths
     head = kept[begins]  # each emitted session's first kept packet
-    keys = [FiveTuple((a >> 16).to_bytes(4, "big"), a & 0xFFFF,
-                      (b >> 16).to_bytes(4, "big"), b & 0xFFFF, proto)
-            for a, b, proto in zip(low[head].tolist(), high[head].tolist(),
-                                   protocol[head].tolist())]
+    keys = np.stack([low[head], high[head], protocol[head]], axis=1)
     graphs = GraphSet(buffer=features.reshape(-1), p=p, starts=begins * p,
                       lengths=lengths,
                       labels=np.full(lengths.size, label, dtype=np.int64))

@@ -105,5 +105,21 @@ def random_graphs(rng: np.random.Generator, count: int, p: int,
 
 
 @pytest.fixture
+def five_tuples_built(monkeypatch) -> list[tuple]:
+    """The arguments of every FiveTuple built while the test runs."""
+    from cgnn.preprocess import FiveTuple
+
+    built = []
+    init = FiveTuple.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiveTuple, "__init__", counting_init)
+    return built
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -154,7 +154,8 @@ def test_criterion_5_golden_capture_cleaning(capsys):
     graphs, keys, stats = graphs_from_records(pcap_bytes(frames), 0, p)
     checks.append(len(graphs) == 1)
     checks.append(stats.skipped == 1)
-    checks.append(keys == [FiveTuple(IP_A, 50000, IP_B, 80, 6)])
+    checks.append([FiveTuple.unpack(*key) for key in keys.tolist()]
+                  == [FiveTuple(IP_A, 50000, IP_B, 80, 6)])
     vectors = graphs[0].features
     checks.append(vectors.shape == (3, 200) and vectors.dtype == np.uint8)
     expected = [expected_tcp_clean(payload, sport=50000, dport=80),

@@ -229,6 +229,18 @@ def test_preprocess_builds_a_dataset(tmp_path, capsys):
     assert "wrote 6 graphs" in captured.out
 
 
+def test_preprocess_builds_no_session_key(tmp_path, capsys,
+                                          five_tuples_built):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=3)
+    (root / "chat" / "more.pcap").write_bytes(
+        pcap_bytes(session_frames(0x22, 2, base_port=42000)))
+    assert main(["preprocess", str(root), str(tmp_path / "data.cgd1"),
+                 "--p", "64"]) == 0
+    assert "total: 3 files, 8 sessions" in capsys.readouterr().out
+    assert five_tuples_built == []
+
+
 def test_preprocess_is_deterministic(tmp_path):
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)
@@ -691,6 +703,20 @@ def test_train_refuses_to_overwrite_its_own_input(trained, capsys):
     assert held_out.read_bytes() == before
 
 
+@pytest.mark.parametrize("target", ["checkpoint", "data"])
+def test_evaluate_refuses_a_heatmap_over_its_input(trained, capsys, target):
+    data, checkpoint_path, _ = trained
+    victim = {"checkpoint": checkpoint_path, "data": data}[target]
+    before = victim.read_bytes()
+    assert main(["evaluate", str(checkpoint_path), str(data),
+                 "--heatmap", str(victim)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: {victim} is the {victim.name} this run would overwrite")
+    assert captured.out == ""
+    assert victim.read_bytes() == before
+
+
 def test_evaluate_refuses_the_old_argument_order(trained, capsys):
     data, checkpoint_path, _ = trained
     assert main(["evaluate", str(data), str(checkpoint_path)]) == 1
@@ -811,6 +837,37 @@ def test_capture_cut_mid_record_warns_and_keeps_what_parsed(
     assert [l.split(" -> ")[0].split(" ", 1)[1] for l in lines] \
         == ["[3 packets]", "[3 packets]"]
     assert all(":4100" in l.split(" ")[0] for l in lines)
+
+
+@pytest.mark.parametrize("target", ["pcap", "checkpoint"])
+def test_predict_refuses_a_csv_over_its_input(trained, tmp_path, capsys,
+                                              target):
+    _, checkpoint_path, _ = trained
+    capture = tmp_path / "fresh.pcap"
+    capture.write_bytes(pcap_bytes(session_frames(0x11, 2)))
+    victim = {"pcap": capture, "checkpoint": checkpoint_path}[target]
+    before = victim.read_bytes()
+    capsys.readouterr()
+    assert main(["predict", str(capture), str(checkpoint_path),
+                 "--csv", str(victim)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: {victim} is the {victim.name} this run would overwrite")
+    assert captured.out == ""
+    assert victim.read_bytes() == before
+
+
+def test_predict_builds_one_key_per_printed_session(trained, tmp_path,
+                                                    capsys,
+                                                    five_tuples_built):
+    _, checkpoint_path, _ = trained
+    capture = tmp_path / "fresh.pcap"
+    capture.write_bytes(pcap_bytes(
+        session_frames(0x11, 3) + [udp_frame(b"\x11" * 30)]))
+    capsys.readouterr()
+    assert main(["predict", str(capture), str(checkpoint_path)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if "->" in l]
+    assert len(lines) == len(five_tuples_built) == 4
 
 
 def test_predict_with_no_usable_sessions(trained, tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 from cgnn.dataset import (DATASET_MAGIC, Dataset, load_dataset, parse_dataset,
                           save_dataset)
 from cgnn.errors import CorruptFile
-from cgnn.ioutil import atomic_write_bytes
+from cgnn.ioutil import WRITE_BUFFER, atomic_write_bytes
 from cgnn.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 
 from conftest import graph_set, random_graphs
@@ -173,15 +173,28 @@ def test_save_streams_parts_in_order_and_patches_the_count(tmp_path, rng):
         assert np.array_equal(restored.features, original.features)
 
 
+def test_save_past_the_write_buffer_matches_to_bytes(tmp_path, rng):
+    graphs = random_graphs(rng, 160, p=1500)
+    assert graphs.buffer.nbytes > 4 * WRITE_BUFFER
+    parts = [graphs[np.arange(i, i + 40)] for i in range(0, 160, 40)]
+    path = tmp_path / "big.cgd1"
+    assert save_dataset(parts, path, ["a", "b"], 1500) == 160
+    assert path.read_bytes() == Dataset(graphs, ["a", "b"]).to_bytes()
+
+
 def test_failed_part_leaves_no_file(tmp_path, rng):
     path = tmp_path / "out.cgd1"
+    on_disk = []
 
     def parts():
         yield random_graphs(rng, 3, p=4)
-        raise CorruptFile("second capture is broken")
+        yield random_graphs(rng, 60, p=1500)  # past the write buffer
+        on_disk.extend(f.stat().st_size for f in tmp_path.iterdir())
+        raise CorruptFile("third capture is broken")
 
-    with pytest.raises(CorruptFile, match="second capture is broken"):
-        save_dataset(parts(), path, ["a", "b"], 4)
+    with pytest.raises(CorruptFile, match="third capture is broken"):
+        save_dataset(parts(), path, ["a", "b"], 1500)
+    assert len(on_disk) == 1 and on_disk[0] > 0  # a buffer was flushed
     assert list(tmp_path.iterdir()) == []
 
 

@@ -15,7 +15,7 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgnn.preprocess import graphs_from_records
+from cgnn.preprocess import FiveTuple, graphs_from_records
 
 import scalar_ingest
 from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, pcap_bytes,
@@ -106,8 +106,9 @@ def test_columnar_ingest_matches_the_scalar_oracle(capture, label):
     for p in (16, 64, 1500):
         for fraction in (1.0, 0.5):
             for drop_dns in (False, True):
-                graphs, keys, stats = graphs_from_records(
+                graphs, key_rows, stats = graphs_from_records(
                     data, label, p, fraction, drop_dns)
+                keys = [FiveTuple.unpack(*row) for row in key_rows.tolist()]
                 want_graphs, want_keys, want_stats = \
                     scalar_ingest.graphs_from_frames(capture, label, p,
                                                      fraction, drop_dns)

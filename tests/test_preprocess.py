@@ -16,7 +16,11 @@ REASONS = ("non_ipv4", "non_tcp_udp", "fragments", "malformed")
 
 
 def ingest(frames: list[bytes], p: int = 64, **kwargs):
-    return graphs_from_records(pcap_bytes(frames), 0, p, **kwargs)
+    """graphs_from_records over the frames, its key rows as FiveTuples."""
+    graphs, keys, stats = graphs_from_records(pcap_bytes(frames), 0, p,
+                                              **kwargs)
+    assert keys.shape == (len(graphs), 3)
+    return graphs, [FiveTuple.unpack(*key) for key in keys.tolist()], stats
 
 
 def _only_row(frame: bytes, p: int) -> np.ndarray:
@@ -328,6 +332,28 @@ def test_session_opened_by_an_empty_packet_keeps_its_place():
     assert stats.discarded_empty == 1 and stats.dropped_sessions == 0
 
 
+def test_tcp_and_udp_on_the_same_ports_are_two_sessions():
+    frames = [tcp_frame(b"t1", dport=80), udp_frame(b"u1", dport=80),
+              tcp_frame(b"t2", dport=80), udp_frame(b"u2", dport=80)]
+    graphs, keys, _ = ingest(frames)
+    assert [g.n for g in graphs] == [2, 2]
+    assert keys == [FiveTuple(IP_A, 40000, IP_B, 80, 6),
+                    FiveTuple(IP_A, 40000, IP_B, 80, 17)]
+
+
+def test_interleaved_sessions_are_numbered_by_first_appearance():
+    """Three sessions arrive in the order 2, 0, 1 of their canonical
+    keys. A cycle of three tells first-appearance numbering apart both
+    from key order and from the inverse of the right permutation."""
+    ports = [40002, 40000, 40002, 40001, 40000, 40001, 40002]
+    frames = [tcp_frame(bytes([i]), sport=port)
+              for i, port in enumerate(ports)]
+    graphs, keys, _ = ingest(frames)
+    assert [k.port_a for k in keys] == [40002, 40000, 40001]
+    assert [[row[40] for row in g.features] for g in graphs] \
+        == [[0, 2, 6], [1, 4], [3, 5]]
+
+
 def test_drop_dns_flag():
     dns = udp_frame(b"\x12\x34", dport=53)
     other = udp_frame(b"data", dport=5353)
@@ -347,26 +373,22 @@ def test_five_tuple_canonical_is_direction_free():
     assert str(forward_key) == "10.0.0.1:40000-10.0.0.2:80/tcp"
 
 
-def test_ingest_builds_one_key_per_session(tmp_path, monkeypatch):
-    """A capture goes from its bytes to graphs building a FiveTuple only
-    for each session it emits."""
+def test_ingest_builds_one_key_per_session(tmp_path, five_tuples_built):
+    """A capture goes from its bytes to graphs with one key row for each
+    session it emits, and builds no FiveTuple."""
     frames = [tcp_frame(b"a1"), udp_frame(b"u1"), arp_frame(),
               b"\x00" * 8, udp_frame(b"\x12\x34", dport=53),
               tcp_frame(b"", flags=0x02), tcp_frame(b"a2"),
               udp_frame(b"", sport=40001)]
     path = tmp_path / "capture.pcap"
     path.write_bytes(pcap_bytes(frames))
-    keys_built = []
-    five_tuple = cgnn.preprocess.FiveTuple
-
-    def count_keys(*args, **kwargs):
-        keys_built.append(args)
-        return five_tuple(*args, **kwargs)
-
-    monkeypatch.setattr(cgnn.preprocess, "FiveTuple", count_keys)
     graphs, keys, stats = _ingest_capture(path, 0, 64,
                                           RunConfig(drop_dns=True))
-    assert len(keys_built) == len(keys) == len(graphs) == 2
+    assert five_tuples_built == []
+    assert len(keys) == len(graphs) == 2
+    assert [FiveTuple.unpack(*key) for key in keys.tolist()] \
+        == [FiveTuple(IP_A, 40000, IP_B, 80, 6),
+            FiveTuple(IP_A, 40000, IP_B, 5353, 17)]
     assert [g.n for g in graphs] == [2, 1]
     assert (stats.skipped, stats.dropped_dns, stats.discarded_empty,
             stats.dropped_sessions) == (2, 1, 2, 1)

@@ -18,7 +18,7 @@ from cgnn.dataset import Dataset, parse_dataset
 from cgnn.errors import ConfigError, CorruptFile
 from cgnn.model import (ModelDims, init_model, parse_checkpoint,
                         save_checkpoint, softmax)
-from cgnn.preprocess import graphs_from_records, walk_pcap
+from cgnn.preprocess import FiveTuple, graphs_from_records, walk_pcap
 
 from conftest import (arp_frame, graph_set, pcap_bytes, random_graphs,
                       tcp_frame, udp_frame)
@@ -53,8 +53,10 @@ def test_five_tuple_canonical_ignores_direction(src_ip, dst_ip, src_port,
                     dst=dst_ip)
     reverse = build(b"y", sport=dst_port, dport=src_port, src=dst_ip,
                     dst=src_ip)
-    _, (forward_key,), _ = graphs_from_records(pcap_bytes([forward]), 0, 8)
-    _, (reverse_key,), _ = graphs_from_records(pcap_bytes([reverse]), 0, 8)
+    _, (forward_row,), _ = graphs_from_records(pcap_bytes([forward]), 0, 8)
+    _, (reverse_row,), _ = graphs_from_records(pcap_bytes([reverse]), 0, 8)
+    forward_key = FiveTuple.unpack(*forward_row.tolist())
+    reverse_key = FiveTuple.unpack(*reverse_row.tolist())
     assert forward_key == reverse_key
     assert (forward_key.ip_a, forward_key.port_a) \
         <= (forward_key.ip_b, forward_key.port_b)
