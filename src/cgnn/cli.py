@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 from pathlib import Path
 from typing import get_type_hints
@@ -179,13 +180,16 @@ def cmd_preprocess(args) -> int:
     labels = sorted(d.name for d in root.iterdir() if d.is_dir())
     if not labels:
         raise EmptyDataset(f"no label directories under {root}")
+    paths = [sorted((root / name).glob("*.pcap")) for name in labels]
+    _refuse_overwrite(Path(args.out), *(path for group in paths
+                                         for path in group))
 
     per_label = [IngestStats() for _ in labels]
 
     def captures():
         """Each capture's graphs, as soon as that capture is ingested."""
-        for label_id, name in enumerate(labels):
-            for path in sorted((root / name).glob("*.pcap")):
+        for label_id, group in enumerate(paths):
+            for path in group:
                 try:
                     graphs, _, stats = _ingest_capture(path, label_id, cfg.p,
                                                        cfg)
@@ -425,6 +429,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+# The modules, classes and functions alive now (numpy's and cgnn's, some
+# 22k objects) live until the process exits anyway. Freezing them keeps
+# the collection at exit from walking them and freeing them one by one.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -137,7 +137,7 @@ class BatchedGraph:
     graph's vertex count so pooling can find its rows again.
     """
 
-    features: np.ndarray  # (N_total, p) float32
+    features: np.ndarray  # (N_total, p) uint8
     lengths: np.ndarray  # (B,) int64
     labels: np.ndarray  # (B,) int64
     prop: ChainPropagation
@@ -156,13 +156,11 @@ class BatchedGraph:
 
 def batch_graphs(graphs: GraphSet, idx=slice(None)) -> BatchedGraph:
     """The graphs idx picks (default all), in that order, as one batch
-    with a block propagation matrix. Each graph's rows are cast from the
-    shared buffer straight into the batch's float32 matrix."""
+    with a block propagation matrix. The graphs' byte rows are copied
+    into one matrix; the model casts only the columns it multiplies."""
     chosen = graphs[idx]
     prop = ChainPropagation.for_batch(chosen.lengths)  # raises if empty
-    features = np.empty((int(chosen.lengths.sum()), chosen.p),
-                        dtype=np.float32)
-    np.concatenate([graph.features for graph in chosen], out=features)
+    features = np.concatenate([graph.features for graph in chosen])
     return BatchedGraph(features=features, lengths=chosen.lengths,
                         labels=chosen.labels, prop=prop)
 

@@ -4,10 +4,12 @@ step that collapses each graph to one vector, and a softmax output layer.
 Layer l computes relu(S^k (X theta_l)) where S is the chain propagation
 matrix and k = ModelDims.hops, the same for every layer; projecting
 before propagating keeps S at the hidden width, and S is a fixed linear
-map, so the order does not change the result. Pooling averages (or
-maxes, or sums) each graph's vertex rows; the head computes
-softmax(y W + b). Checkpoints (magic "CGM1") store the dimensions, the
-label names, and the float32 weights.
+map, so the order does not change the result. The first layer's X is a
+batch's packet bytes, multiplied in width buckets (WIDTH_STEP) so that
+the zero bytes past a packet's end are neither cast nor multiplied.
+Pooling averages (or maxes, or sums) each graph's vertex rows; the head
+computes softmax(y W + b). Checkpoints (magic "CGM1") store the
+dimensions, the label names, and the float32 weights.
 """
 
 from __future__ import annotations
@@ -31,12 +33,22 @@ POOLING_KINDS = ("avg", "max", "sum")
 # BATCH_ROWS vertex rows; a longer graph goes alone. Time falls as a
 # block's rows x d1 activations shrink toward the cache and is flat from
 # 2048 rows down; 1024 is as fast as 2048 in half the memory. ms per
-# predict_probs of 20,330 rows in 150 sessions at d1 = 516 (2-vCPU Xeon,
-# OpenBLAS), by cap:                         512  1024  2048  4096  8192
-#                                 p = 1500   406   383   381   434   498
-#                                 p = 256    167   155   170   211   238
-#                                 p = 64     111   117   128   160   190
+# predict_probs of 20,315 rows in 150 sessions at d1 = 516, WIDTH_STEP
+# 256 (2-vCPU Xeon, OpenBLAS), by cap:       512  1024  2048  4096  8192
+#                                 p = 1500   303   288   295   371   372
+#                                 p = 256    145   149   150   183   218
+#                                 p = 64     123   116   123   157   195
 BATCH_ROWS = 1024
+
+# The first layer puts a batch's rows into buckets by width with fixed
+# edges WIDTH_STEP, 2 * WIDTH_STEP, ..., p, and multiplies each bucket
+# over its first `edge` columns only. Fixed edges make each row's
+# product a function of its own bytes, whatever else is in the batch.
+# Narrower steps skip more zero bytes in more, smaller products. ms per
+# predict_probs of the same rows at p = 1500, BATCH_ROWS 1024, by step
+# (1500 is one bucket):   128   192   256   320   384   512  1500
+#                         293   287   281   280   284   295   367
+WIDTH_STEP = 256
 
 
 @dataclass(frozen=True)
@@ -138,6 +150,59 @@ def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
     return prop.apply(x @ theta, k)
 
 
+def bucket_pieces(rows: np.ndarray, dtype, standardize: bool,
+                  ) -> list[tuple[np.ndarray | slice, np.ndarray]]:
+    """The first layer's input: the (N, p) byte rows split by width. Per
+    nonempty bucket, narrowest first, its row indices (slice(None) when
+    it holds every row) and its rows' first `edge` columns cast to dtype
+    (and divided by 255 if standardize). A row's width is the end of its
+    last nonzero 4-byte word, or p when one of the p mod 4 tail bytes is
+    nonzero; its bucket is the first edge at or past that width."""
+    n, p = rows.shape
+    count = -(-p // WIDTH_STEP)  # the last edge is p
+    bucket = np.full(n, count)
+    if count > 1:
+        words = p // 4
+        nonzero = rows[:, :4 * words].view(np.uint32) != 0
+        back = np.argmax(nonzero[:, ::-1], axis=1)  # words after the last
+        width = 4 * (words - back)
+        width[~nonzero[np.arange(n), words - 1 - back]] = 0  # all zero
+        if p % 4:
+            width[rows[:, 4 * words:].any(axis=1)] = p
+        bucket = np.clip(-(-width // WIDTH_STEP), 1, count)
+    present = np.flatnonzero(np.bincount(bucket))
+    pieces = []
+    for k in present:
+        idx = np.flatnonzero(bucket == k) if present.size > 1 else slice(None)
+        x = rows[idx, :min(int(k) * WIDTH_STEP, p)].astype(dtype)
+        if standardize:
+            x /= dtype.type(255)
+        pieces.append((idx, x))
+    return pieces
+
+
+def bucket_product(pieces, theta: np.ndarray, n: int) -> np.ndarray:
+    """X theta for the n rows that bucket_pieces split up."""
+    if len(pieces) == 1:  # every row, in order
+        x = pieces[0][1]
+        return x @ theta[:x.shape[1]]
+    out = np.empty((n, theta.shape[1]), dtype=theta.dtype)
+    for idx, x in pieces:
+        out[idx] = x @ theta[:x.shape[1]]
+    return out
+
+
+def bucket_transpose_product(pieces, g: np.ndarray, p: int) -> np.ndarray:
+    """X^T g for the p-column X that bucket_pieces split up: each
+    bucket's X_b^T g[rows_b], added into the rows of its columns."""
+    *narrower, (idx, x) = pieces  # the widest bucket is last
+    out = np.zeros((p, g.shape[1]), dtype=g.dtype)
+    np.matmul(x.T, g[idx], out=out[:x.shape[1]])
+    for idx, x in narrower:
+        out[:x.shape[1]] += x.T @ g[idx]
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by the row max so exp cannot overflow."""
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -187,7 +252,9 @@ def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
 class ForwardCache:
     """Everything the backward pass reuses from one forward pass."""
 
-    hop_inputs: list[np.ndarray] = field(default_factory=list)  # layer inputs
+    # Layer inputs: the first layer's is its bucket_pieces, the float
+    # pieces of the batch's byte rows; the others' are (rows, width).
+    hop_inputs: list = field(default_factory=list)
     pre_acts: list[np.ndarray] = field(default_factory=list)  # before relu
     pooled: np.ndarray | None = None
     pool_winners: np.ndarray | None = None  # max pooling row indices
@@ -203,18 +270,19 @@ def forward(model: CgnnModel, batch: BatchedGraph,
         raise DimsMismatch(
             f"batch has feature length {batch.features.shape[1]}, "
             f"model expects {dims.p}")
-    dtype = model.W.dtype
-    x = batch.features.astype(dtype, copy=False)
-    if dims.standardize:
-        x = x / dtype.type(255)
+    x = bucket_pieces(batch.features, model.W.dtype, dims.standardize)
 
     cache = ForwardCache()
     # Overflow to inf, and the inf * 0 it meets in propagation, are
     # tolerated here; fc_softmax turns any non-finite outcome into a
     # typed error.
     with np.errstate(over="ignore", invalid="ignore"):
-        for theta in model.thetas:
-            pre_act = sgc_layer(batch.prop, x, theta, dims.hops)
+        for layer, theta in enumerate(model.thetas):
+            if layer:
+                pre_act = sgc_layer(batch.prop, x, theta, dims.hops)
+            else:
+                pre_act = batch.prop.apply(
+                    bucket_product(x, theta, batch.prop.n), dims.hops)
             if for_backward:
                 cache.hop_inputs.append(x)
                 cache.pre_acts.append(pre_act)

@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import ConfigError, DimsMismatch, EmptyDataset
 from .graph import BatchedGraph, GraphSet, batch_graphs
-from .model import (CgnnModel, ForwardCache, ModelDims, forward,
-                    init_model, predict_probs)
+from .model import (CgnnModel, ForwardCache, ModelDims,
+                    bucket_transpose_product, forward, init_model,
+                    predict_probs)
 
 LOSS_FLOOR = 1e-12  # keeps log() finite when a probability collapses
 GRAD_SCALE = 2.0 ** 64  # backward-pass gradient scale; see the docstring
@@ -80,9 +81,12 @@ def backward(model: CgnnModel, batch: BatchedGraph,
     for layer in range(len(model.thetas) - 1, -1, -1):
         dx *= cache.pre_acts[layer] > 0
         g = batch.prop.apply(dx, dims.hops)
-        dthetas[layer] = cache.hop_inputs[layer].T @ g
         if layer:
+            dthetas[layer] = cache.hop_inputs[layer].T @ g
             dx = g @ model.thetas[layer].T
+        else:
+            dthetas[0] = bucket_transpose_product(cache.hop_inputs[0], g,
+                                                  dims.p)
     grads = [*dthetas, d_w, d_b]
     for grad in grads:
         grad *= 1 / GRAD_SCALE

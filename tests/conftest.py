@@ -104,6 +104,28 @@ def random_graphs(rng: np.random.Generator, count: int, p: int,
     return graph_set(features, labels, p)
 
 
+def bucket_widths(p: int, step: int) -> list[int]:
+    """Row widths that reach every first-layer width bucket of p-byte
+    rows at the given step: 0, each edge, one past each edge, and p."""
+    edges = [*range(step, p, step), p]
+    return sorted({0, p, *edges, *(e + 1 for e in edges if e < p)})
+
+
+def zero_tailed_graphs(rng: np.random.Generator, widths: list[int], p: int,
+                       count: int = 4, num_classes: int = 2):
+    """A GraphSet of count graphs of two or more rows each. Each row has
+    random nonzero bytes up to a width and zeros past it, and every
+    given width is taken by at least one row."""
+    rows = max(len(widths), 2 * count)
+    width = rng.permutation(np.resize(widths, rows))
+    lengths = 2 + rng.multinomial(rows - 2 * count, [1 / count] * count)
+    packets = rng.integers(1, 256, size=(rows, p)).astype(np.uint8)
+    packets[np.arange(p) >= width[:, None]] = 0
+    ends = np.cumsum(lengths)
+    return graph_set([packets[e - n:e] for e, n in zip(ends, lengths)],
+                     rng.integers(num_classes, size=count).tolist())
+
+
 @pytest.fixture
 def five_tuples_built(monkeypatch) -> list[tuple]:
     """The arguments of every FiveTuple built while the test runs."""

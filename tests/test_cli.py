@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from conftest import arp_frame, pcap_bytes, tcp_frame, udp_frame
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Positional arguments that let each command parse; nothing need exist.
 POSITIONALS = {"preprocess": ["captures", "data.cgd1"],
@@ -347,6 +351,19 @@ def test_preprocess_failing_leaves_no_new_directories(tmp_path, capsys):
     assert main(["preprocess", str(root), str(out), "--p", "64"]) == 1
     assert "notes.pcap" in capsys.readouterr().err
     assert sorted(f.name for f in tmp_path.iterdir()) == ["captures"]
+
+
+def test_preprocess_refuses_an_output_over_a_capture(tmp_path, capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    victim = root / "chat" / "traffic.pcap"
+    before = victim.read_bytes()
+    assert main(["preprocess", str(root), str(victim), "--p", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: {victim} is the {victim.name} this run would overwrite")
+    assert "wrote" not in captured.out
+    assert victim.read_bytes() == before
 
 
 def test_preprocess_rejects_unknown_config_key(tmp_path, capsys):
@@ -808,6 +825,46 @@ def test_predict_labels_each_session(trained, tmp_path, capsys):
     for c in cells:
         probs = [float(v) for v in c[2:]]
         assert c[1] == names[probs.index(max(probs))]
+
+
+def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the sources on its path, as
+    `python -m cgnn.cli` is run. Its piped stdout is block-buffered, so
+    what it prints is complete only if the process exits cleanly."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_freezes_the_start_up_heap():
+    done = run_python("-c", "import gc, cgnn.cli; "
+                            "print(gc.get_freeze_count() > 0, gc.isenabled())")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
+
+
+def test_predict_process_leaves_complete_outputs(trained, tmp_path, capsys):
+    # What a separate process writes and prints matches the same command
+    # run in this one, so nothing waited on the work skipped at exit.
+    _, checkpoint_path, _ = trained
+    capture = tmp_path / "fresh.pcap"
+    capture.write_bytes(pcap_bytes(
+        session_frames(0x11, 40) + session_frames(0xEE, 40, base_port=42000)))
+    capsys.readouterr()
+    assert main(["predict", str(capture), str(checkpoint_path),
+                 "--csv", str(tmp_path / "here.csv")]) == 0
+    here = capsys.readouterr().out
+    done = run_python("-m", "cgnn.cli", "predict", str(capture),
+                      str(checkpoint_path), "--csv", "there.csv",
+                      cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == here.replace(str(tmp_path / "here.csv"),
+                                       "there.csv")
+    assert done.stdout.count(" -> ") == 80
+    assert (tmp_path / "there.csv").read_bytes() \
+        == (tmp_path / "here.csv").read_bytes()
 
 
 def test_capture_cut_mid_record_warns_and_keeps_what_parsed(

@@ -13,12 +13,15 @@ import cgnn.model
 from cgnn.errors import (ConfigError, CorruptFile, DimsMismatch,
                          EmptyDataset, NonFiniteInput)
 from cgnn.graph import ChainPropagation, batch_graphs
-from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims, fc_softmax,
-                        forward, init_model, load_checkpoint,
-                        parse_checkpoint, pool, predict_probs, relu,
-                        save_checkpoint, sgc_layer, softmax)
+from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims,
+                        bucket_pieces, bucket_product,
+                        bucket_transpose_product, fc_softmax, forward,
+                        init_model, load_checkpoint, parse_checkpoint, pool,
+                        predict_probs, relu, save_checkpoint, sgc_layer,
+                        softmax)
 
-from conftest import graph_set, random_graphs
+from conftest import (bucket_widths, graph_set, random_graphs,
+                      zero_tailed_graphs)
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2)
 
@@ -303,17 +306,86 @@ def test_forward_rejects_wrong_feature_length(rng):
         forward(model, batch_graphs(graphs))
 
 
-def test_forward_cache_holds_layer_intermediates(rng):
-    model = init_model(TINY_DIMS, seed=0)
-    batch = batch_graphs(random_graphs(rng, 3, p=6))
+def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
+    monkeypatch.setattr(cgnn.model, "WIDTH_STEP", 8)
+    model = init_model(ModelDims(p=27, d1=5, d2=4, m=2), seed=0)
+    batch = batch_graphs(zero_tailed_graphs(rng, bucket_widths(27, 8), 27,
+                                            count=3))
+    n = batch.features.shape[0]
     cache = forward(model, batch)
     assert len(cache.hop_inputs) == 2
-    assert cache.hop_inputs[0] is batch.features  # layer input, not S X
-    assert cache.hop_inputs[1].shape == (batch.features.shape[0], 5)
+    # The first layer keeps its input as float pieces, one per width
+    # bucket, that scatter back to the batch's bytes: not S X, and no
+    # (rows, p) float matrix.
+    pieces = cache.hop_inputs[0]
+    assert [piece.shape[1] for _, piece in pieces] == [8, 16, 24, 27]
+    scattered = np.zeros((n, 27), dtype=np.float32)
+    seen = np.zeros(n, dtype=int)
+    for idx, piece in pieces:
+        assert piece.dtype == np.float32 and piece.shape[0] < n
+        scattered[idx, :piece.shape[1]] = piece
+        seen[idx] += 1
+    assert seen.tolist() == [1] * n
+    assert np.array_equal(scattered, batch.features.astype(np.float32))
+    assert cache.hop_inputs[1].shape == (n, 5)
     assert len(cache.pre_acts) == 2
-    assert cache.pre_acts[0].shape == (batch.features.shape[0], 5)
+    assert cache.pre_acts[0].shape == (n, 5)
     assert cache.pooled.shape == (3, 4)
     assert cache.pool_winners is None
+
+
+@pytest.mark.parametrize("p", [1, 3, 255, 256, 257, 1500])
+def test_bucketed_products_match_the_dense_ones(rng, p):
+    step = cgnn.model.WIDTH_STEP
+    graphs = zero_tailed_graphs(rng, bucket_widths(p, step) * 3, p)
+    rows = batch_graphs(graphs).features
+    n, dense = rows.shape[0], rows.astype(np.float32)
+    pieces = bucket_pieces(rows, np.dtype(np.float32), False)
+    assert len(pieces) == -(-p // step)  # every bucket is reached
+    theta = rng.standard_normal((p, 7)).astype(np.float32)
+    want = dense @ theta
+    got = bucket_product(pieces, theta, n)
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    g = rng.standard_normal((n, 7)).astype(np.float32)
+    want = dense.T @ g
+    got = bucket_transpose_product(pieces, g, p)
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_width_counts_every_nonzero_byte_of_a_row(monkeypatch):
+    # The word scan must see a lone nonzero byte at any place of its
+    # word, and the p mod 4 tail bytes past the last whole word.
+    monkeypatch.setattr(cgnn.model, "WIDTH_STEP", 4)
+    p = 11
+    rows = np.zeros((p + 1, p), dtype=np.uint8)
+    rows[np.arange(p), np.arange(p)] = 1  # row i ends at byte i + 1
+    got = np.zeros(p + 1, dtype=int)
+    for idx, piece in bucket_pieces(rows, np.dtype(np.float32), False):
+        got[idx] = piece.shape[1]
+    assert got.tolist() == [4, 4, 4, 4, 8, 8, 8, 8, 11, 11, 11, 4]
+
+
+def test_multi_bucket_graphs_score_alike_alone_and_in_one_block(rng,
+                                                               monkeypatch):
+    model = init_model(ModelDims(standardize=True), seed=0)
+    widths = bucket_widths(1500, cgnn.model.WIDTH_STEP)
+    graphs = zero_tailed_graphs(rng, widths * 8, 1500, count=30)
+    alone = np.concatenate([forward(model, batch_graphs(graphs, [i])).probs
+                            for i in range(len(graphs))])
+    assert np.abs(alone - alone[::-1]).max() > 1e-2
+    for rows in (1, 7, 10 ** 6):
+        monkeypatch.setattr(cgnn.model, "BATCH_ROWS", rows)
+        assert np.abs(predict_probs(model, graphs) - alone).max() <= 1e-5
+
+
+def test_forward_repeats_bit_for_bit_across_buckets(rng):
+    model = init_model(ModelDims(standardize=True), seed=1)
+    batch = batch_graphs(zero_tailed_graphs(
+        rng, bucket_widths(1500, cgnn.model.WIDTH_STEP) * 4, 1500, count=12))
+    first, second = forward(model, batch), forward(model, batch)
+    assert first.probs.tobytes() == second.probs.tobytes()
+    for a, b in zip(first.pre_acts, second.pre_acts):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_predict_probs_and_labels(rng, monkeypatch):

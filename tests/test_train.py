@@ -18,7 +18,8 @@ from cgnn.model import (POOLING_KINDS, CgnnModel, ModelDims, forward,
 from cgnn.train import (AdamState, TrainConfig, adam_step, backward,
                         cross_entropy, evaluate, fit)
 
-from conftest import graph_set, random_graphs
+from conftest import (bucket_widths, graph_set, random_graphs,
+                      zero_tailed_graphs)
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2, standardize=True)
 
@@ -53,9 +54,11 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / scale).max())
 
 
-def smooth_case(dims: ModelDims, seed: int, rng, margin: float = 1e-3):
-    """Draw weights and a batch that sit away from relu and max-pool
-    kinks, so that central differences measure the true derivative.
+def smooth_case(dims: ModelDims, seed: int, rng, margin: float = 1e-3,
+                draw=random_graphs):
+    """Draw weights and a batch (of draw(rng, 4, p, num_classes)) that
+    sit away from relu and max-pool kinks, so that central differences
+    measure the true derivative.
 
     A perturbation of 1e-4 moves any pre-activation by well under the
     margin, so no activation changes side during the check. Rejected
@@ -63,8 +66,7 @@ def smooth_case(dims: ModelDims, seed: int, rng, margin: float = 1e-3):
     """
     for attempt in range(50):
         model = float64_model(dims, seed=seed + attempt * 101)
-        graphs = random_graphs(rng, 4, p=dims.p, num_classes=dims.m)
-        batch = batch_graphs(graphs)
+        batch = batch_graphs(draw(rng, 4, dims.p, dims.m))
         cache = forward(model, batch)
         if min(np.abs(pa).min() for pa in cache.pre_acts) < margin:
             continue
@@ -88,8 +90,9 @@ def _max_pool_near_tie(batch, cache, margin: float) -> bool:
     return False
 
 
-def check_gradients(dims: ModelDims, seed: int, rng) -> float:
-    model, batch, cache = smooth_case(dims, seed, rng)
+def check_gradients(dims: ModelDims, seed: int, rng,
+                    draw=random_graphs) -> float:
+    model, batch, cache = smooth_case(dims, seed, rng, draw=draw)
     analytic = backward(model, batch, cache)
     worst = 0.0
     for param, grad in zip(model.params(), analytic):
@@ -172,6 +175,23 @@ def test_gradients_match_for_layer_counts_and_hops(rng):
         dims = ModelDims(p=6, d1=5, d2=4, m=3, layers=layers, hops=hops,
                          standardize=True)
         assert check_gradients(dims, seed=2, rng=rng) <= 1e-4, (layers, hops)
+
+
+def test_gradients_match_across_width_buckets(rng, monkeypatch):
+    # Rows end at 0, at each bucket edge, one past it, and at p, where p
+    # is not a multiple of the 4-byte word the width scan reads.
+    monkeypatch.setattr(cgnn.model, "WIDTH_STEP", 8)
+    widths = bucket_widths(27, 8)
+    assert widths == [0, 8, 9, 16, 17, 24, 25, 27]
+
+    def draw(rng, count, p, num_classes):
+        return zero_tailed_graphs(rng, widths, p, count, num_classes)
+
+    for pooling in POOLING_KINDS:
+        dims = ModelDims(p=27, d1=5, d2=4, m=2, pooling=pooling,
+                         standardize=True)
+        assert check_gradients(dims, seed=3, rng=rng, draw=draw) <= 1e-4, \
+            pooling
 
 
 def spy_propagation(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
