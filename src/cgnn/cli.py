@@ -209,6 +209,9 @@ def cmd_preprocess(args) -> int:
                   file=sys.stderr)
         total.add(stats)
     print(f"total: {total.files} files, {total.describe()}")
+    print(f"skipped frames by reason: {total.non_ipv4} non-IPv4, "
+          f"{total.non_tcp_udp} non-TCP/UDP, {total.fragments} fragments, "
+          f"{total.malformed} malformed")
     print(f"wrote {count} graphs to {args.out}")
     return 0
 
@@ -334,8 +337,11 @@ def cmd_inspect(args) -> int:
     if magic == DATASET_MAGIC:
         dataset = parse_dataset(data)
         graphs = dataset.graphs
+        rows, widths = graphs.packed()
         print(f"dataset: feature length {dataset.p}, "
               f"{dataset.num_classes} classes, {len(graphs)} graphs")
+        print(f"rows: {widths.size}, stored in {rows.size} bytes of "
+              f"{widths.size} x {dataset.p} = {widths.size * dataset.p}")
         counts = np.bincount(graphs.labels, minlength=dataset.num_classes)
         for label_id, name in enumerate(dataset.label_names):
             print(f"label {name} (id {label_id}): {counts[label_id]} graphs")

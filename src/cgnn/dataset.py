@@ -3,18 +3,21 @@
 Little-endian layout:
 
     magic        4 bytes  b"CGD1"
-    version      u32      currently 1
+    version      u32      currently 2
     p            u32      feature length of every vertex row
     num_classes  u32
     label names  num_classes strings, each u32 length + UTF-8 bytes
     num_graphs   u32
-    graphs       per graph: label u32, n u32, then n*p raw feature bytes
+    row_bytes    u64      length of the rows block
+    rows         every row's bytes up to its last nonzero one, in order
+    labels       num_graphs u32
+    lengths      num_graphs u32, vertex counts
+    widths       sum(lengths) u32, stored bytes per row (at most p)
 
-In memory a dataset is one GraphSet plus its label names. A parsed
-file's bytes are its buffer: one scan of the per-graph headers notes
-the byte offset of each graph's rows (offsets, since a header sits
-between graphs), and no feature byte is copied. A writer streams one
-GraphSet after another and patches num_graphs in at the end.
+A row's p-byte vector is its stored bytes followed by zeros. In memory
+a dataset is one GraphSet plus its label names; a parsed file's rows
+block is its buffer, not a copy. A writer streams the rows of one
+GraphSet after another, then the trailer, and patches the counts in.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .graph import GraphSet
 from .ioutil import ByteReader, ByteWriter, atomic_write
 
 DATASET_MAGIC = b"CGD1"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 @dataclass
@@ -58,7 +61,8 @@ class Dataset:
 def _write(handle: BinaryIO, parts: Iterable[GraphSet],
            label_names: list[str], p: int) -> int:
     """Serialize every graph of parts, in order, to a seekable binary
-    handle, each feature row written from its buffer without a copy.
+    handle: each part's rows in one write (from the buffer, without a
+    copy when the part's graphs lie in it in order), then the trailer.
     Returns the graph count, which is patched in after the last part."""
     w = ByteWriter(handle)
     w.header(DATASET_MAGIC, DATASET_VERSION)
@@ -66,21 +70,22 @@ def _write(handle: BinaryIO, parts: Iterable[GraphSet],
     w.u32(len(label_names))
     for name in label_names:
         w.utf8(name)
-    count_at = handle.tell()
+    counts_at = handle.tell()
     w.u32(0)
-    count = 0
+    w.u64(0)
+    columns = [(np.zeros(0, dtype=np.int64),) * 3]  # labels, lengths, widths
     for part in parts:
-        for start, n, label in zip(part.starts.tolist(),
-                                   part.lengths.tolist(),
-                                   part.labels.tolist()):
-            w.u32(label)
-            w.u32(n)
-            w.raw(part.buffer[start:start + n * p])
-        count += len(part)
-    handle.seek(count_at)
-    w.u32(count)
+        rows, widths = part.packed()
+        w.raw(rows)
+        columns.append((part.labels, part.lengths, widths))
+    labels, lengths, widths = map(np.concatenate, zip(*columns))
+    for column in (labels, lengths, widths):
+        w.u32_array(column)
+    handle.seek(counts_at)
+    w.u32(labels.size)
+    w.u64(int(widths.sum()))
     handle.seek(0, io.SEEK_END)
-    return count
+    return labels.size
 
 
 def save_dataset(parts: Iterable[GraphSet], path: Path | str,
@@ -100,23 +105,27 @@ def parse_dataset(data: bytes) -> Dataset:
         raise CorruptFile("dataset declares feature length 0")
     num_classes = r.u32()
     label_names = [r.utf8() for _ in range(num_classes)]
-    num_graphs = r.u32()
-    # grown per graph read, never sized by the count the file declares
-    heads = []  # (start, n, label) per graph
-    for i in range(num_graphs):
-        label = r.u32()
-        if label >= num_classes:
-            raise CorruptFile(
-                f"graph {i} has label {label}, file declares "
-                f"{num_classes} classes")
-        n = r.u32()
-        if n == 0:
-            raise CorruptFile(f"graph {i} has zero vertices")
-        heads.append((r.skip(n * p), n, label))
+    num_graphs, row_bytes = r.u32(), r.u64()
+    rows = r.raw(row_bytes)
+    labels, lengths = r.u32_array(num_graphs), r.u32_array(num_graphs)
+    widths = r.u32_array(int(lengths.sum(dtype=np.int64)))
     r.expect_end()
-    starts, lengths, labels = np.array(heads, np.int64).reshape(-1, 3).T
-    graphs = GraphSet(buffer=np.frombuffer(data, dtype=np.uint8), p=p,
-                      starts=starts, lengths=lengths, labels=labels)
+    bad = np.flatnonzero(labels >= num_classes)
+    if bad.size:
+        raise CorruptFile(f"graph {bad[0]} has label {labels[bad[0]]}, "
+                          f"file declares {num_classes} classes")
+    bad = np.flatnonzero(lengths == 0)
+    if bad.size:
+        raise CorruptFile(f"graph {bad[0]} has zero vertices")
+    bad = np.flatnonzero(widths > p)
+    if bad.size:
+        raise CorruptFile(f"row {bad[0]} stores {widths[bad[0]]} bytes, "
+                          f"feature length is {p}")
+    if widths.sum(dtype=np.int64) != row_bytes:
+        raise CorruptFile(f"row widths sum to {widths.sum(dtype=np.int64)} "
+                          f"bytes, rows block holds {row_bytes}")
+    graphs = GraphSet.from_widths(np.frombuffer(rows, dtype=np.uint8), p,
+                                  widths, lengths, labels)
     return Dataset(graphs=graphs, label_names=label_names)
 
 

@@ -4,12 +4,11 @@ propagation matrix.
 Each session becomes a graph whose vertices are its packets in arrival
 order, joined in a chain: packet i connects to packet i+1, giving n
 vertices and n-1 edges. The topology is a function of n alone, so a set
-of graphs is one flat byte buffer, the offset and vertex count of each
-graph's rows in it, and the labels (as in PyTorch Geometric's ``ptr``
-layout). The offsets count bytes, not rows of a (V, p) matrix: a dataset
-file puts an 8-byte header before each graph's rows, and only byte
-offsets let a loaded set and its splits use the file's bytes without a
-copy. The propagation matrix is built on demand in a tridiagonal form.
+of graphs is its rows, each graph's first row and vertex count, and the
+labels (as in PyTorch Geometric's ``ptr`` layout). A row is stored only
+up to its last nonzero byte, its width, in one flat byte buffer; its
+p-byte vector, those bytes then zeros, is built only when asked for. The
+propagation matrix is built on demand in a tridiagonal form.
 """
 
 from __future__ import annotations
@@ -22,45 +21,101 @@ import numpy as np
 from .errors import DimsMismatch, EmptyDataset
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainedGraph:
-    """One graph of a GraphSet: read-only (n, p) packet rows and a label."""
+    """One graph of a GraphSet: its rows' stored bytes back to back, each
+    row's width, and a label."""
 
-    features: np.ndarray  # uint8
+    data: np.ndarray  # uint8
+    widths: np.ndarray  # (n,) int64
+    p: int
     label: int
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.widths.size
+
+    @property
+    def features(self) -> np.ndarray:
+        """The read-only (n, p) rows, built on each call."""
+        rows = np.zeros((self.n, self.p), dtype=np.uint8)
+        rows[np.arange(self.p) < self.widths[:, None]] = self.data
+        rows.setflags(write=False)
+        return rows
 
 
 @dataclass
 class GraphSet:
-    """Labeled graphs in one shared buffer: the lengths[i] rows of p bytes
-    of graph i begin at byte starts[i]. An int index gives one graph as a
-    ChainedGraph; a slice or an index array gives the chosen graphs, in
-    that order, as a GraphSet on the same buffer."""
+    """Labeled graphs on one row buffer: row r is buffer[bounds[r]:
+    bounds[r + 1]], and graph i the lengths[i] rows from row first[i]. An
+    int index gives one graph as a ChainedGraph; a slice or an index
+    array gives the chosen graphs, in order, as a GraphSet on the same
+    buffer."""
 
     buffer: np.ndarray  # flat uint8
     p: int
-    starts: np.ndarray  # (G,) int64 byte offsets into buffer
+    bounds: np.ndarray  # (V + 1,) int64 byte offsets into buffer
+    first: np.ndarray  # (G,) int64 row indices
     lengths: np.ndarray  # (G,) int64 vertex counts
     labels: np.ndarray  # (G,) int64
+
+    @classmethod
+    def from_widths(cls, buffer: np.ndarray, p: int, widths: np.ndarray,
+                    lengths, labels) -> "GraphSet":
+        """Graphs of the rows, widths[r] stored bytes each, back to back
+        in buffer: the first lengths[0] rows are graph 0, and so on."""
+        bounds = np.zeros(widths.size + 1, dtype=np.int64)
+        np.cumsum(widths, dtype=np.int64, out=bounds[1:])
+        lengths = np.asarray(lengths, dtype=np.int64)
+        return cls(buffer=buffer, p=p, bounds=bounds,
+                   first=np.cumsum(lengths) - lengths, lengths=lengths,
+                   labels=np.asarray(labels, dtype=np.int64))
+
+    @classmethod
+    def from_padded(cls, rows: np.ndarray, lengths, labels) -> "GraphSet":
+        """Graphs of the (V, p) byte rows, lengths[i] consecutive rows
+        per graph; each row is stored up to its last nonzero byte."""
+        rows = np.asarray(rows, dtype=np.uint8)
+        p = rows.shape[1]
+        nonzero = rows != 0
+        widths = np.where(nonzero.any(axis=1),
+                          p - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        return cls.from_widths(rows[np.arange(p) < widths[:, None]], p,
+                               widths, lengths, labels)
 
     def __len__(self) -> int:
         return self.lengths.size
 
     def __getitem__(self, idx):
         if isinstance(idx, (int, np.integer)):
-            start, n = int(self.starts[idx]), int(self.lengths[idx])
-            rows = self.buffer[start:start + n * self.p].reshape(n, self.p)
-            rows.setflags(write=False)
-            return ChainedGraph(features=rows, label=int(self.labels[idx]))
-        return GraphSet(buffer=self.buffer, p=self.p, starts=self.starts[idx],
-                        lengths=self.lengths[idx], labels=self.labels[idx])
+            lo = self.first[idx]
+            bounds = self.bounds[lo:lo + self.lengths[idx] + 1]
+            return ChainedGraph(data=self.buffer[bounds[0]:bounds[-1]],
+                                widths=np.diff(bounds), p=self.p,
+                                label=int(self.labels[idx]))
+        return GraphSet(buffer=self.buffer, p=self.p, bounds=self.bounds,
+                        first=self.first[idx], lengths=self.lengths[idx],
+                        labels=self.labels[idx])
 
     def __iter__(self) -> Iterator[ChainedGraph]:
         return (self[i] for i in range(len(self)))
+
+    def packed(self, pad: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The graphs' rows in order: their stored bytes back to back, then
+        pad zero bytes (a view of the buffer when the graphs lie in it in
+        that order and pad is 0, else a copy), and each row's width."""
+        lo = self.bounds[self.first]
+        hi = self.bounds[self.first + self.lengths]
+        if len(self) and (lo[1:] == hi[:-1]).all():  # one run of bytes
+            spans = [self.buffer[lo[0]:hi[-1]]]
+        else:
+            spans = [self.buffer[a:b]
+                     for a, b in zip(lo.tolist(), hi.tolist())]
+        data = spans[0] if len(spans) == 1 and not pad else np.concatenate(
+            [*spans, np.zeros(pad, dtype=np.uint8)])
+        row = np.repeat(self.first - (np.cumsum(self.lengths) - self.lengths),
+                        self.lengths) + np.arange(self.lengths.sum())
+        return data, self.bounds[row + 1] - self.bounds[row]
 
 
 @dataclass
@@ -131,13 +186,13 @@ def propagation_matrix(n: int) -> np.ndarray:
 
 @dataclass
 class BatchedGraph:
-    """Several graphs packed into one feature matrix for a forward pass.
+    """Several graphs packed for one forward pass: their rows' stored
+    bytes back to back, then p zero bytes, each row's width, and each
+    graph's vertex count, so pooling can find its rows again."""
 
-    Vertex rows of consecutive graphs are stacked; lengths give each
-    graph's vertex count so pooling can find its rows again.
-    """
-
-    features: np.ndarray  # (N_total, p) uint8
+    rows: np.ndarray  # flat uint8
+    widths: np.ndarray  # (N_total,) int64
+    p: int
     lengths: np.ndarray  # (B,) int64
     labels: np.ndarray  # (B,) int64
     prop: ChainPropagation
@@ -156,13 +211,14 @@ class BatchedGraph:
 
 def batch_graphs(graphs: GraphSet, idx=slice(None)) -> BatchedGraph:
     """The graphs idx picks (default all), in that order, as one batch
-    with a block propagation matrix. The graphs' byte rows are copied
-    into one matrix; the model casts only the columns it multiplies."""
+    with a block propagation matrix. Only the graphs' stored bytes are
+    copied; the model reads each row's padding from its width."""
     chosen = graphs[idx]
     prop = ChainPropagation.for_batch(chosen.lengths)  # raises if empty
-    features = np.concatenate([graph.features for graph in chosen])
-    return BatchedGraph(features=features, lengths=chosen.lengths,
-                        labels=chosen.labels, prop=prop)
+    rows, widths = chosen.packed(pad=chosen.p)
+    return BatchedGraph(rows=rows, widths=widths, p=chosen.p,
+                        lengths=chosen.lengths, labels=chosen.labels,
+                        prop=prop)
 
 
 def split_dataset(graphs: GraphSet, seed: int = 0,

@@ -1,8 +1,9 @@
 """Small helpers shared by the binary file formats.
 
-Both on-disk formats are little-endian streams of u32 fields, length-
-prefixed UTF-8 strings, and raw arrays. Files are written to a temporary
-sibling and renamed into place so readers never observe half a file.
+Both on-disk formats are little-endian streams of u32 and u64 fields,
+length-prefixed UTF-8 strings, and raw arrays. Files are written to a
+temporary sibling and renamed into place so readers never observe half
+a file.
 """
 
 from __future__ import annotations
@@ -73,6 +74,14 @@ class ByteWriter:
             raise ValueError(f"value {value} does not fit in u32")
         self._handle.write(struct.pack("<I", value))
 
+    def u64(self, value: int) -> None:
+        self._handle.write(struct.pack("<Q", value))
+
+    def u32_array(self, values: np.ndarray) -> None:
+        if values.size and not 0 <= values.min() <= values.max() < 2 ** 32:
+            raise ValueError("values do not fit in u32")
+        self._handle.write(values.astype("<u4"))
+
     def utf8(self, text: str) -> None:
         data = text.encode("utf-8")
         self.u32(len(data))
@@ -84,7 +93,7 @@ class ByteWriter:
 
 class ByteReader:
     """Walks a byte string, raising CorruptFile on any overrun. raw()
-    returns a view into the string, not a copy; skip() only its offset."""
+    returns a view into the string, not a copy."""
 
     def __init__(self, data: bytes) -> None:
         self._data = memoryview(data)
@@ -94,22 +103,24 @@ class ByteReader:
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
-    def skip(self, count: int) -> int:
-        """Step over count bytes; returns the offset of the first."""
+    def raw(self, count: int) -> memoryview:
         if count < 0 or count > self.remaining:
             raise CorruptFile(
                 f"need {count} bytes at offset {self._pos}, "
                 f"have {self.remaining}")
         self._pos += count
-        return self._pos - count
-
-    def raw(self, count: int) -> memoryview:
-        start = self.skip(count)
-        return self._data[start:start + count]
+        return self._data[self._pos - count:self._pos]
 
     def u32(self) -> int:
         (value,) = struct.unpack("<I", self.raw(4))
         return value
+
+    def u64(self) -> int:
+        (value,) = struct.unpack("<Q", self.raw(8))
+        return value
+
+    def u32_array(self, count: int) -> np.ndarray:
+        return np.frombuffer(self.raw(4 * count), dtype="<u4")
 
     def header(self, magic: bytes, version: int, kind: str) -> None:
         """Check a file's magic and format version; kind names the file

@@ -6,10 +6,10 @@ matrix and k = ModelDims.hops, the same for every layer; projecting
 before propagating keeps S at the hidden width, and S is a fixed linear
 map, so the order does not change the result. The first layer's X is a
 batch's packet bytes, multiplied in width buckets (WIDTH_STEP) so that
-the zero bytes past a packet's end are neither cast nor multiplied.
-Pooling averages (or maxes, or sums) each graph's vertex rows; the head
-computes softmax(y W + b). Checkpoints (magic "CGM1") store the
-dimensions, the label names, and the float32 weights.
+the zero bytes past a packet's end are neither stored, cast nor
+multiplied. Pooling averages (or maxes, or sums) each graph's vertex
+rows; the head computes softmax(y W + b). Checkpoints (magic "CGM1")
+store the dimensions, the label names, and the float32 weights.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigError, CorruptFile, DimsMismatch, EmptyDataset,
                      NonFiniteInput)
@@ -150,31 +151,30 @@ def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
     return prop.apply(x @ theta, k)
 
 
-def bucket_pieces(rows: np.ndarray, dtype, standardize: bool,
+def bucket_pieces(batch: BatchedGraph, dtype, standardize: bool,
                   ) -> list[tuple[np.ndarray | slice, np.ndarray]]:
-    """The first layer's input: the (N, p) byte rows split by width. Per
+    """The first layer's input: the batch's rows split by width. Per
     nonempty bucket, narrowest first, its row indices (slice(None) when
     it holds every row) and its rows' first `edge` columns cast to dtype
-    (and divided by 255 if standardize). A row's width is the end of its
-    last nonzero 4-byte word, or p when one of the p mod 4 tail bytes is
-    nonzero; its bucket is the first edge at or past that width."""
-    n, p = rows.shape
+    (and divided by 255 if standardize). A row's bucket is the first
+    edge at or past its width. A row is read as the `edge` bytes from its
+    start; those past its width, all in the last WIDTH_STEP, are zeroed."""
+    p, widths = batch.p, batch.widths
     count = -(-p // WIDTH_STEP)  # the last edge is p
-    bucket = np.full(n, count)
-    if count > 1:
-        words = p // 4
-        nonzero = rows[:, :4 * words].view(np.uint32) != 0
-        back = np.argmax(nonzero[:, ::-1], axis=1)  # words after the last
-        width = 4 * (words - back)
-        width[~nonzero[np.arange(n), words - 1 - back]] = 0  # all zero
-        if p % 4:
-            width[rows[:, 4 * words:].any(axis=1)] = p
-        bucket = np.clip(-(-width // WIDTH_STEP), 1, count)
+    bucket = np.clip(-(-widths // WIDTH_STEP), 1, count)
     present = np.flatnonzero(np.bincount(bucket))
+    windows = sliding_window_view(batch.rows, p)  # p bytes from each offset
+    starts = np.cumsum(widths) - widths
+    keep = np.tri(WIDTH_STEP + 1, WIDTH_STEP, -1, dtype=np.uint8)  # j ones
     pieces = []
-    for k in present:
+    for k in present.tolist():
+        edge, low = min(k * WIDTH_STEP, p), (k - 1) * WIDTH_STEP
         idx = np.flatnonzero(bucket == k) if present.size > 1 else slice(None)
-        x = rows[idx, :min(int(k) * WIDTH_STEP, p)].astype(dtype)
+        x = windows[starts[idx], :edge]
+        width = widths[idx]
+        if width.min() < edge:
+            x[:, low:] *= keep[width - low, :edge - low]
+        x = x.astype(dtype)
         if standardize:
             x /= dtype.type(255)
         pieces.append((idx, x))
@@ -266,11 +266,10 @@ def forward(model: CgnnModel, batch: BatchedGraph,
     """Run the network over a batch. The per-layer inputs and
     pre-activations the backward pass reads are kept only for_backward."""
     dims = model.dims
-    if batch.features.shape[1] != dims.p:
-        raise DimsMismatch(
-            f"batch has feature length {batch.features.shape[1]}, "
-            f"model expects {dims.p}")
-    x = bucket_pieces(batch.features, model.W.dtype, dims.standardize)
+    if batch.p != dims.p:
+        raise DimsMismatch(f"batch has feature length {batch.p}, "
+                           f"model expects {dims.p}")
+    x = bucket_pieces(batch, model.W.dtype, dims.standardize)
 
     cache = ForwardCache()
     # Overflow to inf, and the inf * 0 it meets in propagation, are

@@ -8,7 +8,8 @@ map onto the same key). Each packet is cleaned before use: the Ethernet
 header is removed, the IP source and destination addresses are zeroed,
 the UDP header is padded with zeros to the 20-byte TCP header length,
 and packets with no transport payload are discarded. The surviving
-bytes are cut or zero-padded to a fixed length p.
+bytes are cut to a fixed length p, and each row is kept only up to its
+last nonzero byte: its zero padding to p is implied.
 """
 
 from __future__ import annotations
@@ -247,44 +248,58 @@ def graphs_from_records(data: bytes, label: int, p: int,
                                              counts)  # within its session
     kept = kept[place < np.repeat(keep, counts)]
 
-    features = np.zeros((kept.size, p), dtype=np.uint8)
-    _fill_rows(features, data, ip[kept], header_len[kept],
-               transport_len[kept], protocol[kept] == PROTO_UDP)
-    features[:, 12:20] = 0  # anonymize source and destination
+    buffer, widths = _fill_rows(data, ip[kept], header_len[kept],
+                                transport_len[kept],
+                                protocol[kept] == PROTO_UDP, p)
 
     emitted = keep > 0
     lengths = keep[emitted]
     begins = np.cumsum(lengths) - lengths
     head = kept[begins]  # each emitted session's first kept packet
     keys = np.stack([low[head], high[head], protocol[head]], axis=1)
-    graphs = GraphSet(buffer=features.reshape(-1), p=p, starts=begins * p,
-                      lengths=lengths,
-                      labels=np.full(lengths.size, label, dtype=np.int64))
+    graphs = GraphSet.from_widths(buffer, p, widths, lengths,
+                                  np.full(lengths.size, label))
     stats.sessions = len(graphs)
     stats.vertices = kept.size
     return graphs, keys, stats
 
 
-def _fill_rows(features: np.ndarray, data: bytes, ip: np.ndarray,
-               header_len: np.ndarray, transport_len: np.ndarray,
-               udp: np.ndarray) -> None:
-    """Copy each packet's cleaned bytes, cut to p, into its row: the IPv4
-    header (addresses still in place) and the whole TCP segment in one
-    copy; for UDP the header and the 8-byte UDP header, then the payload
-    after 12 zero bytes (the zeros are already there)."""
-    p = features.shape[1]
-    row = np.arange(ip.size, dtype=np.int64) * p
-    head = np.minimum(np.where(udp, header_len + UDP_HEADER_LEN,
-                               header_len + transport_len), p)
-    tail = np.where(udp, np.minimum(p - header_len - TCP_HEADER_LEN,
-                                    transport_len - UDP_HEADER_LEN), 0)
+def _fill_rows(data: bytes, ip: np.ndarray, header_len: np.ndarray,
+               transport_len: np.ndarray, udp: np.ndarray, p: int,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Each packet's cleaned row cut to p, up to its last nonzero byte,
+    back to back, and each row's width. A row is the IPv4 header, its
+    addresses zeroed, and the whole TCP segment in one copy; or the IPv4
+    and UDP headers, 12 zero bytes (already there) and the payload."""
+    width = np.minimum(header_len + transport_len
+                       + (TCP_HEADER_LEN - UDP_HEADER_LEN) * udp, p)
+    ends = np.cumsum(width)
+    row = ends - width
+    buffer = np.zeros(width.sum(), dtype=np.uint8)
+    head = np.where(udp, np.minimum(header_len + UDP_HEADER_LEN, width),
+                    width)
+    tail = np.where(udp, width - header_len - TCP_HEADER_LEN, 0)
     second = np.flatnonzero(tail > 0)
     dst = np.concatenate([row, row[second] + header_len[second]
                           + TCP_HEADER_LEN])
     src = np.concatenate([ip, ip[second] + header_len[second]
                           + UDP_HEADER_LEN])
     count = np.concatenate([head, tail[second]])
-    out = memoryview(features.reshape(-1))
+    out = memoryview(buffer)
     capture = memoryview(data)
     for d, s, c in zip(dst.tolist(), src.tolist(), count.tolist()):
         out[d:d + c] = capture[s:s + c]
+    address = np.arange(12, 20)  # source and destination
+    buffer[(row[:, None] + address)[address < width[:, None]]] = 0
+
+    # The few rows ending in a zero byte are cut back to their last
+    # nonzero one (byte 0, the IP version, is not), and the rows after
+    # each cut move down in place.
+    trimmed = np.flatnonzero(buffer[ends - 1] == 0).tolist()
+    for r in trimmed:
+        width[r] = np.flatnonzero(buffer[row[r]:ends[r]])[-1] + 1
+    new_ends = np.cumsum(width)
+    for r, last in zip(trimmed, [*trimmed[1:], width.size - 1]):
+        size = new_ends[last] - new_ends[r]
+        buffer[new_ends[r]:new_ends[last]] = buffer[ends[r]:ends[r] + size]
+    return buffer[:width.sum()], width

@@ -73,8 +73,7 @@ def backward(model: CgnnModel, batch: BatchedGraph,
     elif dims.pooling == "sum":
         dx = np.repeat(dpooled, batch.lengths, axis=0)
     else:  # max: only the winning vertex of each feature gets gradient
-        dx = np.zeros((batch.features.shape[0], dpooled.shape[1]),
-                      dtype=dpooled.dtype)
+        dx = np.zeros((batch.prop.n, dpooled.shape[1]), dtype=dpooled.dtype)
         dx[cache.pool_winners, np.arange(dpooled.shape[1])] = dpooled
 
     dthetas: list[np.ndarray | None] = [None] * len(model.thetas)

@@ -78,19 +78,29 @@ def pcap_bytes(frames: list[bytes], *, magic: int = 0xA1B2C3D4,
 
 def graph_set(features: list[np.ndarray], labels: list[int],
               p: int | None = None):
-    """A GraphSet of the given (n, p) uint8 matrices and labels, their
-    rows packed back to back in one buffer; p is needed only when there
-    are no graphs."""
+    """A GraphSet of the given (n, p) uint8 matrices and labels, built by
+    GraphSet.from_padded from their rows stacked in order; p is needed
+    only when there are no graphs."""
     from cgnn.graph import GraphSet
 
     p = features[0].shape[1] if features else p
-    lengths = np.array([f.shape[0] for f in features], dtype=np.int64)
-    buffer = np.concatenate([np.asarray(f, np.uint8).reshape(-1)
-                             for f in features] or [np.zeros(0, np.uint8)])
-    return GraphSet(buffer=buffer, p=p,
-                    starts=(np.cumsum(lengths) - lengths) * p,
-                    lengths=lengths,
-                    labels=np.array(labels, dtype=np.int64).reshape(-1))
+    rows = np.concatenate([np.asarray(f, np.uint8) for f in features]
+                          or [np.zeros((0, p), np.uint8)])
+    return GraphSet.from_padded(rows, [f.shape[0] for f in features],
+                                np.array(labels, dtype=np.int64).reshape(-1))
+
+
+def batch_rows(batch) -> np.ndarray:
+    """A batch's (N, p) byte rows, each its stored bytes then zeros;
+    checks that the p bytes after the last row are zeros."""
+    from cgnn.graph import GraphSet
+
+    stored = batch.widths.sum()
+    assert batch.rows.size == stored + batch.p
+    assert not batch.rows[stored:].any()
+    (graph,) = GraphSet.from_widths(batch.rows[:stored], batch.p,
+                                    batch.widths, [batch.widths.size], [0])
+    return graph.features
 
 
 def random_graphs(rng: np.random.Generator, count: int, p: int,

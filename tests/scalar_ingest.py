@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cgnn.graph import ChainedGraph
+from cgnn.graph import ChainedGraph, GraphSet
 from cgnn.preprocess import FiveTuple, IngestStats
 
 ETHERNET_HEADER_LEN = 14
@@ -220,7 +220,7 @@ def graphs_from_frames(frames: list[bytes], label: int, p: int,
             continue
         rows = np.stack([vectorize(packet, p) for packet in cleaned])
         keep = math.ceil(fraction * len(rows))
-        graph = ChainedGraph(features=rows[:keep], label=label)
+        (graph,) = GraphSet.from_padded(rows[:keep], [keep], [label])
         graphs.append(graph)
         keys.append(key)
         stats.sessions += 1

@@ -19,7 +19,8 @@ from cgnn.errors import ConfigError
 from cgnn.graph import split_dataset
 from cgnn.model import CHECKPOINT_VERSION, ModelDims, load_checkpoint
 
-from conftest import arp_frame, pcap_bytes, tcp_frame, udp_frame
+from conftest import (arp_frame, ethernet, ipv4, pcap_bytes, tcp, tcp_frame,
+                      udp_frame)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -231,6 +232,27 @@ def test_preprocess_builds_a_dataset(tmp_path, capsys):
     assert all(g.n == 3 for g in dataset.graphs)
     assert "label chat (id 0)" in captured.out
     assert "wrote 6 graphs" in captured.out
+
+
+def test_preprocess_prints_skipped_frames_by_reason(tmp_path, capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    (root / "mail" / "noise.pcap").write_bytes(pcap_bytes([
+        arp_frame(),  # not IPv4
+        ethernet(ipv4(b"\x08\x00\x00\x00", 1)),  # ICMP
+        ethernet(ipv4(tcp(b"data"), 6, frag=0x0010)),  # a later fragment
+        ethernet(b"\x45\x00"),  # an IPv4 header cut short
+        tcp_frame(b"kept")]))
+    assert main(["preprocess", str(root), str(tmp_path / "data.cgd1"),
+                 "--p", "64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    total = next(i for i, line in enumerate(lines)
+                 if line.startswith("total: "))
+    assert lines[total].endswith(", skipped 4 frames, discarded 0 empty "
+                                 "packets, dropped 0 empty sessions, "
+                                 "dropped 0 DNS packets")
+    assert lines[total + 1] == ("skipped frames by reason: 1 non-IPv4, "
+                                "1 non-TCP/UDP, 1 fragments, 1 malformed")
 
 
 def test_preprocess_builds_no_session_key(tmp_path, capsys,
@@ -976,9 +998,18 @@ def test_inspect_dataset(trained, capsys):
     assert main(["inspect", str(data)]) == 0
     captured = capsys.readouterr().out
     assert "dataset: feature length 64, 2 classes, 24 graphs" in captured
+    # 72 rows of 20 + 20 + 40 bytes, each cut to p
+    assert "rows: 72, stored in 4608 bytes of 72 x 64 = 4608" in captured
     assert "label chat (id 0): 12 graphs" in captured
     assert "vertex-count histogram:" in captured
     assert "  3: 24" in captured
+    wide = data.parent / "wide.cgd1"
+    assert main(["preprocess", str(data.parent / "captures"), str(wide),
+                 "--p", "128"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(wide)]) == 0
+    assert "rows: 72, stored in 5760 bytes of 72 x 128 = 9216" \
+        in capsys.readouterr().out
 
 
 def test_inspect_checkpoint(trained, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def test_label_name_order_preserved():
 def test_file_starts_with_magic_and_version():
     raw = small_dataset().to_bytes()
     assert raw[:4] == DATASET_MAGIC
-    assert struct.unpack_from("<I", raw, 4)[0] == 1
+    assert struct.unpack_from("<I", raw, 4)[0] == 2
 
 
 def test_save_and_load_file(tmp_path):
@@ -79,10 +80,12 @@ def test_load_views_features_and_copies_weights(tmp_path):
     path = tmp_path / "sample.cgd1"
     data = small_dataset()
     save_dataset([data.graphs], path, data.label_names, 4)
-    loaded = load_dataset(path).graphs
-    assert loaded.buffer.size == path.stat().st_size  # the file's bytes
+    raw = path.read_bytes()
+    loaded = parse_dataset(raw).graphs
+    # the buffer is the file's rows block, not a copy of it
+    assert np.shares_memory(loaded.buffer, np.frombuffer(raw, np.uint8))
+    assert loaded.buffer.tobytes() == bytes(range(1, 13))
     for graph in loaded:
-        assert not graph.features.flags.owndata
         assert not graph.features.flags.writeable
     model = init_model(ModelDims(p=4, d1=3, d2=2, m=2), seed=0)
     save_checkpoint(model, ["chat", "mail"], tmp_path / "model.cgm1")
@@ -142,23 +145,89 @@ def test_rejects_zero_feature_width():
         parse_dataset(bytes(raw))
 
 
-# Offset of the first graph record: magic, version, p, num_classes,
-# two length-prefixed names, num_graphs.
-FIRST_GRAPH_OFFSET = 4 + 4 + 4 + 4 + (4 + 4) + (4 + 4) + 4
+def trailer_offsets(raw: bytes, num_graphs: int, num_rows: int):
+    """Where a file's labels, lengths and widths columns begin."""
+    labels = len(raw) - 4 * (2 * num_graphs + num_rows)
+    return labels, labels + 4 * num_graphs, labels + 8 * num_graphs
 
 
 def test_rejects_zero_vertex_graph():
     raw = bytearray(small_dataset().to_bytes())
-    struct.pack_into("<I", raw, FIRST_GRAPH_OFFSET + 4, 0)
+    _, lengths, _ = trailer_offsets(raw, 2, 3)
+    struct.pack_into("<II", raw, lengths, 0, 3)  # the row count still adds up
     with pytest.raises(CorruptFile, match="graph 0 has zero vertices"):
         parse_dataset(bytes(raw))
 
 
 def test_rejects_label_id_beyond_class_count():
     raw = bytearray(small_dataset().to_bytes())
-    struct.pack_into("<I", raw, FIRST_GRAPH_OFFSET, 7)
+    labels, _, _ = trailer_offsets(raw, 2, 3)
+    struct.pack_into("<I", raw, labels, 7)
     with pytest.raises(CorruptFile, match="graph 0 has label 7"):
         parse_dataset(bytes(raw))
+
+
+def narrow_dataset_bytes() -> bytes:
+    """Rows of widths 2, 4 and 1 (p = 4): a 7-byte rows block at
+    offset 44, then labels, lengths and widths."""
+    graphs = graph_set([np.array([[1, 2, 0, 0]], dtype=np.uint8),
+                        np.array([[5, 6, 7, 8], [9, 0, 0, 0]],
+                                 dtype=np.uint8)], [0, 1])
+    return Dataset(graphs=graphs, label_names=["chat", "mail"]).to_bytes()
+
+
+def v1_dataset_bytes() -> bytes:
+    """The small dataset as version 1 wrote it: a header per graph."""
+    head = b"CGD1" + struct.pack("<III", 1, 4, 2)
+    names = b"".join(struct.pack("<I", len(n)) + n for n in (b"chat", b"mail"))
+    return head + names + struct.pack("<I", 2) \
+        + struct.pack("<II", 0, 1) + bytes([1, 2, 3, 4]) \
+        + struct.pack("<II", 1, 2) + bytes(range(5, 13))
+
+
+def patched(fmt: str, offset: int, *values):
+    def patch(raw: bytearray) -> None:
+        struct.pack_into(fmt, raw, offset if offset >= 0 else
+                         len(raw) + offset, *values)
+    return patch
+
+
+# counts at offsets 32 (graphs) and 36 (row bytes, u64); the trailer's
+# last 28 bytes: labels, lengths, widths
+@pytest.mark.parametrize("patch, message", [
+    (patched("<I", 32, 0xFFFFFFFF), r"need \d+ bytes at offset"),
+    (patched("<Q", 36, 2 ** 64 - 1), r"need \d+ bytes at offset"),
+    (patched("<II", -20, 0xFFFFFFFF, 2), r"need \d+ bytes at offset"),
+    (patched("<II", -20, 1, 1), "4 trailing bytes"),
+    (patched("<III", -12, 2, 5, 0), "row 1 stores 5 bytes, feature length "
+                                    "is 4"),
+    (patched("<III", -12, 2, 4, 2), "row widths sum to 8 bytes, rows block "
+                                    "holds 7"),
+    (patched("<II", -20, 0, 3), "graph 0 has zero vertices"),
+    (patched("<I", -24, 2), "graph 1 has label 2, file declares 2 classes"),
+], ids=["graphs past the end", "rows block past the end",
+        "rows past the end", "rows short of the end", "width above p",
+        "widths past the block", "zero-vertex graph",
+        "label beyond the classes"])
+def test_rejects_a_corrupt_trailer_before_sizing_any_array(patch, message):
+    raw = bytearray(narrow_dataset_bytes())
+    assert len(raw) == 44 + 7 + 4 * (2 + 2 + 3)
+    parse_dataset(bytes(raw))  # valid as written
+    patch(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptFile, match=message):
+            parse_dataset(bytes(raw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # nothing sized by a declared count
+
+
+def test_rejects_a_version_1_file():
+    with pytest.raises(CorruptFile,
+                       match="dataset version 1, this build reads 2"):
+        parse_dataset(v1_dataset_bytes())
 
 
 def test_save_streams_parts_in_order_and_patches_the_count(tmp_path, rng):

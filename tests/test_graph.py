@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from cgnn.graph import (ChainPropagation, batch_graphs, propagation_matrix,
                         split_dataset)
 from cgnn.preprocess import graphs_from_records
 
-from conftest import graph_set, pcap_bytes, random_graphs, tcp_frame
+from conftest import (batch_rows, graph_set, pcap_bytes, random_graphs,
+                      tcp_frame)
 
 
 def dense_propagation_oracle(n: int) -> np.ndarray:
@@ -166,7 +168,7 @@ def test_truncation_copies_no_cut_row():
         pcap_bytes([tcp_frame(bytes([i + 1])) for i in range(10)]
                  + [tcp_frame(b"u", sport=40001)]), 0, 48, 0.3)
     assert graphs.lengths.tolist() == [3, 1]
-    assert graphs.buffer.size == 4 * 48
+    assert graphs.buffer.size == 4 * 41  # 20 + 20 + 1 bytes in each row
     assert stats.vertices == 4
 
 
@@ -182,14 +184,27 @@ def test_graph_set_indexing_shares_the_buffer(rng):
     assert [g.n for g in graphs[1:3]] == graphs.lengths[1:3].tolist()
 
 
+def test_iterating_for_vertex_counts_builds_no_rows(rng):
+    graphs = graph_set([rng.integers(1, 256, (8, 1500)).astype(np.uint8)
+                        for _ in range(40)], [0] * 40)
+    tracemalloc.start()
+    try:
+        vertices = sum(g.n for g in graphs)
+        labels = [g.label for g in graphs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vertices == 320 and labels == [0] * 40
+    assert peak < 8 * 1500  # one graph's (n, p) rows would take that
+
+
 # --- batching ---------------------------------------------------------------
 
 def test_batch_single_graph_matches_it(rng):
     graphs = random_graphs(rng, 1, p=6)
     graph = graphs[0]
     batch = batch_graphs(graphs)
-    assert np.array_equal(batch.features,
-                          graph.features.astype(np.float32))
+    assert np.array_equal(batch_rows(batch), graph.features)
     assert batch.lengths.tolist() == [graph.n]
     assert batch.labels.tolist() == [graph.label]
     assert np.array_equal(batch.prop.dense(), propagation_matrix(graph.n))
@@ -208,16 +223,16 @@ def test_batch_of_32_graphs(rng):
     batch = batch_graphs(graphs)
     assert batch.size == 32
     assert batch.offsets.shape == (33,)
-    assert batch.features.shape[0] == graphs.lengths.sum()
+    assert batch.widths.size == graphs.lengths.sum()
 
 
 def test_batch_slicing_reproduces_inputs_exactly(rng):
     graphs = random_graphs(rng, 10, p=7)
     batch = batch_graphs(graphs)
-    offsets = batch.offsets
+    offsets, rows = batch.offsets, batch_rows(batch)
     for i, graph in enumerate(graphs):
-        rows = batch.features[offsets[i]:offsets[i + 1]]
-        assert np.array_equal(rows, graph.features.astype(np.float32))
+        assert np.array_equal(rows[offsets[i]:offsets[i + 1]],
+                              graph.features)
 
 
 def test_batch_takes_the_chosen_graphs_in_order(rng):
@@ -225,8 +240,8 @@ def test_batch_takes_the_chosen_graphs_in_order(rng):
     idx = np.array([7, 2, 9])
     batch = batch_graphs(graphs, idx)
     assert batch.labels.tolist() == graphs.labels[idx].tolist()
-    assert np.array_equal(batch.features, np.concatenate(
-        [graphs[i].features for i in idx.tolist()]).astype(np.float32))
+    assert np.array_equal(batch_rows(batch), np.concatenate(
+        [graphs[i].features for i in idx.tolist()]))
 
 
 def test_batch_rejects_empty_list(rng):

@@ -20,7 +20,7 @@ from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims,
                         predict_probs, relu, save_checkpoint, sgc_layer,
                         softmax)
 
-from conftest import (bucket_widths, graph_set, random_graphs,
+from conftest import (batch_rows, bucket_widths, graph_set, random_graphs,
                       zero_tailed_graphs)
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2)
@@ -311,7 +311,7 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
     model = init_model(ModelDims(p=27, d1=5, d2=4, m=2), seed=0)
     batch = batch_graphs(zero_tailed_graphs(rng, bucket_widths(27, 8), 27,
                                             count=3))
-    n = batch.features.shape[0]
+    n = batch.widths.size
     cache = forward(model, batch)
     assert len(cache.hop_inputs) == 2
     # The first layer keeps its input as float pieces, one per width
@@ -326,7 +326,7 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
         scattered[idx, :piece.shape[1]] = piece
         seen[idx] += 1
     assert seen.tolist() == [1] * n
-    assert np.array_equal(scattered, batch.features.astype(np.float32))
+    assert np.array_equal(scattered, batch_rows(batch).astype(np.float32))
     assert cache.hop_inputs[1].shape == (n, 5)
     assert len(cache.pre_acts) == 2
     assert cache.pre_acts[0].shape == (n, 5)
@@ -338,9 +338,10 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
 def test_bucketed_products_match_the_dense_ones(rng, p):
     step = cgnn.model.WIDTH_STEP
     graphs = zero_tailed_graphs(rng, bucket_widths(p, step) * 3, p)
-    rows = batch_graphs(graphs).features
+    batch = batch_graphs(graphs)
+    rows = batch_rows(batch)
     n, dense = rows.shape[0], rows.astype(np.float32)
-    pieces = bucket_pieces(rows, np.dtype(np.float32), False)
+    pieces = bucket_pieces(batch, np.dtype(np.float32), False)
     assert len(pieces) == -(-p // step)  # every bucket is reached
     theta = rng.standard_normal((p, 7)).astype(np.float32)
     want = dense @ theta
@@ -353,16 +354,69 @@ def test_bucketed_products_match_the_dense_ones(rng, p):
 
 
 def test_width_counts_every_nonzero_byte_of_a_row(monkeypatch):
-    # The word scan must see a lone nonzero byte at any place of its
-    # word, and the p mod 4 tail bytes past the last whole word.
+    # A row's width must see a lone nonzero byte at any place, the
+    # p mod 4 tail bytes included.
     monkeypatch.setattr(cgnn.model, "WIDTH_STEP", 4)
     p = 11
     rows = np.zeros((p + 1, p), dtype=np.uint8)
     rows[np.arange(p), np.arange(p)] = 1  # row i ends at byte i + 1
+    batch = batch_graphs(graph_set([rows], [0]))
     got = np.zeros(p + 1, dtype=int)
-    for idx, piece in bucket_pieces(rows, np.dtype(np.float32), False):
+    for idx, piece in bucket_pieces(batch, np.dtype(np.float32), False):
         got[idx] = piece.shape[1]
     assert got.tolist() == [4, 4, 4, 4, 8, 8, 8, 8, 11, 11, 11, 4]
+
+
+def scanned_pieces(rows: np.ndarray, dtype, standardize: bool, step: int):
+    """The first layer's pieces as a scan of padded (N, p) rows finds
+    them: a row's width is the end of its last nonzero 4-byte word, or p
+    when one of the p mod 4 tail bytes is nonzero."""
+    n, p = rows.shape
+    count = -(-p // step)
+    bucket = np.full(n, count)
+    if count > 1:
+        words = p // 4
+        nonzero = rows[:, :4 * words].view(np.uint32) != 0
+        back = np.argmax(nonzero[:, ::-1], axis=1)
+        width = 4 * (words - back)
+        width[~nonzero[np.arange(n), words - 1 - back]] = 0
+        if p % 4:
+            width[rows[:, 4 * words:].any(axis=1)] = p
+        bucket = np.clip(-(-width // step), 1, count)
+    present = np.flatnonzero(np.bincount(bucket))
+    pieces = []
+    for k in present:
+        idx = np.flatnonzero(bucket == k) if present.size > 1 else slice(None)
+        x = rows[idx, :min(int(k) * step, p)].astype(dtype)
+        if standardize:
+            x /= dtype.type(255)
+        pieces.append((idx, x))
+    return pieces
+
+
+@pytest.mark.parametrize("step", [4, 8, 256])
+@pytest.mark.parametrize("p", [1, 3, 4, 255, 256, 257, 1500])
+def test_pieces_from_stored_rows_equal_a_scan_of_padded_rows(
+        rng, monkeypatch, p, step):
+    monkeypatch.setattr(cgnn.model, "WIDTH_STEP", step)
+    widths = bucket_widths(p, step)
+    graphs = zero_tailed_graphs(rng, widths * 2, p, count=6)
+    for idx in (slice(None), rng.permutation(len(graphs))[:4]):
+        batch = batch_graphs(graphs, idx)
+        padded = np.concatenate([g.features for g in graphs[idx]])
+        for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+            for standardize in (False, True):
+                got = bucket_pieces(batch, dtype, standardize)
+                want = scanned_pieces(padded, dtype, standardize, step)
+                assert len(got) == len(want)
+                for (got_idx, got_x), (want_idx, want_x) in zip(got, want):
+                    if isinstance(want_idx, slice):
+                        assert got_idx == want_idx
+                    else:
+                        assert got_idx.tolist() == want_idx.tolist()
+                    assert got_x.dtype == want_x.dtype
+                    assert got_x.flags.c_contiguous
+                    assert got_x.tobytes() == want_x.tobytes()
 
 
 def test_multi_bucket_graphs_score_alike_alone_and_in_one_block(rng,

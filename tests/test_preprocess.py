@@ -196,6 +196,30 @@ def test_feature_length_below_the_headers(p):
     assert rows == [(tcp_clean + bytes(p))[:p], (udp_clean + bytes(p))[:p]]
 
 
+@pytest.mark.parametrize("p", [16, 26, 35, 41, 64, 1500])
+def test_rows_are_stored_up_to_their_last_nonzero_byte(p):
+    """Payloads ending in zero bytes, alone and in runs of rows, over
+    TCP and UDP: each row keeps its cleaned bytes, cut at p, up to the
+    last nonzero one, and the rows after a cut row stay whole."""
+    payloads = [(b"ab\0\0", 40000), (b"\0", 40000), (b"c", 40000),
+                (b"\0\0\0", None), (b"d\0", None), (b"e\0", 40001),
+                (b"f", 40001)]
+    frames = [udp_frame(payload) if sport is None
+              else tcp_frame(payload, sport=sport)
+              for payload, sport in payloads]
+    cleaned = [expected_udp_clean(payload) if sport is None
+               else expected_tcp_clean(payload, sport=sport)[:p]
+               for payload, sport in payloads]
+    graphs, _, _ = ingest(frames, p=p)
+    assert graphs.lengths.tolist() == [3, 2, 2]
+    data, widths = graphs.packed()
+    stored = [row[:p].rstrip(b"\0") for row in cleaned]
+    assert widths.tolist() == [len(row) for row in stored]
+    assert data.tobytes() == b"".join(stored)
+    assert np.concatenate([g.features for g in graphs]).tobytes() \
+        == b"".join((row[:p] + bytes(p))[:p] for row in cleaned)
+
+
 def test_last_frame_claiming_past_the_capture_end():
     """The last frame's IP total length points past the end of the
     capture bytes: what was captured is kept and nothing beyond the

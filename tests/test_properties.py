@@ -16,6 +16,7 @@ from cgnn.cli import (RunConfig, format_config, parse_config_file,
                       parse_config_text)
 from cgnn.dataset import Dataset, parse_dataset
 from cgnn.errors import ConfigError, CorruptFile
+from cgnn.graph import GraphSet
 from cgnn.model import (ModelDims, init_model, parse_checkpoint,
                         save_checkpoint, softmax)
 from cgnn.preprocess import FiveTuple, graphs_from_records, walk_pcap
@@ -94,6 +95,51 @@ def test_dataset_bytes_round_trip(shapes, p, names):
                         for n, _ in shapes], [label for _, label in shapes], p)
     raw = Dataset(graphs=graphs, label_names=names).to_bytes()
     assert parse_dataset(raw).to_bytes() == raw
+
+
+@st.composite
+def padded_rows_case(draw):
+    """(V, p) byte rows cut into graphs, with labels. Each row is all
+    zeros, p bytes wide (a nonzero last byte), or random bytes (zeros
+    among them) up to a drawn width and zeros past it."""
+    p = draw(st.sampled_from([1, 3, 4, 255, 256, 257, 1500]))
+    lengths = draw(st.lists(st.integers(1, 4), max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.integers(0, 4, (sum(lengths), p)).astype(np.uint8)
+    for row in rows:
+        kind = draw(st.sampled_from(["zero", "full", "cut"]))
+        if kind == "zero":
+            row[:] = 0
+        elif kind == "full":
+            row[-1] = draw(st.integers(1, 255))
+        else:
+            row[draw(st.integers(0, p)):] = 0
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(lengths),
+                           max_size=len(lengths)))
+    return rows, lengths, labels
+
+
+@given(padded_rows_case())
+@settings(deadline=None, max_examples=80)
+def test_padded_rows_round_trip_through_stored_rows_and_a_file(case):
+    rows, lengths, labels = case
+    p = rows.shape[1]
+    graphs = GraphSet.from_padded(rows, lengths, labels)
+    nonzero = [np.flatnonzero(row) for row in rows]
+    widths = [int(nz[-1]) + 1 if nz.size else 0 for nz in nonzero]
+    assert graphs.packed()[1].tolist() == widths
+    assert graphs.buffer.tobytes() == b"".join(
+        row[:w].tobytes() for row, w in zip(rows, widths))
+    raw = Dataset(graphs=graphs, label_names=["a", "b", "c"]).to_bytes()
+    parsed = parse_dataset(raw)
+    assert parsed.to_bytes() == raw
+    ends = np.cumsum(lengths)
+    for got in (graphs, parsed.graphs):
+        assert len(got) == len(lengths)
+        for graph, end, n, label in zip(got, ends, lengths, labels):
+            assert (graph.n, graph.label) == (n, label)
+            assert graph.features.shape == (n, p)
+            assert graph.features.tobytes() == rows[end - n:end].tobytes()
 
 
 @given(p=st.integers(1, 10_000), d1=st.integers(1, 10_000),
