@@ -5,8 +5,8 @@ Layer l computes relu(S^k (X theta_l)) where S is the chain propagation
 matrix and k = ModelDims.hops, the same for every layer; projecting
 before propagating keeps S at the hidden width, and S is a fixed linear
 map, so the order does not change the result. The first layer's X is a
-batch's packet bytes, multiplied in width buckets (WIDTH_STEP) so that
-the zero bytes past a packet's end are neither stored, cast nor
+batch's packet bytes / 255, multiplied in width buckets (WIDTH_STEP) so
+that the zero bytes past a packet's end are neither stored, cast nor
 multiplied. Pooling averages (or maxes, or sums) each graph's vertex
 rows; the head computes softmax(y W + b). Checkpoints (magic "CGM1")
 store the dimensions, the label names, and the float32 weights.
@@ -26,7 +26,7 @@ from .graph import BatchedGraph, GraphSet, batch_graphs
 from .ioutil import ByteReader, ByteWriter, atomic_write
 
 CHECKPOINT_MAGIC = b"CGM1"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 POOLING_KINDS = ("avg", "max", "sum")
 
@@ -57,7 +57,7 @@ class ModelDims:
     """Shape of the network. p is the per-packet feature length, d1/d2
     the hidden widths, m the number of classes, hops the propagation
     depth k of every layer. The field order is the order of a
-    checkpoint's shape header: ints and bools as u32, pooling as UTF-8."""
+    checkpoint's shape header: ints as u32, pooling as UTF-8."""
 
     p: int = 1500
     d1: int = 516
@@ -66,7 +66,6 @@ class ModelDims:
     layers: int = 2
     hops: int = 1
     pooling: str = "avg"
-    standardize: bool = False
 
     def validate(self) -> None:
         if self.p < 1:
@@ -151,14 +150,14 @@ def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
     return prop.apply(x @ theta, k)
 
 
-def bucket_pieces(batch: BatchedGraph, dtype, standardize: bool,
-                  ) -> list[tuple[np.ndarray | slice, np.ndarray]]:
+def bucket_pieces(batch: BatchedGraph,
+                  dtype) -> list[tuple[np.ndarray | slice, np.ndarray]]:
     """The first layer's input: the batch's rows split by width. Per
     nonempty bucket, narrowest first, its row indices (slice(None) when
     it holds every row) and its rows' first `edge` columns cast to dtype
-    (and divided by 255 if standardize). A row's bucket is the first
-    edge at or past its width. A row is read as the `edge` bytes from its
-    start; those past its width, all in the last WIDTH_STEP, are zeroed."""
+    and divided by 255. A row's bucket is the first edge at or past its
+    width. A row is read as the `edge` bytes from its start; those past
+    its width, all in the last WIDTH_STEP, are zeroed."""
     p, widths = batch.p, batch.widths
     count = -(-p // WIDTH_STEP)  # the last edge is p
     bucket = np.clip(-(-widths // WIDTH_STEP), 1, count)
@@ -175,8 +174,7 @@ def bucket_pieces(batch: BatchedGraph, dtype, standardize: bool,
         if width.min() < edge:
             x[:, low:] *= keep[width - low, :edge - low]
         x = x.astype(dtype)
-        if standardize:
-            x /= dtype.type(255)
+        x /= dtype.type(255)
         pieces.append((idx, x))
     return pieces
 
@@ -269,7 +267,7 @@ def forward(model: CgnnModel, batch: BatchedGraph,
     if batch.p != dims.p:
         raise DimsMismatch(f"batch has feature length {batch.p}, "
                            f"model expects {dims.p}")
-    x = bucket_pieces(batch, model.W.dtype, dims.standardize)
+    x = bucket_pieces(batch, model.W.dtype)
 
     cache = ForwardCache()
     # Overflow to inf, and the inf * 0 it meets in propagation, are
@@ -327,7 +325,7 @@ def save_checkpoint(model: CgnnModel, label_names: list[str],
             if type(f.default) is str:
                 w.utf8(value)
             else:
-                w.u32(int(value))
+                w.u32(value)
         for name in label_names:
             w.utf8(name)
         for arr in model.params():
@@ -344,8 +342,7 @@ def parse_checkpoint(data: bytes) -> Checkpoint:
     r = ByteReader(data)
     r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     dims = ModelDims(**{f.name: r.utf8() if type(f.default) is str
-                        else type(f.default)(r.u32())
-                        for f in fields(ModelDims)})
+                        else r.u32() for f in fields(ModelDims)})
     try:
         dims.validate()
     except ConfigError as exc:

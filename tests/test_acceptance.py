@@ -51,7 +51,7 @@ def test_criterion_1_propagation_matches_dense_oracle(capsys):
 
 def test_criterion_2_gradients_match_finite_differences(capsys):
     start = time.perf_counter()
-    dims = ModelDims(p=6, d1=5, d2=4, m=2, standardize=True)
+    dims = ModelDims(p=6, d1=5, d2=4, m=2)
     rng = np.random.default_rng(2024)
     worst = 0.0
     trials = 20
@@ -98,7 +98,7 @@ def test_criterion_4_overfits_patterned_sessions(capsys):
     graphs = graph_set(features, [i % 2 for i in range(200)])
     train, valid, test = (graphs[idx] for idx in split_dataset(graphs,
                                                                seed=0))
-    dims = ModelDims(p=64, d1=32, d2=16, m=2, standardize=True)
+    dims = ModelDims(p=64, d1=32, d2=16, m=2)
     config = TrainConfig(lr=0.01, batch_size=32, max_epochs=200,
                          patience=200, seed=0)
     model, run = fit(train, valid, dims, config)
@@ -209,8 +209,7 @@ def test_criterion_7_artifacts_round_trip_bit_exact(tmp_path, capsys):
                          m=int(rng.integers(2, 5)),
                          layers=int(rng.integers(1, 4)),
                          hops=int(rng.integers(1, 3)),
-                         pooling=("avg", "max", "sum")[trial % 3],
-                         standardize=bool(trial % 2))
+                         pooling=("avg", "max", "sum")[trial % 3])
         model = init_model(dims, seed=trial)
         names = [f"label-{i}" for i in range(dims.m)]
         first = tmp_path / f"a{trial}.cgm1"

@@ -89,7 +89,7 @@ def write_sessionless_label(root, name: str) -> None:
 # --- config handling ---------------------------------------------------------
 
 def test_config_text_round_trip():
-    cfg = RunConfig(p=64, lr=0.005, standardize=True, pooling="max")
+    cfg = RunConfig(p=64, lr=0.005, drop_dns=True, pooling="max")
     assert parse_config_text(format_config(cfg)) == cfg
 
 
@@ -111,7 +111,6 @@ d2 = 256
 layers = 2
 hops = 1
 pooling = avg
-standardize = false
 lr = 0.001
 batch_size = 32
 max_epochs = 400
@@ -145,7 +144,7 @@ def test_command_flags_match_the_readme_table(capsys):
         assert exit_info.value.code == 0
         flags = set(re.findall(r"--([\w-]+)", capsys.readouterr().out))
         flags -= {"help", "config"} | OWN_OPTIONS[command]
-        flags -= {"no-" + flag for flag in flags}  # --no-standardize
+        flags -= {"no-" + flag for flag in flags}  # --no-drop-dns
         assert flags == {k.replace("_", "-") for k in keys}, command
 
 
@@ -164,7 +163,7 @@ def test_readme_states_the_checkpoint_shape_in_field_order():
     text = " ".join(README.read_text(encoding="utf-8").split())
     shape = re.search(r"the model shape \((.*?)\)", text).group(1)
     stated = [name.strip() for part in shape.split(";")
-              for name in re.split(r" as | flag ", part)[0].split(",")]
+              for name in part.split(" as ")[0].split(",")]
     assert stated == [f.name for f in dataclasses.fields(ModelDims)]
 
 
@@ -205,8 +204,10 @@ def test_config_parser_rejects_junk():
         parse_config_text("just some words")
     with pytest.raises(ConfigError):
         parse_config_text("p = abc")
-    with pytest.raises(ConfigError):
-        parse_config_text("standardize = maybe")
+    with pytest.raises(ConfigError, match="drop_dns expects true or false"):
+        parse_config_text("drop_dns = maybe")
+    with pytest.raises(ConfigError, match="unknown key 'standardize'"):
+        parse_config_text("standardize = true")
 
 
 def test_all_fields_survive_formatting():
@@ -401,8 +402,7 @@ def test_preprocess_rejects_unknown_config_key(tmp_path, capsys):
 # --- train, evaluate, predict ------------------------------------------------
 
 TRAIN_FLAGS = ["--d1", "8", "--d2", "8", "--lr", "0.01",
-               "--batch-size", "4", "--max-epochs", "6", "--patience", "6",
-               "--standardize"]
+               "--batch-size", "4", "--max-epochs", "6", "--patience", "6"]
 
 
 @pytest.fixture
@@ -431,7 +431,7 @@ def test_train_writes_the_advertised_artifacts(trained):
     assert saved_text in captured  # the echo, saved
     assert not any(line.startswith("p ") for line in saved_text.splitlines())
     saved_config = parse_config_text(saved_text)
-    assert saved_config.d1 == 8 and saved_config.standardize is True
+    assert saved_config.d1 == 8 and saved_config.lr == 0.01
 
     history = (run / "history.csv").read_text().splitlines()
     assert history[0] == "epoch,train_loss,valid_loss,valid_accuracy"
@@ -441,7 +441,6 @@ def test_train_writes_the_advertised_artifacts(trained):
     checkpoint = load_checkpoint(checkpoint_path)
     assert checkpoint.label_names == ["chat", "mail"]
     assert checkpoint.model.dims.p == 64
-    assert checkpoint.model.dims.standardize is True
 
 
 def test_train_learns_the_separable_corpus(trained):
@@ -614,6 +613,17 @@ def test_train_refuses_the_retired_per_layer_hops(tmp_path, capsys):
         main(["train", "data.cgd1", str(run), "--k1", "1"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --k1" in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_train_refuses_the_retired_standardize_flags(tmp_path, capsys):
+    # Bytes are always divided by 255; standardize is no longer a key.
+    run = tmp_path / "run"
+    for flag in ("--standardize", "--no-standardize"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "data.cgd1", str(run), flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not run.exists()
 
 

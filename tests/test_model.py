@@ -31,9 +31,7 @@ def dense_forward_oracle(model: CgnnModel, graphs) -> np.ndarray:
     at a time: x = relu(S^k x theta) per layer, pool, softmax(y W + b)."""
     rows = []
     for graph in graphs:
-        x = graph.features.astype(np.float64)
-        if model.dims.standardize:
-            x = x / 255.0
+        x = graph.features.astype(np.float64) / 255.0
         from test_graph import dense_propagation_oracle
         s = dense_propagation_oracle(graph.n)
         for theta in model.thetas:
@@ -254,14 +252,12 @@ def test_forward_zero_features_uniform_output():
 
 def test_forward_matches_dense_oracle(rng):
     for pooling in ("avg", "max", "sum"):
-        for standardize in (False, True):
-            dims = ModelDims(p=6, d1=5, d2=4, m=3, pooling=pooling,
-                             standardize=standardize)
-            model = init_model(dims, seed=3)
-            graphs = random_graphs(rng, 8, p=6, num_classes=3)
-            got = forward(model, batch_graphs(graphs)).probs
-            expected = dense_forward_oracle(model, graphs)
-            assert np.abs(got - expected).max() <= 1e-5
+        dims = ModelDims(p=6, d1=5, d2=4, m=3, pooling=pooling)
+        model = init_model(dims, seed=3)
+        graphs = random_graphs(rng, 8, p=6, num_classes=3)
+        got = forward(model, batch_graphs(graphs)).probs
+        expected = dense_forward_oracle(model, graphs)
+        assert np.abs(got - expected).max() <= 1e-5
 
 
 def test_forward_three_layers_two_hops_matches_oracle(rng):
@@ -315,8 +311,8 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
     cache = forward(model, batch)
     assert len(cache.hop_inputs) == 2
     # The first layer keeps its input as float pieces, one per width
-    # bucket, that scatter back to the batch's bytes: not S X, and no
-    # (rows, p) float matrix.
+    # bucket, that scatter back to the batch's bytes over 255: not S X,
+    # and no (rows, p) float matrix.
     pieces = cache.hop_inputs[0]
     assert [piece.shape[1] for _, piece in pieces] == [8, 16, 24, 27]
     scattered = np.zeros((n, 27), dtype=np.float32)
@@ -326,7 +322,8 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
         scattered[idx, :piece.shape[1]] = piece
         seen[idx] += 1
     assert seen.tolist() == [1] * n
-    assert np.array_equal(scattered, batch_rows(batch).astype(np.float32))
+    assert np.array_equal(scattered, batch_rows(batch).astype(np.float32)
+                          / np.float32(255))
     assert cache.hop_inputs[1].shape == (n, 5)
     assert len(cache.pre_acts) == 2
     assert cache.pre_acts[0].shape == (n, 5)
@@ -340,8 +337,8 @@ def test_bucketed_products_match_the_dense_ones(rng, p):
     graphs = zero_tailed_graphs(rng, bucket_widths(p, step) * 3, p)
     batch = batch_graphs(graphs)
     rows = batch_rows(batch)
-    n, dense = rows.shape[0], rows.astype(np.float32)
-    pieces = bucket_pieces(batch, np.dtype(np.float32), False)
+    n, dense = rows.shape[0], rows.astype(np.float32) / np.float32(255)
+    pieces = bucket_pieces(batch, np.dtype(np.float32))
     assert len(pieces) == -(-p // step)  # every bucket is reached
     theta = rng.standard_normal((p, 7)).astype(np.float32)
     want = dense @ theta
@@ -362,15 +359,15 @@ def test_width_counts_every_nonzero_byte_of_a_row(monkeypatch):
     rows[np.arange(p), np.arange(p)] = 1  # row i ends at byte i + 1
     batch = batch_graphs(graph_set([rows], [0]))
     got = np.zeros(p + 1, dtype=int)
-    for idx, piece in bucket_pieces(batch, np.dtype(np.float32), False):
+    for idx, piece in bucket_pieces(batch, np.dtype(np.float32)):
         got[idx] = piece.shape[1]
     assert got.tolist() == [4, 4, 4, 4, 8, 8, 8, 8, 11, 11, 11, 4]
 
 
-def scanned_pieces(rows: np.ndarray, dtype, standardize: bool, step: int):
-    """The first layer's pieces as a scan of padded (N, p) rows finds
-    them: a row's width is the end of its last nonzero 4-byte word, or p
-    when one of the p mod 4 tail bytes is nonzero."""
+def scanned_pieces(rows: np.ndarray, dtype, step: int):
+    """The first layer's pieces, divided by 255, as a scan of padded
+    (N, p) rows finds them: a row's width is the end of its last nonzero
+    4-byte word, or p when one of the p mod 4 tail bytes is nonzero."""
     n, p = rows.shape
     count = -(-p // step)
     bucket = np.full(n, count)
@@ -388,8 +385,7 @@ def scanned_pieces(rows: np.ndarray, dtype, standardize: bool, step: int):
     for k in present:
         idx = np.flatnonzero(bucket == k) if present.size > 1 else slice(None)
         x = rows[idx, :min(int(k) * step, p)].astype(dtype)
-        if standardize:
-            x /= dtype.type(255)
+        x /= dtype.type(255)
         pieces.append((idx, x))
     return pieces
 
@@ -405,23 +401,22 @@ def test_pieces_from_stored_rows_equal_a_scan_of_padded_rows(
         batch = batch_graphs(graphs, idx)
         padded = np.concatenate([g.features for g in graphs[idx]])
         for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
-            for standardize in (False, True):
-                got = bucket_pieces(batch, dtype, standardize)
-                want = scanned_pieces(padded, dtype, standardize, step)
-                assert len(got) == len(want)
-                for (got_idx, got_x), (want_idx, want_x) in zip(got, want):
-                    if isinstance(want_idx, slice):
-                        assert got_idx == want_idx
-                    else:
-                        assert got_idx.tolist() == want_idx.tolist()
-                    assert got_x.dtype == want_x.dtype
-                    assert got_x.flags.c_contiguous
-                    assert got_x.tobytes() == want_x.tobytes()
+            got = bucket_pieces(batch, dtype)
+            want = scanned_pieces(padded, dtype, step)
+            assert len(got) == len(want)
+            for (got_idx, got_x), (want_idx, want_x) in zip(got, want):
+                if isinstance(want_idx, slice):
+                    assert got_idx == want_idx
+                else:
+                    assert got_idx.tolist() == want_idx.tolist()
+                assert got_x.dtype == want_x.dtype
+                assert got_x.flags.c_contiguous
+                assert got_x.tobytes() == want_x.tobytes()
 
 
 def test_multi_bucket_graphs_score_alike_alone_and_in_one_block(rng,
                                                                monkeypatch):
-    model = init_model(ModelDims(standardize=True), seed=0)
+    model = init_model(ModelDims(), seed=0)
     widths = bucket_widths(1500, cgnn.model.WIDTH_STEP)
     graphs = zero_tailed_graphs(rng, widths * 8, 1500, count=30)
     alone = np.concatenate([forward(model, batch_graphs(graphs, [i])).probs
@@ -433,7 +428,7 @@ def test_multi_bucket_graphs_score_alike_alone_and_in_one_block(rng,
 
 
 def test_forward_repeats_bit_for_bit_across_buckets(rng):
-    model = init_model(ModelDims(standardize=True), seed=1)
+    model = init_model(ModelDims(), seed=1)
     batch = batch_graphs(zero_tailed_graphs(
         rng, bucket_widths(1500, cgnn.model.WIDTH_STEP) * 4, 1500, count=12))
     first, second = forward(model, batch), forward(model, batch)
@@ -470,10 +465,10 @@ def test_predict_probs_keeps_no_backward_cache(rng, monkeypatch):
 
 
 def test_predict_probs_does_not_depend_on_block_size(rng, monkeypatch):
-    # Default dims. Standardized bytes keep the softmax off its rails and
+    # Default dims. Bytes over 255 keep the softmax off its rails and
     # each graph gets its own byte range, so rows of different graphs
     # differ and a reordering would show.
-    model = init_model(ModelDims(standardize=True), seed=0)
+    model = init_model(ModelDims(), seed=0)
     features = [rng.integers(0, 1 + int(rng.integers(256)), (n, 1500))
                 .astype(np.uint8) for n in rng.integers(1, 300, size=60)]
     graphs = graph_set(features, [0] * len(features))
@@ -508,14 +503,12 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 def test_checkpoint_round_trip_all_poolings(tmp_path):
     for pooling in ("avg", "max", "sum"):
-        dims = ModelDims(p=4, d1=3, d2=2, m=2, pooling=pooling,
-                         standardize=True)
+        dims = ModelDims(p=4, d1=3, d2=2, m=2, pooling=pooling)
         model = init_model(dims, seed=0)
         path = tmp_path / f"{pooling}.cgm1"
         save_checkpoint(model, ["a", "b"], path)
         restored = load_checkpoint(path)
         assert restored.model.dims.pooling == pooling
-        assert restored.model.dims.standardize is True
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -528,10 +521,10 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "model.cgm1"
     save_checkpoint(model, ["a", "b"], path)
     raw = bytearray(path.read_bytes())
-    for version in (3, 5):
+    for version in (4, 6):
         struct.pack_into("<I", raw, 4, version)
         with pytest.raises(CorruptFile, match=f"checkpoint version {version}, "
-                                              f"this build reads 4"):
+                                              f"this build reads 5"):
             parse_checkpoint(bytes(raw))
 
 

@@ -144,13 +144,12 @@ def test_padded_rows_round_trip_through_stored_rows_and_a_file(case):
 
 @given(p=st.integers(1, 10_000), d1=st.integers(1, 10_000),
        lr=st.floats(allow_nan=False, allow_infinity=False),
-       standardize=st.booleans(), drop_dns=st.booleans(),
+       drop_dns=st.booleans(),
        fraction=st.floats(allow_nan=False, allow_infinity=False),
        pooling=st.sampled_from(["avg", "max", "sum"]))
-def test_config_echo_round_trip(p, d1, lr, standardize, drop_dns, fraction,
-                                pooling):
-    cfg = RunConfig(p=p, d1=d1, lr=lr, standardize=standardize,
-                    drop_dns=drop_dns, fraction=fraction, pooling=pooling)
+def test_config_echo_round_trip(p, d1, lr, drop_dns, fraction, pooling):
+    cfg = RunConfig(p=p, d1=d1, lr=lr, drop_dns=drop_dns, fraction=fraction,
+                    pooling=pooling)
     assert parse_config_text(format_config(cfg)) == cfg
 
 

@@ -21,7 +21,7 @@ from cgnn.train import (AdamState, TrainConfig, adam_step, backward,
 from conftest import (bucket_widths, graph_set, random_graphs,
                       zero_tailed_graphs)
 
-TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2, standardize=True)
+TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2)
 
 
 def float64_model(dims: ModelDims, seed: int = 0) -> CgnnModel:
@@ -165,15 +165,13 @@ def test_gradients_match_finite_differences(rng):
 
 def test_gradients_match_for_all_poolings(rng):
     for pooling in ("avg", "max", "sum"):
-        dims = ModelDims(p=6, d1=5, d2=4, m=2, pooling=pooling,
-                         standardize=True)
+        dims = ModelDims(p=6, d1=5, d2=4, m=2, pooling=pooling)
         assert check_gradients(dims, seed=1, rng=rng) <= 1e-4, pooling
 
 
 def test_gradients_match_for_layer_counts_and_hops(rng):
     for layers, hops in ((1, 1), (2, 2), (3, 1), (1, 0), (2, 0)):
-        dims = ModelDims(p=6, d1=5, d2=4, m=3, layers=layers, hops=hops,
-                         standardize=True)
+        dims = ModelDims(p=6, d1=5, d2=4, m=3, layers=layers, hops=hops)
         assert check_gradients(dims, seed=2, rng=rng) <= 1e-4, (layers, hops)
 
 
@@ -188,8 +186,7 @@ def test_gradients_match_across_width_buckets(rng, monkeypatch):
         return zero_tailed_graphs(rng, widths, p, count, num_classes)
 
     for pooling in POOLING_KINDS:
-        dims = ModelDims(p=27, d1=5, d2=4, m=2, pooling=pooling,
-                         standardize=True)
+        dims = ModelDims(p=27, d1=5, d2=4, m=2, pooling=pooling)
         assert check_gradients(dims, seed=3, rng=rng, draw=draw) <= 1e-4, \
             pooling
 
@@ -225,7 +222,7 @@ def test_gradient_scale_is_exact_in_float64(rng, monkeypatch):
     for pooling in POOLING_KINDS:
         for layers in (1, 3):
             dims = ModelDims(p=6, d1=5, d2=4, m=3, layers=layers,
-                             pooling=pooling, standardize=True)
+                             pooling=pooling)
             model = float64_model(dims, seed=layers)
             batch = batch_graphs(random_graphs(rng, 5, p=6, num_classes=3))
             cache = forward(model, batch)
@@ -238,11 +235,14 @@ def test_gradient_scale_is_exact_in_float64(rng, monkeypatch):
 
 
 def test_saturated_float32_batch_keeps_backward_operands_normal(monkeypatch):
-    # Raw bytes at the default hidden widths saturate the softmax; the
-    # tiny (P - Y) / G values of well-classified rows must neither reach
-    # the backward matrix products as subnormals nor spoil the gradients.
+    # A first layer scaled by 255 gives, up to rounding, the
+    # pre-activations of undivided bytes (the layers are bias-free ReLU),
+    # which saturate the softmax at the default hidden widths; the tiny
+    # (P - Y) / G values of well-classified rows must neither reach the
+    # backward matrix products as subnormals nor spoil the gradients.
     dims = ModelDims(p=64)
     model = init_model(dims, seed=0)
+    model.thetas[0][:] *= 255
     batch = batch_graphs(random_graphs(np.random.default_rng(0), 8, p=64))
     cache = forward(model, batch)
     assert cache.probs.min() < 1e-40
@@ -364,7 +364,7 @@ def flipped_labels(graphs):
 
 def test_fit_learns_separable_data(rng):
     graphs = two_pattern_graphs(rng, 40)
-    dims = ModelDims(p=16, d1=8, d2=8, m=2, standardize=True)
+    dims = ModelDims(p=16, d1=8, d2=8, m=2)
     config = TrainConfig(lr=0.01, batch_size=8, max_epochs=60, patience=60,
                          seed=0)
     model, report = fit(graphs[:32], graphs[32:], dims, config)
@@ -376,7 +376,7 @@ def test_fit_learns_separable_data(rng):
 
 def test_fit_is_deterministic(rng):
     graphs = two_pattern_graphs(rng, 20)
-    dims = ModelDims(p=16, d1=6, d2=4, m=2, standardize=True)
+    dims = ModelDims(p=16, d1=6, d2=4, m=2)
     config = TrainConfig(lr=0.01, batch_size=4, max_epochs=8, patience=8,
                          seed=3)
     model_a, report_a = fit(graphs[:16], graphs[16:], dims, config)
@@ -390,7 +390,7 @@ def test_fit_is_deterministic(rng):
 
 def test_fit_trains_a_batch_smaller_than_batch_size(rng):
     graphs = two_pattern_graphs(rng, 8)
-    dims = ModelDims(p=16, d1=6, d2=4, m=2, standardize=True)
+    dims = ModelDims(p=16, d1=6, d2=4, m=2)
     config = TrainConfig(lr=0.01, batch_size=32, max_epochs=10, patience=10,
                          seed=0)
     _, report = fit(graphs[:6], graphs[6:], dims, config)
@@ -402,7 +402,7 @@ def test_fit_stops_after_patience_epochs_without_improvement(rng):
     # loss rises as soon as the model starts fitting the training set.
     train = two_pattern_graphs(rng, 16)
     valid = flipped_labels(two_pattern_graphs(rng, 6))
-    dims = ModelDims(p=16, d1=6, d2=4, m=2, standardize=True)
+    dims = ModelDims(p=16, d1=6, d2=4, m=2)
     config = TrainConfig(lr=0.02, batch_size=4, max_epochs=50, patience=1,
                          seed=0)
     model, report = fit(train, valid, dims, config)
@@ -415,7 +415,7 @@ def test_fit_stops_after_patience_epochs_without_improvement(rng):
 def test_fit_returns_weights_of_the_best_epoch(rng):
     train = two_pattern_graphs(rng, 16)
     valid = flipped_labels(two_pattern_graphs(rng, 6))
-    dims = ModelDims(p=16, d1=6, d2=4, m=2, standardize=True)
+    dims = ModelDims(p=16, d1=6, d2=4, m=2)
     config = TrainConfig(lr=0.02, batch_size=4, max_epochs=50, patience=3,
                          seed=0)
     model, report = fit(train, valid, dims, config)
@@ -442,7 +442,7 @@ def test_fit_zero_epochs_returns_initial_weights(rng):
 
 def test_fit_logs_one_line_per_epoch(rng):
     graphs = two_pattern_graphs(rng, 10)
-    dims = ModelDims(p=16, d1=6, d2=4, m=2, standardize=True)
+    dims = ModelDims(p=16, d1=6, d2=4, m=2)
     lines = []
     fit(graphs[:8], graphs[8:], dims,
         TrainConfig(max_epochs=3, patience=3, seed=0), log=lines.append)
@@ -558,8 +558,36 @@ def test_the_chain_reads_packet_order_a_bag_of_packets_cannot(seed):
     accuracy = {}
     for hops in (1, 0):
         dims = ModelDims(p=64, d1=32, d2=16, m=2, hops=hops,
-                         pooling="avg", standardize=True)
+                         pooling="avg")
         model, _ = fit(graphs[train_idx], graphs[valid_idx], dims,
                        TrainConfig(max_epochs=60, patience=10, seed=seed))
         _, accuracy[hops] = evaluate(model, graphs[test_idx])
     assert accuracy[1] >= 0.95 and accuracy[0] <= 0.65, accuracy
+
+
+def packet_like_graphs(seed: int, count: int, m: int, p: int = 1500):
+    """Graphs whose rows look like packets: random nonzero bytes up to a
+    random width in [41, p], zeros after, and the class in byte 23 (an
+    IPv4 header's protocol byte)."""
+    rng = np.random.default_rng(seed)
+    features, labels = [], []
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        rows = rng.integers(1, 256, size=(n, p), dtype=np.uint8)
+        widths = rng.integers(41, p + 1, size=(n, 1))
+        rows[np.arange(p) >= widths] = 0
+        rows[:, 23] = 60 * (i % m + 1)
+        features.append(rows)
+        labels.append(i % m)
+    return graph_set(features, labels)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_the_default_configuration_trains_unsaturated(seed):
+    # Bytes over 255 keep the default widths' first epoch near the
+    # uninformed loss ln m; raw bytes saturated the softmax (about 19).
+    m = 4
+    graphs = packet_like_graphs(seed, 160, m)
+    _, report = fit(graphs[:128], graphs[128:], ModelDims(m=m),
+                    TrainConfig(max_epochs=1, seed=seed))
+    assert report.train_losses[0] < 2 * math.log(m), report.train_losses
