@@ -8,7 +8,8 @@ of graphs is its rows, each graph's first row and vertex count, and the
 labels (as in PyTorch Geometric's ``ptr`` layout). A row is stored only
 up to its last nonzero byte, its width, in one flat byte buffer; its
 p-byte vector, those bytes then zeros, is built only when asked for. The
-propagation matrix is built on demand in a tridiagonal form.
+propagation matrix is kept as its diagonal and off-diagonal and applied
+a hop at a time, each row from a 3-row window of its input.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimsMismatch, EmptyDataset
 
@@ -156,17 +158,26 @@ class ChainPropagation:
 
     def apply(self, x: np.ndarray, hops: int = 1) -> np.ndarray:
         """Multiply S @ x (hops times) without forming S. The matrix is
-        symmetric, so this also serves as multiplication by its transpose."""
-        if x.shape[0] != self.n:
+        symmetric, so this also serves as multiplication by its transpose.
+        A hop reads x once: row i is the taps [off[i-1], diag[i], off[i]]
+        times rows i-1..i+1, one stacked (1, 3) @ (3, width) matmul over a
+        strided view of x; the first and last rows take the taps that fit."""
+        n = self.n
+        if x.shape[0] != n:
             raise DimsMismatch(
-                f"matrix has {x.shape[0]} rows, propagation covers {self.n}")
-        diag = self.diag.astype(x.dtype, copy=False)
-        off = self.off.astype(x.dtype, copy=False)
+                f"matrix has {x.shape[0]} rows, propagation covers {n}")
+        taps = np.zeros((n, 3), dtype=x.dtype)
+        taps[:, 1] = self.diag
+        taps[1:, 0] = self.off
+        taps[:-1, 2] = self.off
         for _ in range(hops):
-            out = diag[:, None] * x
-            if off.size:
-                out[:-1] += off[:, None] * x[1:]
-                out[1:] += off[:, None] * x[:-1]
+            out = np.empty(x.shape, dtype=x.dtype)
+            rows = as_strided(x, (max(n - 2, 0), 3, x.shape[1]),
+                              (x.strides[0], *x.strides), writeable=False)
+            np.matmul(taps[1:-1, None], rows, out=out[1:-1, None])
+            head, tail = x[:2], x[-2:]  # one row each when n is 1
+            np.matmul(taps[0, 1:1 + len(head)], head, out=out[0])
+            np.matmul(taps[-1, 2 - len(tail):2], tail, out=out[-1])
             x = out
         return x
 

@@ -137,8 +137,8 @@ def init_model(dims: ModelDims, seed: int = 0) -> CgnnModel:
     return CgnnModel(dims=dims, thetas=tuple(thetas), W=W, b=b)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
 def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
@@ -226,24 +226,25 @@ def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
     """
     if lengths.size == 0 or np.any(lengths <= 0):
         raise EmptyDataset("cannot pool over an empty segment")
-    starts = offsets[:-1]
-    if kind == "avg":
-        total = np.add.reduceat(x, starts, axis=0)
-        return total / lengths[:, None].astype(x.dtype), None
-    if kind == "sum":
-        return np.add.reduceat(x, starts, axis=0), None
-    if kind == "max":
-        width = x.shape[1]
-        out = np.empty((lengths.size, width), dtype=x.dtype)
-        winners = np.empty((lengths.size, width), dtype=np.int64)
-        cols = np.arange(width)
-        for g in range(lengths.size):
-            rows = x[offsets[g]:offsets[g + 1]]
+    if kind not in POOLING_KINDS:
+        raise ConfigError(f"pooling must be one of {POOLING_KINDS}, "
+                          f"got {kind!r}")
+    width = x.shape[1]
+    out = np.empty((lengths.size, width), dtype=x.dtype)
+    winners = np.empty(out.shape, dtype=np.int64) if kind == "max" else None
+    cols = np.arange(width) if kind == "max" else None
+    for g, (a, b) in enumerate(zip(offsets[:-1].tolist(),
+                                   offsets[1:].tolist())):
+        rows = x[a:b]
+        if winners is None:
+            rows.sum(axis=0, out=out[g])
+        else:
             idx = np.argmax(rows, axis=0)
             out[g] = rows[idx, cols]
-            winners[g] = offsets[g] + idx
-        return out, winners
-    raise ConfigError(f"pooling must be one of {POOLING_KINDS}, got {kind!r}")
+            winners[g] = a + idx
+    if kind == "avg":
+        out /= lengths[:, None].astype(x.dtype)
+    return out, winners
 
 
 @dataclass
@@ -283,7 +284,8 @@ def forward(model: CgnnModel, batch: BatchedGraph,
             if for_backward:
                 cache.hop_inputs.append(x)
                 cache.pre_acts.append(pre_act)
-            x = relu(pre_act)
+            # Inference keeps no pre-activation, so ReLU overwrites it.
+            x = relu(pre_act, out=None if for_backward else pre_act)
 
     cache.pooled, cache.pool_winners = pool(
         x, batch.offsets, batch.lengths, dims.pooling)

@@ -64,14 +64,34 @@ def test_tridiagonal_structure():
                 assert dense[i, j] == 0.0
 
 
+# 1- and 2-vertex graphs first, inside and last
+MIXED_LENGTHS = [1, 5, 2, 40, 1, 30, 2]
+
+
 def test_apply_equals_dense_multiply(rng):
-    for n in (1, 2, 5, 10):
-        prop = ChainPropagation.for_batch([n])
-        x = rng.standard_normal((n, 4))
+    for lengths in ([1], [2], [5], [10], MIXED_LENGTHS):
+        prop = ChainPropagation.for_batch(lengths)
+        x = rng.standard_normal((prop.n, 4))
         dense = prop.dense()
-        for hops in (1, 2, 3):
+        for hops in (0, 1, 2, 3):
             expected = np.linalg.matrix_power(dense, hops) @ x
             assert np.abs(prop.apply(x, hops) - expected).max() <= 1e-12
+        x32 = x.astype(np.float32)
+        out = prop.apply(x32, 2)
+        assert out.dtype == np.float32
+        assert np.array_equal(prop.apply(x32, 2), out)  # bit-identical rerun
+
+
+def test_one_hop_reads_its_input_in_one_pass(rng):
+    prop = ChainPropagation.for_batch(MIXED_LENGTHS * 10)
+    x = rng.standard_normal((prop.n, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        prop.apply(x, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * x.nbytes  # the output and little else
 
 
 def test_apply_rejects_wrong_row_count():
