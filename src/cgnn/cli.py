@@ -162,10 +162,14 @@ def _refuse_overwrite(out: Path, *inputs) -> None:
 
 
 def _ingest_capture(path: Path, label: int, p: int, cfg: RunConfig):
-    """Graphs, session key rows and stats of one capture file. The
-    capture bytes are released when this returns."""
-    graphs, keys, stats = graphs_from_records(
-        path.read_bytes(), label, p, cfg.fraction, cfg.drop_dns)
+    """Graphs, session key rows and stats of one capture file, read in
+    blocks, never whole; an error in the capture names the file."""
+    try:
+        with open(path, "rb") as capture:
+            graphs, keys, stats = graphs_from_records(
+                capture, label, p, cfg.fraction, cfg.drop_dns)
+    except CgnnError as exc:
+        raise type(exc)(f"{path}: {exc}")
     if stats.truncated:
         print(f"warning: {path} ends mid-record; kept what parsed",
               file=sys.stderr)
@@ -190,11 +194,7 @@ def cmd_preprocess(args) -> int:
         """Each capture's graphs, as soon as that capture is ingested."""
         for label_id, group in enumerate(paths):
             for path in group:
-                try:
-                    graphs, _, stats = _ingest_capture(path, label_id, cfg.p,
-                                                       cfg)
-                except CgnnError as exc:
-                    raise type(exc)(f"{path}: {exc}")
+                graphs, _, stats = _ingest_capture(path, label_id, cfg.p, cfg)
                 stats.files = 1
                 per_label[label_id].add(stats)
                 yield graphs

@@ -11,10 +11,12 @@ occur. Keys, stats and graph bytes must be identical.
 from __future__ import annotations
 
 import struct
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgnn import preprocess
 from cgnn.preprocess import FiveTuple, graphs_from_records
 
 import scalar_ingest
@@ -102,7 +104,25 @@ def frames(draw) -> bytes:
 @given(capture=st.lists(frames(), max_size=24), label=st.integers(0, 3))
 @settings(deadline=None, max_examples=200)
 def test_columnar_ingest_matches_the_scalar_oracle(capture, label):
-    data = pcap_bytes(capture)
+    _assert_matches_oracle(pcap_bytes(capture), capture, label)
+
+
+@given(capture=st.lists(frames(), max_size=24), label=st.integers(0, 3),
+       block=st.integers(1, 160), at=st.integers(0, 24),
+       snaplen=st.sampled_from([0, 65535]))
+@settings(deadline=None, max_examples=100)
+def test_block_reads_match_the_scalar_oracle(capture, label, block, at,
+                                             snaplen):
+    """Blocks of a few bytes to a few records, so records straddle block
+    ends, and one record longer than any block, which grows it."""
+    capture = [*capture[:at], tcp_frame(bytes(range(1, 256)) * 2),
+               *capture[at:]]
+    with mock.patch.object(preprocess, "READ_BLOCK", block):
+        _assert_matches_oracle(pcap_bytes(capture, snaplen=snaplen), capture,
+                               label)
+
+
+def _assert_matches_oracle(data: bytes, capture: list[bytes], label: int):
     for p in (16, 64, 1500):
         for fraction in (1.0, 0.5):
             for drop_dns in (False, True):

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import io
+import re
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import cgnn.cli
 import cgnn.preprocess
 from cgnn.cli import RunConfig, _ingest_capture
+from cgnn.errors import CorruptFile
 from cgnn.preprocess import FiveTuple, graphs_from_records
 
 from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, pcap_bytes,
@@ -417,3 +424,83 @@ def test_ingest_builds_one_key_per_session(tmp_path, five_tuples_built):
     assert (stats.skipped, stats.dropped_dns, stats.discarded_empty,
             stats.dropped_sessions) == (2, 1, 2, 1)
     assert (stats.non_ipv4, stats.malformed) == (1, 1)
+
+
+# --- block reads ------------------------------------------------------------
+
+def _traced_peak(call):
+    """call's result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_holds_the_rows_and_a_block_not_the_capture(tmp_path,
+                                                           monkeypatch):
+    """A capture of nine blocks is read through one: the traced peak is
+    the rows, two blocks and the columns pass 1 decodes (about 480 bytes
+    a frame), not the capture, which alone is 1.5x this bound."""
+    block, count = 1 << 16, 400
+    monkeypatch.setattr(cgnn.preprocess, "READ_BLOCK", block)
+    path = tmp_path / "long.pcap"
+    path.write_bytes(pcap_bytes([
+        tcp_frame(bytes([i % 251 + 1]) * 1400, sport=40000 + i % 8)
+        for i in range(count)]))
+    assert path.stat().st_size >= 8 * block
+    (graphs, _, _), peak = _traced_peak(
+        lambda: _ingest_capture(path, 0, 16, RunConfig()))
+    assert len(graphs) == 8 and graphs.lengths.sum() == count
+    assert peak <= graphs.buffer.nbytes + 2 * block + 640 * count
+
+
+class _Shrinking(io.BytesIO):
+    """A capture cut to `keep` bytes once a read has reached its end, as
+    if it were truncated between the two passes."""
+
+    def __init__(self, data: bytes, keep: int) -> None:
+        super().__init__(data)
+        self.size, self.keep = len(data), keep
+
+    def readinto(self, buffer) -> int:
+        count = super().readinto(buffer)
+        if self.tell() >= self.size:
+            self.truncate(self.keep)
+        return count
+
+
+def test_a_capture_shorter_on_its_second_read_is_corrupt(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(cgnn.preprocess, "READ_BLOCK", 256)
+    data = pcap_bytes([tcp_frame(bytes([i + 1]) * 60) for i in range(12)])
+    want = graphs_from_records(data, 0, 64)[0].buffer.tobytes()
+    unchanged = _Shrinking(data, len(data))  # the wrapper alone
+    assert graphs_from_records(unchanged, 0, 64)[0].buffer.tobytes() == want
+    path = tmp_path / "shrinks.pcap"
+    path.write_bytes(data)
+    monkeypatch.setattr(cgnn.cli, "open",
+                        lambda name, mode: _Shrinking(data, 200),
+                        raising=False)
+    with pytest.raises(CorruptFile,
+                       match=re.escape(str(path)) + ".*second read"):
+        _ingest_capture(path, 0, 64, RunConfig())
+
+
+def test_a_long_record_grows_the_block_only_to_fit_it(monkeypatch):
+    """A record past the block takes a block of its size; one that
+    claims more than the file holds ends the walk and takes none."""
+    monkeypatch.setattr(cgnn.preprocess, "READ_BLOCK", 4096)
+    long = pcap_bytes([tcp_frame(b"a"), tcp_frame(bytes(range(1, 256)) * 200)],
+                      snaplen=0)
+    (graphs, _, stats), peak = _traced_peak(
+        lambda: graphs_from_records(long, 0, 1500))
+    assert graphs.lengths.tolist() == [2] and not stats.truncated
+    assert peak <= len(long) + 4096 + 16384
+    claims = pcap_bytes([tcp_frame(b"a")], snaplen=0) \
+        + struct.pack("<IIII", 0, 0, 2 ** 31, 2 ** 31) + bytes(2 * 4096)
+    (graphs, _, stats), peak = _traced_peak(
+        lambda: graphs_from_records(claims, 0, 1500))
+    assert graphs.lengths.tolist() == [1] and stats.truncated
+    assert peak <= 4096 + 16384

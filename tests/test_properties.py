@@ -6,12 +6,14 @@ import functools
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgnn.preprocess
 from cgnn.cli import (RunConfig, format_config, parse_config_file,
                       parse_config_text)
 from cgnn.dataset import Dataset, parse_dataset
@@ -207,6 +209,13 @@ def _ingest_frame(raw: bytes):
     return graphs_from_records(pcap_bytes([raw]), 0, 64)
 
 
+def _ingest_blocks(raw: bytes):
+    """The pcap case read in blocks of 7 bytes, which every record
+    straddles and most outgrow."""
+    with mock.patch.object(cgnn.preprocess, "READ_BLOCK", 7):
+        return _ingest(raw)
+
+
 def _mangle(valid: bytes, flips: list[tuple[int, int]], cut: int) -> bytes:
     out = bytearray(valid)
     for pos, mask in flips:
@@ -219,7 +228,8 @@ def _mangle(valid: bytes, flips: list[tuple[int, int]], cut: int) -> bytes:
     (parse_checkpoint, _valid_checkpoint),
     (_ingest, _valid_capture),
     (_ingest_frame, lambda: tcp_frame(b"hello", tcp_options=b"\x01" * 4)),
-], ids=["dataset", "checkpoint", "pcap", "frame"])
+    (_ingest_blocks, _valid_capture),
+], ids=["dataset", "checkpoint", "pcap", "frame", "pcap-blocks"])
 @given(data=st.data())
 @settings(deadline=None, max_examples=150)
 def test_parsers_return_a_value_or_raise_cgnn_error(parse, valid, data):
