@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -150,14 +151,15 @@ def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
     return prop.apply(x @ theta, k)
 
 
-def bucket_pieces(batch: BatchedGraph,
-                  dtype) -> list[tuple[np.ndarray | slice, np.ndarray]]:
-    """The first layer's input: the batch's rows split by width. Per
-    nonempty bucket, narrowest first, its row indices (slice(None) when
-    it holds every row) and its rows' first `edge` columns cast to dtype
-    and divided by 255. A row's bucket is the first edge at or past its
-    width. A row is read as the `edge` bytes from its start; those past
-    its width, all in the last WIDTH_STEP, are zeroed."""
+def bucket_pieces(batch: BatchedGraph, dtype,
+                  ) -> Iterator[tuple[np.ndarray | slice, np.ndarray]]:
+    """The first layer's input: the batch's rows split by width. Yields,
+    per nonempty bucket, narrowest first, its row indices (slice(None)
+    when it holds every row) and its rows' first `edge` columns cast to
+    dtype and divided by 255; each piece is built only when asked for.
+    A row's bucket is the first edge at or past its width. A row is read
+    as the `edge` bytes from its start; those past its width, all in the
+    last WIDTH_STEP, are zeroed."""
     p, widths = batch.p, batch.widths
     count = -(-p // WIDTH_STEP)  # the last edge is p
     bucket = np.clip(-(-widths // WIDTH_STEP), 1, count)
@@ -165,7 +167,6 @@ def bucket_pieces(batch: BatchedGraph,
     windows = sliding_window_view(batch.rows, p)  # p bytes from each offset
     starts = np.cumsum(widths) - widths
     keep = np.tri(WIDTH_STEP + 1, WIDTH_STEP, -1, dtype=np.uint8)  # j ones
-    pieces = []
     for k in present.tolist():
         edge, low = min(k * WIDTH_STEP, p), (k - 1) * WIDTH_STEP
         idx = np.flatnonzero(bucket == k) if present.size > 1 else slice(None)
@@ -175,18 +176,19 @@ def bucket_pieces(batch: BatchedGraph,
             x[:, low:] *= keep[width - low, :edge - low]
         x = x.astype(dtype)
         x /= dtype.type(255)
-        pieces.append((idx, x))
-    return pieces
+        yield idx, x
 
 
 def bucket_product(pieces, theta: np.ndarray, n: int) -> np.ndarray:
-    """X theta for the n rows that bucket_pieces split up."""
-    if len(pieces) == 1:  # every row, in order
-        x = pieces[0][1]
-        return x @ theta[:x.shape[1]]
+    """X theta for the n rows that bucket_pieces split up. Each piece is
+    multiplied as it comes, so of a generator's pieces one is alive."""
     out = np.empty((n, theta.shape[1]), dtype=theta.dtype)
     for idx, x in pieces:
-        out[idx] = x @ theta[:x.shape[1]]
+        if isinstance(idx, slice):  # the one bucket: every row, in order
+            np.matmul(x, theta[:x.shape[1]], out=out)
+        else:
+            out[idx] = x @ theta[:x.shape[1]]
+        del x  # before the generator builds the next piece
     return out
 
 
@@ -263,12 +265,15 @@ class ForwardCache:
 def forward(model: CgnnModel, batch: BatchedGraph,
             for_backward: bool = True) -> ForwardCache:
     """Run the network over a batch. The per-layer inputs and
-    pre-activations the backward pass reads are kept only for_backward."""
+    pre-activations the backward pass reads are kept only for_backward;
+    without it, one bucket's float piece is alive at a time."""
     dims = model.dims
     if batch.p != dims.p:
         raise DimsMismatch(f"batch has feature length {batch.p}, "
                            f"model expects {dims.p}")
     x = bucket_pieces(batch, model.W.dtype)
+    if for_backward:
+        x = list(x)
 
     cache = ForwardCache()
     # Overflow to inf, and the inf * 0 it meets in propagation, are

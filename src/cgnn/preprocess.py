@@ -152,18 +152,21 @@ def walk_pcap(data: bytes) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def _decode_headers(buf: np.ndarray, start: np.ndarray, length: np.ndarray,
-                    stats: IngestStats, base: int) -> np.ndarray:
+                    stats: IngestStats, base: int,
+                    drop_dns: bool) -> list[np.ndarray]:
     """Decode the Ethernet, IPv4 and TCP/UDP headers of every frame at
-    once. Returns one row per field (IPv4 header offset in buf + base, its
-    length, transport length, payload offset, protocol, and the source
-    and destination endpoints as ip << 16 | port) and one column per
-    frame that can join a session, in file order. The others are added
-    to stats by the first check they fail, in this order: Ethernet
-    length, ethertype, IPv4 header (length, version, IHL, options, total
-    length), later fragment, protocol, then the TCP header, data offset
-    and options or the UDP header; the datagram ends at min(total
-    length, captured bytes). Reads are clipped to buf, and a read past
-    a frame's end is masked by the check that fails."""
+    once. Returns five columns over the frames that can join a session,
+    in file order: the IPv4 header's offset in buf + base (int64), the
+    session key (int64 low and high << 1 | udp, low and high the smaller
+    and larger endpoint, each ip << 16 | port), the IPv4 header length
+    (uint8), the transport length (uint16) and whether a payload follows.
+    The others are added to stats by the first check they fail, in this
+    order: Ethernet length, ethertype, IPv4 header (length, version,
+    IHL, options, total length), later fragment, protocol, then the TCP
+    header, data offset and options or the UDP header; the datagram ends
+    at min(total length, captured bytes). With drop_dns, a frame on port
+    53 that passes them all is dropped too. Reads are clipped to buf,
+    and a read past a frame's end is masked by the check that fails."""
     last = buf.size - 1
 
     def u8(pos: np.ndarray) -> np.ndarray:
@@ -200,12 +203,19 @@ def _decode_headers(buf: np.ndarray, start: np.ndarray, length: np.ndarray,
     stats.non_tcp_udp += int(np.count_nonzero(leading & ~transport))
     stats.malformed += int(np.count_nonzero(
         ~framed | ipv4 & ~ipv4_ok | transport & ~ok))
+    if drop_dns:  # either port
+        dns = ok & ((u16(tp) == DNS_PORT) | (u16(tp + 2) == DNS_PORT))
+        stats.dropped_dns += int(np.count_nonzero(dns))
+        ok &= ~dns
 
-    ip, header_len, tp = ip[ok], header_len[ok], tp[ok]
-    return np.stack([
-        ip + base, header_len, transport_len[ok], payload_offset[ok],
-        protocol[ok], (u16(ip + 12) << 32) | (u16(ip + 14) << 16) | u16(tp),
-        (u16(ip + 16) << 32) | (u16(ip + 18) << 16) | u16(tp + 2)])
+    ip, tp, transport_len = ip[ok], tp[ok], transport_len[ok]
+    src = (u16(ip + 12) << 32) | (u16(ip + 14) << 16) | u16(tp)
+    dst = (u16(ip + 16) << 32) | (u16(ip + 18) << 16) | u16(tp + 2)
+    udp = protocol[ok] == PROTO_UDP
+    return [ip + base,
+            np.stack([np.minimum(src, dst), np.maximum(src, dst) << 1 | udp]),
+            header_len[ok].astype(np.uint8), transport_len.astype(np.uint16),
+            transport_len > payload_offset[ok]]
 
 
 def graphs_from_records(capture: BinaryIO | bytes, label: int, p: int,
@@ -235,13 +245,14 @@ def graphs_from_records(capture: BinaryIO | bytes, label: int, p: int,
     capture.seek(0)
     header = _global_header(capture.read(GLOBAL_HEADER_LEN))
     buf = np.empty(min(READ_BLOCK, size), dtype=np.uint8)
-    base, spans, blocks, stats = GLOBAL_HEADER_LEN, [], [], IngestStats()
+    base, spans, parts, stats = GLOBAL_HEADER_LEN, [], [], IngestStats()
     while True:  # pass 1: each block ends at its last whole record
         fill = capture.readinto(buf)
         starts, lengths, stop, need = _walk_records(
             memoryview(buf)[:fill], 0, *header)
-        blocks.append(_decode_headers(
-            buf[:fill], *np.array([starts, lengths], np.int64), stats, base))
+        parts.append(_decode_headers(
+            buf[:fill], *np.array([starts, lengths], np.int64), stats, base,
+            drop_dns))
         spans.append(stop)
         base += stop
         if fill < buf.size or not need or base + need > size:
@@ -250,51 +261,54 @@ def graphs_from_records(capture: BinaryIO | bytes, label: int, p: int,
         if need > buf.size:
             buf = np.empty(need, dtype=np.uint8)
         capture.seek(base)
-    columns = np.concatenate(blocks, axis=1)
-    del blocks, starts, lengths  # all of pass 1 but its columns
-    if drop_dns:
-        dns = ((columns[5:] & 0xFFFF) == DNS_PORT).any(axis=0)  # endpoints
-        stats.dropped_dns = int(np.count_nonzero(dns))
-        columns = columns[:, ~dns]
-    ip, header_len, transport_len, payload_offset, protocol, src, dst = \
-        columns
+    del starts, lengths
+    # One column at a time, each block's part freed once it is joined.
+    ip, key, header_len, transport_len, carries = (
+        np.concatenate([part.pop(0) for part in parts], axis=-1)
+        for _ in range(5))
 
-    # Canonical key: the smaller endpoint first, so both directions meet.
-    low, high = np.minimum(src, dst), np.maximum(src, dst)
-    order = np.lexsort((protocol, high, low))
-    key = np.stack([low, high, protocol])[:, order]  # all at least 0
-    opens = np.diff(key, axis=1, prepend=-1).any(axis=0)  # a new key
-    first = order[opens]  # the sort is stable: each key's first frame
+    kept, lengths = _sessions(key, carries, fraction, stats)
+    head = kept[np.cumsum(lengths) - lengths]  # each session's first row
+    keys = np.stack([key[0, head], key[1, head] >> 1,
+                     np.where(key[1, head] & 1, PROTO_UDP, PROTO_TCP)],
+                    axis=1)
+    rows = ip[kept], header_len[kept], transport_len[kept], \
+        (key[1, kept] & 1) == 1
+    del ip, key, header_len, transport_len, carries, kept  # all but rows
+    buffer, widths = _fill_rows(_reread(capture, buf, spans), *rows, p)
+    graphs = GraphSet.from_widths(buffer, p, widths, lengths,
+                                  np.full(lengths.size, label))
+    stats.sessions = len(graphs)
+    stats.vertices = widths.size
+    return graphs, keys, stats
+
+
+def _sessions(key: np.ndarray, carries: np.ndarray, fraction: float,
+              stats: IngestStats) -> tuple[np.ndarray, np.ndarray]:
+    """The frames to copy, grouped by session in order of first
+    appearance and in file order within one (the first ceil(fraction *
+    n) of a session's n frames that carry a payload), and how many each
+    session that keeps any keeps."""
+    order = np.lexsort(key)  # stable: a key's frames stay in file order
+    ordered = key[:, order]
+    opens = np.ones(order.size, dtype=bool)  # a new key
+    opens[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    first = order[opens]  # each key's first frame
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
     session = np.empty_like(order)
     session[order] = rank[np.cumsum(opens) - 1]  # by first appearance
 
-    payload_len = transport_len - payload_offset
-    stats.discarded_empty = int(np.count_nonzero(payload_len == 0))
-    kept = np.flatnonzero(payload_len > 0)
-    kept = kept[np.argsort(session[kept], kind="stable")]
-    counts = np.bincount(session[kept], minlength=first.size)
+    stats.discarded_empty = int(carries.size - np.count_nonzero(carries))
+    kept = np.flatnonzero(carries)
+    owner = session[kept]
+    kept = kept[np.argsort(owner, kind="stable")]
+    counts = np.bincount(owner, minlength=first.size)
     stats.dropped_sessions = int(np.count_nonzero(counts == 0))
     keep = np.ceil(fraction * counts).astype(np.int64)
     place = np.arange(kept.size) - np.repeat(np.cumsum(counts) - counts,
                                              counts)  # within its session
-    kept = kept[place < np.repeat(keep, counts)]
-
-    buffer, widths = _fill_rows(
-        _reread(capture, buf, spans), ip[kept], header_len[kept],
-        transport_len[kept], protocol[kept] == PROTO_UDP, p)
-
-    emitted = keep > 0
-    lengths = keep[emitted]
-    begins = np.cumsum(lengths) - lengths
-    head = kept[begins]  # each emitted session's first kept packet
-    keys = np.stack([low[head], high[head], protocol[head]], axis=1)
-    graphs = GraphSet.from_widths(buffer, p, widths, lengths,
-                                  np.full(lengths.size, label))
-    stats.sessions = len(graphs)
-    stats.vertices = kept.size
-    return graphs, keys, stats
+    return kept[place < np.repeat(keep, counts)], keep[keep > 0]
 
 
 def _reread(capture: BinaryIO, buf: np.ndarray, spans: list[int]):
@@ -318,29 +332,32 @@ def _fill_rows(blocks, ip: np.ndarray, header_len: np.ndarray,
     (file offset, bytes) blocks. A row is the IPv4 header, its addresses
     zeroed, and the whole TCP segment in one copy; or the IPv4 and UDP
     headers, 12 zero bytes (already there) and the payload."""
-    width = np.minimum(header_len + transport_len
+    width = np.minimum(header_len + transport_len.astype(np.int64)
                        + (TCP_HEADER_LEN - UDP_HEADER_LEN) * udp, p)
     ends = np.cumsum(width)
     row = ends - width
-    buffer = np.zeros(width.sum(), dtype=np.uint8)
-    head = np.where(udp, np.minimum(header_len + UDP_HEADER_LEN, width),
-                    width)
     tail = np.where(udp, width - header_len - TCP_HEADER_LEN, 0)
     second = np.flatnonzero(tail > 0)
     dst = np.concatenate([row, row[second] + header_len[second]
                           + TCP_HEADER_LEN])
     src = np.concatenate([ip, ip[second] + header_len[second]
                           + UDP_HEADER_LEN])
-    count = np.concatenate([head, tail[second]])
-    dst, src, count = np.stack([dst, src, count])[:, np.argsort(src)]
+    count = np.concatenate([
+        np.where(udp, np.minimum(header_len + UDP_HEADER_LEN, width), width),
+        tail[second]])
+    by = np.argsort(src)
+    dst, src, count = dst[by], src[by], count[by]
+    del tail, second, by  # before the buffer: only what fills it is left
+    buffer = np.zeros(width.sum(), dtype=np.uint8)
     out = memoryview(buffer)
     for base, block in blocks:  # a copy never crosses a record
         lo, hi = np.searchsorted(src, (base, base + len(block))).tolist()
         for d, s, c in zip(dst[lo:hi].tolist(), (src[lo:hi] - base).tolist(),
                            count[lo:hi].tolist()):
             out[d:d + c] = block[s:s + c]
-    address = np.arange(12, 20)  # source and destination
-    buffer[(row[:, None] + address)[address < width[:, None]]] = 0
+    del dst, src, count
+    for byte in range(12, min(20, p)):  # addresses; every row has min(28, p)
+        buffer[row + byte] = 0
 
     # The few rows ending in a zero byte are cut back to their last
     # nonzero one (byte 0, the IP version, is not), and the rows after

@@ -198,7 +198,7 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
         config: TrainConfig = TrainConfig(),
         log=None) -> tuple[CgnnModel, TrainReport]:
     """Train a fresh model, returning the weights of the epoch with the
-    lowest validation loss.
+    lowest validation loss (the initial ones when no epoch runs).
 
     Every epoch shuffles the training graphs (seeded, so runs repeat
     bit for bit), walks them in mini-batches (the last one may be
@@ -219,7 +219,7 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
     rng = np.random.default_rng(config.seed)
     model = init_model(dims, seed=config.seed)
     state = AdamState.for_model(model)
-    best = model.copy()
+    best = None  # the best epoch's weights; none before an epoch ends
     report = TrainReport()
 
     for epoch in range(1, config.max_epochs + 1):
@@ -246,9 +246,10 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
 
         if val_loss < report.best_val_loss:
             report.best_epoch = epoch
+            best = None  # the old copy goes before the new one is taken
             best = model.copy()
         elif epoch - report.best_epoch >= config.patience:
             report.stopped_early = True
             break
 
-    return best, report
+    return model if best is None else best, report

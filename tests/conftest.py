@@ -7,6 +7,7 @@ outputs independently of the code under test.
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ def zero_tailed_graphs(rng: np.random.Generator, widths: list[int], p: int,
     ends = np.cumsum(lengths)
     return graph_set([packets[e - n:e] for e, n in zip(ends, lengths)],
                      rng.integers(num_classes, size=count).tolist())
+
+
+def traced_peak(call):
+    """call's result and the peak of the memory it allocated, as
+    tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 import stat
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from cgnn.errors import CorruptFile
 from cgnn.ioutil import WRITE_BUFFER, atomic_write_bytes
 from cgnn.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 
-from conftest import graph_set, random_graphs
+from conftest import graph_set, random_graphs, traced_peak
 
 
 def small_dataset() -> Dataset:
@@ -214,13 +213,12 @@ def test_rejects_a_corrupt_trailer_before_sizing_any_array(patch, message):
     assert len(raw) == 44 + 7 + 4 * (2 + 2 + 3)
     parse_dataset(bytes(raw))  # valid as written
     patch(raw)
-    tracemalloc.start()
-    try:
+
+    def parse():
         with pytest.raises(CorruptFile, match=message):
             parse_dataset(bytes(raw))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(parse)
     assert peak < 64 * 1024  # nothing sized by a declared count
 
 

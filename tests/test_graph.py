@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from cgnn.graph import (ChainPropagation, batch_graphs, propagation_matrix,
 from cgnn.preprocess import graphs_from_records
 
 from conftest import (batch_rows, graph_set, pcap_bytes, random_graphs,
-                      tcp_frame)
+                      tcp_frame, traced_peak)
 
 
 def dense_propagation_oracle(n: int) -> np.ndarray:
@@ -85,12 +84,7 @@ def test_apply_equals_dense_multiply(rng):
 def test_one_hop_reads_its_input_in_one_pass(rng):
     prop = ChainPropagation.for_batch(MIXED_LENGTHS * 10)
     x = rng.standard_normal((prop.n, 64)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        prop.apply(x, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: prop.apply(x, 1))
     assert peak <= 1.5 * x.nbytes  # the output and little else
 
 
@@ -207,13 +201,8 @@ def test_graph_set_indexing_shares_the_buffer(rng):
 def test_iterating_for_vertex_counts_builds_no_rows(rng):
     graphs = graph_set([rng.integers(1, 256, (8, 1500)).astype(np.uint8)
                         for _ in range(40)], [0] * 40)
-    tracemalloc.start()
-    try:
-        vertices = sum(g.n for g in graphs)
-        labels = [g.label for g in graphs]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (vertices, labels), peak = traced_peak(
+        lambda: (sum(g.n for g in graphs), [g.label for g in graphs]))
     assert vertices == 320 and labels == [0] * 40
     assert peak < 8 * 1500  # one graph's (n, p) rows would take that
 

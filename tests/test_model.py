@@ -21,7 +21,7 @@ from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims,
                         softmax)
 
 from conftest import (batch_rows, bucket_widths, graph_set, random_graphs,
-                      zero_tailed_graphs)
+                      traced_peak, zero_tailed_graphs)
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2)
 
@@ -338,7 +338,7 @@ def test_bucketed_products_match_the_dense_ones(rng, p):
     batch = batch_graphs(graphs)
     rows = batch_rows(batch)
     n, dense = rows.shape[0], rows.astype(np.float32) / np.float32(255)
-    pieces = bucket_pieces(batch, np.dtype(np.float32))
+    pieces = list(bucket_pieces(batch, np.dtype(np.float32)))
     assert len(pieces) == -(-p // step)  # every bucket is reached
     theta = rng.standard_normal((p, 7)).astype(np.float32)
     want = dense @ theta
@@ -401,7 +401,7 @@ def test_pieces_from_stored_rows_equal_a_scan_of_padded_rows(
         batch = batch_graphs(graphs, idx)
         padded = np.concatenate([g.features for g in graphs[idx]])
         for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
-            got = bucket_pieces(batch, dtype)
+            got = list(bucket_pieces(batch, dtype))
             want = scanned_pieces(padded, dtype, step)
             assert len(got) == len(want)
             for (got_idx, got_x), (want_idx, want_x) in zip(got, want):
@@ -462,6 +462,21 @@ def test_predict_probs_keeps_no_backward_cache(rng, monkeypatch):
     assert caches and all(c.hop_inputs == c.pre_acts == [] for c in caches)
     assert np.array_equal(probs,
                           forward(model, batch_graphs(graphs)).probs)
+
+
+def test_predict_probs_holds_one_bucket_piece_at_a_time(rng):
+    """Full batches whose rows reach every width bucket: the peak is the
+    batch's first-layer product and its propagation, about 2.2 (rows,
+    d1) float32 arrays. Keeping every bucket's float piece alive through
+    the propagation took it to 3.7."""
+    dims = ModelDims()
+    model = init_model(dims, seed=0)
+    widths = list(range(1, dims.p + 1, 10))
+    graphs = zero_tailed_graphs(rng, widths * 14, dims.p, count=16)
+    assert graphs.lengths.sum() >= 2 * cgnn.model.BATCH_ROWS
+    probs, peak = traced_peak(lambda: predict_probs(model, graphs))
+    assert probs.shape == (16, dims.m)
+    assert peak <= 2.6 * cgnn.model.BATCH_ROWS * dims.d1 * 4
 
 
 def test_predict_probs_does_not_depend_on_block_size(rng, monkeypatch):

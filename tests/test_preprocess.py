@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from cgnn.errors import CorruptFile
 from cgnn.preprocess import FiveTuple, graphs_from_records
 
 from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, pcap_bytes,
-                      tcp, tcp_frame, udp_frame)
+                      tcp, tcp_frame, traced_peak, udp_frame)
 
 REASONS = ("non_ipv4", "non_tcp_udp", "fragments", "malformed")
 
@@ -428,16 +427,6 @@ def test_ingest_builds_one_key_per_session(tmp_path, five_tuples_built):
 
 # --- block reads ------------------------------------------------------------
 
-def _traced_peak(call):
-    """call's result and the peak of the memory it allocated."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_ingest_holds_the_rows_and_a_block_not_the_capture(tmp_path,
                                                            monkeypatch):
     """A capture of nine blocks is read through one: the traced peak is
@@ -450,10 +439,29 @@ def test_ingest_holds_the_rows_and_a_block_not_the_capture(tmp_path,
         tcp_frame(bytes([i % 251 + 1]) * 1400, sport=40000 + i % 8)
         for i in range(count)]))
     assert path.stat().st_size >= 8 * block
-    (graphs, _, _), peak = _traced_peak(
+    (graphs, _, _), peak = traced_peak(
         lambda: _ingest_capture(path, 0, 16, RunConfig()))
     assert len(graphs) == 8 and graphs.lengths.sum() == count
     assert peak <= graphs.buffer.nbytes + 2 * block + 640 * count
+
+
+def test_ingest_bookkeeping_stays_under_160_bytes_a_frame(tmp_path,
+                                                         monkeypatch):
+    """At a small p the rows are few bytes, so what ingest keeps per frame
+    shows: besides the rows and two blocks, at most 160 bytes a frame
+    (pass 1's columns, the session grouping and the copy list)."""
+    block, count = 1 << 16, 1600
+    monkeypatch.setattr(cgnn.preprocess, "READ_BLOCK", block)
+    path = tmp_path / "small_p.pcap"
+    path.write_bytes(pcap_bytes([
+        (udp_frame if i % 4 == 3 else tcp_frame)(
+            bytes([i % 251 + 1]) * 1400, sport=40000 + i % 8)
+        for i in range(count)]))
+    assert path.stat().st_size >= 32 * block
+    (graphs, _, _), peak = traced_peak(
+        lambda: _ingest_capture(path, 0, 16, RunConfig()))
+    assert len(graphs) == 8 and graphs.lengths.sum() == count
+    assert peak <= graphs.buffer.nbytes + 2 * block + 160 * count
 
 
 class _Shrinking(io.BytesIO):
@@ -494,13 +502,13 @@ def test_a_long_record_grows_the_block_only_to_fit_it(monkeypatch):
     monkeypatch.setattr(cgnn.preprocess, "READ_BLOCK", 4096)
     long = pcap_bytes([tcp_frame(b"a"), tcp_frame(bytes(range(1, 256)) * 200)],
                       snaplen=0)
-    (graphs, _, stats), peak = _traced_peak(
+    (graphs, _, stats), peak = traced_peak(
         lambda: graphs_from_records(long, 0, 1500))
     assert graphs.lengths.tolist() == [2] and not stats.truncated
     assert peak <= len(long) + 4096 + 16384
     claims = pcap_bytes([tcp_frame(b"a")], snaplen=0) \
         + struct.pack("<IIII", 0, 0, 2 ** 31, 2 ** 31) + bytes(2 * 4096)
-    (graphs, _, stats), peak = _traced_peak(
+    (graphs, _, stats), peak = traced_peak(
         lambda: graphs_from_records(claims, 0, 1500))
     assert graphs.lengths.tolist() == [1] and stats.truncated
     assert peak <= 4096 + 16384
