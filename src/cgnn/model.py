@@ -193,13 +193,19 @@ def bucket_product(pieces, theta: np.ndarray, n: int) -> np.ndarray:
 
 
 def bucket_transpose_product(pieces, g: np.ndarray, p: int) -> np.ndarray:
-    """X^T g for the p-column X that bucket_pieces split up: each
-    bucket's X_b^T g[rows_b], added into the rows of its columns."""
-    *narrower, (idx, x) = pieces  # the widest bucket is last
+    """X^T g for the p-column X that bucket_pieces split up: each bucket's
+    X_b^T g[rows_b], widest first and then narrowest first, added into
+    the rows of its columns. Pops each piece as it reads it."""
+    idx, x = pieces.pop()  # the widest bucket is last
     out = np.zeros((p, g.shape[1]), dtype=g.dtype)
     np.matmul(x.T, g[idx], out=out[:x.shape[1]])
-    for idx, x in narrower:
-        out[:x.shape[1]] += x.T @ g[idx]
+    part = np.empty((WIDTH_STEP, g.shape[1]), dtype=g.dtype)
+    while pieces:  # narrower buckets end on a multiple of WIDTH_STEP
+        idx, x = pieces.pop(0)
+        rows = g[idx]
+        for lo in range(0, x.shape[1], WIDTH_STEP):
+            np.matmul(x[:, lo:lo + WIDTH_STEP].T, rows, out=part)
+            out[lo:lo + WIDTH_STEP] += part
     return out
 
 
@@ -251,12 +257,13 @@ def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass reuses from one forward pass."""
+    """What the backward pass reads of one forward pass: each layer's
+    input and activation, which backward pops as it reads them."""
 
     # Layer inputs: the first layer's is its bucket_pieces, the float
     # pieces of the batch's byte rows; the others' are (rows, width).
     hop_inputs: list = field(default_factory=list)
-    pre_acts: list[np.ndarray] = field(default_factory=list)  # before relu
+    acts: list[np.ndarray] = field(default_factory=list)  # after relu
     pooled: np.ndarray | None = None
     pool_winners: np.ndarray | None = None  # max pooling row indices
     probs: np.ndarray | None = None
@@ -264,9 +271,9 @@ class ForwardCache:
 
 def forward(model: CgnnModel, batch: BatchedGraph,
             for_backward: bool = True) -> ForwardCache:
-    """Run the network over a batch. The per-layer inputs and
-    pre-activations the backward pass reads are kept only for_backward;
-    without it, one bucket's float piece is alive at a time."""
+    """Run the network over a batch; ReLU overwrites each pre-activation.
+    The layer inputs and activations backward reads are cached only
+    for_backward; without it, one bucket's float piece is alive at once."""
     dims = model.dims
     if batch.p != dims.p:
         raise DimsMismatch(f"batch has feature length {batch.p}, "
@@ -286,11 +293,10 @@ def forward(model: CgnnModel, batch: BatchedGraph,
             else:
                 pre_act = batch.prop.apply(
                     bucket_product(x, theta, batch.prop.n), dims.hops)
-            if for_backward:
+            if for_backward:  # relu turns pre_act into the activation
                 cache.hop_inputs.append(x)
-                cache.pre_acts.append(pre_act)
-            # Inference keeps no pre-activation, so ReLU overwrites it.
-            x = relu(pre_act, out=None if for_backward else pre_act)
+                cache.acts.append(pre_act)
+            x = relu(pre_act, out=pre_act)
 
     cache.pooled, cache.pool_winners = pool(
         x, batch.offsets, batch.lengths, dims.pooling)

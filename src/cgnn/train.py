@@ -56,7 +56,8 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def backward(model: CgnnModel, batch: BatchedGraph,
              cache: ForwardCache) -> list[np.ndarray]:
-    """Gradients of the mean cross entropy, in model.params() order."""
+    """Gradients of the mean cross entropy, in model.params() order.
+    Consumes its cache, dropping each layer's arrays once read."""
     dims = model.dims
     size = batch.size
     dlogits = cache.probs.copy()
@@ -78,13 +79,14 @@ def backward(model: CgnnModel, batch: BatchedGraph,
 
     dthetas: list[np.ndarray | None] = [None] * len(model.thetas)
     for layer in range(len(model.thetas) - 1, -1, -1):
-        dx *= cache.pre_acts[layer] > 0
+        dx *= cache.acts.pop() > 0  # relu(z) > 0 exactly where z > 0
         g = batch.prop.apply(dx, dims.hops)
+        del dx  # before the products that read g
         if layer:
-            dthetas[layer] = cache.hop_inputs[layer].T @ g
+            dthetas[layer] = cache.hop_inputs.pop().T @ g
             dx = g @ model.thetas[layer].T
         else:
-            dthetas[0] = bucket_transpose_product(cache.hop_inputs[0], g,
+            dthetas[0] = bucket_transpose_product(cache.hop_inputs.pop(), g,
                                                   dims.p)
     grads = [*dthetas, d_w, d_b]
     for grad in grads:
@@ -232,6 +234,7 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
             loss = cross_entropy(cache.probs, batch.labels)
             grads = backward(model, batch, cache)
             adam_step(model, grads, state, lr=config.lr)
+            del grads  # not held through the next step's forward
             batch_losses.append(loss)
 
         train_loss = float(np.mean(batch_losses))

@@ -148,6 +148,25 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def forward_with_pre_acts(model, batch):
+    """forward(model, batch)'s cache and a copy of each layer's
+    pre-activation, taken as ReLU receives it: ReLU overwrites it in
+    place, and the cache keeps only the activations."""
+    import cgnn.model
+
+    pre_acts = []
+    relu = cgnn.model.relu
+
+    def copying_relu(x, out=None):
+        pre_acts.append(x.copy())
+        return relu(x, out=out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cgnn.model, "relu", copying_relu)
+        cache = cgnn.model.forward(model, batch)
+    return cache, pre_acts
+
+
 @pytest.fixture
 def five_tuples_built(monkeypatch) -> list[tuple]:
     """The arguments of every FiveTuple built while the test runs."""

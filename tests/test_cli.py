@@ -877,6 +877,21 @@ def test_importing_the_cli_freezes_the_start_up_heap():
     assert done.stdout.split() == ["True", "True"]
 
 
+def test_splitting_a_dataset_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, which costs a train process about 15 ms
+    # and 1.3 MB on first use; nothing else train runs needs it. Label 1
+    # is absent, so the split must skip it as np.unique would.
+    done = run_python("-c", "\n".join([
+        "import sys, numpy as np",
+        "from cgnn.graph import GraphSet, split_dataset",
+        "graphs = GraphSet.from_widths(np.zeros(0, np.uint8), 4,",
+        "    np.zeros(30, np.int64), [1] * 30, [0, 2, 3] * 10)",
+        "parts = split_dataset(graphs, seed=5)",
+        "print(*[len(part) for part in parts], 'numpy.ma' in sys.modules)"]))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["24", "3", "3", "False"]
+
+
 def test_predict_process_leaves_complete_outputs(trained, tmp_path, capsys):
     # What a separate process writes and prints matches the same command
     # run in this one, so nothing waited on the work skipped at exit.

@@ -20,8 +20,9 @@ from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims,
                         predict_probs, relu, save_checkpoint, sgc_layer,
                         softmax)
 
-from conftest import (batch_rows, bucket_widths, graph_set, random_graphs,
-                      traced_peak, zero_tailed_graphs)
+from conftest import (batch_rows, bucket_widths, forward_with_pre_acts,
+                      graph_set, random_graphs, traced_peak,
+                      zero_tailed_graphs)
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2)
 
@@ -308,7 +309,7 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
     batch = batch_graphs(zero_tailed_graphs(rng, bucket_widths(27, 8), 27,
                                             count=3))
     n = batch.widths.size
-    cache = forward(model, batch)
+    cache, pre_acts = forward_with_pre_acts(model, batch)
     assert len(cache.hop_inputs) == 2
     # The first layer keeps its input as float pieces, one per width
     # bucket, that scatter back to the batch's bytes over 255: not S X,
@@ -325,8 +326,10 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
     assert np.array_equal(scattered, batch_rows(batch).astype(np.float32)
                           / np.float32(255))
     assert cache.hop_inputs[1].shape == (n, 5)
-    assert len(cache.pre_acts) == 2
-    assert cache.pre_acts[0].shape == (n, 5)
+    assert len(cache.acts) == len(pre_acts) == 2
+    assert cache.acts[0].shape == (n, 5)
+    for act, pre_act in zip(cache.acts, pre_acts):
+        assert np.array_equal(act, np.maximum(pre_act, 0))
     assert cache.pooled.shape == (3, 4)
     assert cache.pool_winners is None
 
@@ -433,7 +436,7 @@ def test_forward_repeats_bit_for_bit_across_buckets(rng):
         rng, bucket_widths(1500, cgnn.model.WIDTH_STEP) * 4, 1500, count=12))
     first, second = forward(model, batch), forward(model, batch)
     assert first.probs.tobytes() == second.probs.tobytes()
-    for a, b in zip(first.pre_acts, second.pre_acts):
+    for a, b in zip(first.acts, second.acts):
         assert a.tobytes() == b.tobytes()
 
 
@@ -459,7 +462,7 @@ def test_predict_probs_keeps_no_backward_cache(rng, monkeypatch):
 
     monkeypatch.setattr(cgnn.model, "forward", keeping_forward)
     probs = predict_probs(model, graphs)
-    assert caches and all(c.hop_inputs == c.pre_acts == [] for c in caches)
+    assert caches and all(c.hop_inputs == c.acts == [] for c in caches)
     assert np.array_equal(probs,
                           forward(model, batch_graphs(graphs)).probs)
 

@@ -18,8 +18,8 @@ from cgnn.model import (POOLING_KINDS, CgnnModel, ModelDims, forward,
 from cgnn.train import (AdamState, TrainConfig, adam_step, backward,
                         cross_entropy, evaluate, fit)
 
-from conftest import (bucket_widths, graph_set, random_graphs,
-                      zero_tailed_graphs)
+from conftest import (bucket_widths, forward_with_pre_acts, graph_set,
+                      random_graphs, traced_peak, zero_tailed_graphs)
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2)
 
@@ -67,8 +67,8 @@ def smooth_case(dims: ModelDims, seed: int, rng, margin: float = 1e-3,
     for attempt in range(50):
         model = float64_model(dims, seed=seed + attempt * 101)
         batch = batch_graphs(draw(rng, 4, dims.p, dims.m))
-        cache = forward(model, batch)
-        if min(np.abs(pa).min() for pa in cache.pre_acts) < margin:
+        cache, pre_acts = forward_with_pre_acts(model, batch)
+        if min(np.abs(pa).min() for pa in pre_acts) < margin:
             continue
         if dims.pooling == "max" and _max_pool_near_tie(batch, cache, margin):
             continue
@@ -77,7 +77,7 @@ def smooth_case(dims: ModelDims, seed: int, rng, margin: float = 1e-3,
 
 
 def _max_pool_near_tie(batch, cache, margin: float) -> bool:
-    x = np.maximum(cache.pre_acts[-1], 0)
+    x = cache.acts[-1]
     for g in range(batch.size):
         rows = x[batch.offsets[g]:batch.offsets[g + 1]]
         if rows.shape[0] < 2:
@@ -217,6 +217,24 @@ def test_propagation_runs_at_hidden_widths_only(rng, monkeypatch):
                                               dims.d1]
 
 
+def test_training_step_holds_only_what_backward_still_reads(rng):
+    """A step over ~1,000 rows that reach every width bucket, at default
+    dims. ReLU runs in place, and backward drops each cached array once
+    read, so the peak is the first layer's float pieces, g and the p x d1
+    gradient: 4.7-4.8 (rows, d1) float32 arrays over 8 seeds and every
+    pooling. Keeping each pre-activation beside its activation, and the
+    whole cache until backward returned, read 9.4."""
+    dims = ModelDims()
+    model = init_model(dims, seed=0)
+    widths = bucket_widths(dims.p, cgnn.model.WIDTH_STEP)
+    widths += rng.integers(1, dims.p + 1, size=1000).tolist()
+    batch = batch_graphs(zero_tailed_graphs(rng, widths, dims.p, count=32))
+    grads, peak = traced_peak(
+        lambda: backward(model, batch, forward(model, batch)))
+    assert [g.shape for g in grads] == dims.param_shapes
+    assert peak <= 5.4 * batch.widths.size * dims.d1 * 4
+
+
 def test_gradient_scale_is_exact_in_float64(rng, monkeypatch):
     # Scaling by a power of two and back changes no bit of the result.
     for pooling in POOLING_KINDS:
@@ -225,10 +243,9 @@ def test_gradient_scale_is_exact_in_float64(rng, monkeypatch):
                              pooling=pooling)
             model = float64_model(dims, seed=layers)
             batch = batch_graphs(random_graphs(rng, 5, p=6, num_classes=3))
-            cache = forward(model, batch)
-            scaled = backward(model, batch, cache)
+            scaled = backward(model, batch, forward(model, batch))
             monkeypatch.setattr(cgnn.train, "GRAD_SCALE", 1.0)
-            plain = backward(model, batch, cache)
+            plain = backward(model, batch, forward(model, batch))
             monkeypatch.undo()
             for a, b in zip(scaled, plain):
                 assert a.tobytes() == b.tobytes(), (pooling, layers)
