@@ -1,15 +1,15 @@
 """Chained graphs over session packets, as one columnar set, and their
-propagation matrix.
+propagation.
 
 Each session becomes a graph whose vertices are its packets in arrival
 order, joined in a chain: packet i connects to packet i+1, giving n
 vertices and n-1 edges. The topology is a function of n alone, so a set
 of graphs is its rows, each graph's first row and vertex count, and the
 labels (as in PyTorch Geometric's ``ptr`` layout). A row is stored only
-up to its last nonzero byte, its width, in one flat byte buffer; its
-p-byte vector, those bytes then zeros, is built only when asked for. The
-propagation matrix is kept as its diagonal and off-diagonal and applied
-a hop at a time, each row from a 3-row window of its input.
+up to its last nonzero byte, its width, in one flat byte buffer; the
+model reads the zeros past it from the width. The propagation matrix is
+kept as its diagonal and off-diagonal and applied a hop at a time, each
+row from a 3-row window of its input.
 """
 
 from __future__ import annotations
@@ -25,34 +25,20 @@ from .errors import DimsMismatch, EmptyDataset
 
 @dataclass(frozen=True)
 class ChainedGraph:
-    """One graph of a GraphSet: its rows' stored bytes back to back, each
-    row's width, and a label."""
+    """One graph of a GraphSet, kept for bench/: the vertex count and label
+    that run.py checks and launch.py sums. Its rows are only in the set."""
 
-    data: np.ndarray  # uint8
-    widths: np.ndarray  # (n,) int64
-    p: int
+    n: int
     label: int
-
-    @property
-    def n(self) -> int:
-        return self.widths.size
-
-    @property
-    def features(self) -> np.ndarray:
-        """The read-only (n, p) rows, built on each call."""
-        rows = np.zeros((self.n, self.p), dtype=np.uint8)
-        rows[np.arange(self.p) < self.widths[:, None]] = self.data
-        rows.setflags(write=False)
-        return rows
 
 
 @dataclass
 class GraphSet:
     """Labeled graphs on one row buffer: row r is buffer[bounds[r]:
     bounds[r + 1]], and graph i the lengths[i] rows from row first[i]. An
-    int index gives one graph as a ChainedGraph; a slice or an index
-    array gives the chosen graphs, in order, as a GraphSet on the same
-    buffer."""
+    int index gives one graph's vertex count and label as a ChainedGraph,
+    without its rows; a slice or an index array gives the chosen graphs,
+    in order, as a GraphSet on the same buffer."""
 
     buffer: np.ndarray  # flat uint8
     p: int
@@ -73,27 +59,12 @@ class GraphSet:
                    first=np.cumsum(lengths) - lengths, lengths=lengths,
                    labels=np.asarray(labels, dtype=np.int64))
 
-    @classmethod
-    def from_padded(cls, rows: np.ndarray, lengths, labels) -> "GraphSet":
-        """Graphs of the (V, p) byte rows, lengths[i] consecutive rows
-        per graph; each row is stored up to its last nonzero byte."""
-        rows = np.asarray(rows, dtype=np.uint8)
-        p = rows.shape[1]
-        nonzero = rows != 0
-        widths = np.where(nonzero.any(axis=1),
-                          p - np.argmax(nonzero[:, ::-1], axis=1), 0)
-        return cls.from_widths(rows[np.arange(p) < widths[:, None]], p,
-                               widths, lengths, labels)
-
     def __len__(self) -> int:
         return self.lengths.size
 
     def __getitem__(self, idx):
         if isinstance(idx, (int, np.integer)):
-            lo = self.first[idx]
-            bounds = self.bounds[lo:lo + self.lengths[idx] + 1]
-            return ChainedGraph(data=self.buffer[bounds[0]:bounds[-1]],
-                                widths=np.diff(bounds), p=self.p,
+            return ChainedGraph(n=int(self.lengths[idx]),
                                 label=int(self.labels[idx]))
         return GraphSet(buffer=self.buffer, p=self.p, bounds=self.bounds,
                         first=self.first[idx], lengths=self.lengths[idx],
@@ -180,19 +151,6 @@ class ChainPropagation:
             np.matmul(taps[-1, 2 - len(tail):2], tail, out=out[-1])
             x = out
         return x
-
-    def dense(self) -> np.ndarray:
-        """Materialize S as a full (N, N) matrix."""
-        out = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        out[idx, idx + 1] = self.off
-        out[idx + 1, idx] = self.off
-        return out
-
-
-def propagation_matrix(n: int) -> np.ndarray:
-    """Dense propagation matrix of a single chain with n vertices."""
-    return ChainPropagation.for_batch([n]).dense()
 
 
 @dataclass

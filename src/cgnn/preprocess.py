@@ -142,15 +142,6 @@ def _walk_records(data, offset: int, captured_len: Callable, snaplen: int,
     return starts, lengths, offset, RECORD_HEADER_LEN
 
 
-def walk_pcap(data: bytes) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Where each frame of a capture's bytes sits, in file order (int64
-    offset and captured length; none is copied), and whether the file
-    ends mid-record: a record claiming more than remain ends the walk."""
-    starts, lengths, offset, _ = _walk_records(
-        data, GLOBAL_HEADER_LEN, *_global_header(data))
-    return *np.array([starts, lengths], dtype=np.int64), offset < len(data)
-
-
 def _decode_headers(buf: np.ndarray, start: np.ndarray, length: np.ndarray,
                     stats: IngestStats, base: int,
                     drop_dns: bool) -> list[np.ndarray]:

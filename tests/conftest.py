@@ -1,4 +1,4 @@
-"""Shared builders for hand-crafted frames and capture files.
+"""Shared builders for hand-crafted frames, captures and graph sets.
 
 Everything is constructed byte by byte so tests can state expected
 outputs independently of the code under test.
@@ -79,29 +79,64 @@ def pcap_bytes(frames: list[bytes], *, magic: int = 0xA1B2C3D4,
 
 def graph_set(features: list[np.ndarray], labels: list[int],
               p: int | None = None):
-    """A GraphSet of the given (n, p) uint8 matrices and labels, built by
-    GraphSet.from_padded from their rows stacked in order; p is needed
+    """A GraphSet of the given (n, p) uint8 matrices and labels: their rows
+    stacked in order, each stored up to its last nonzero byte; p is needed
     only when there are no graphs."""
     from cgnn.graph import GraphSet
 
     p = features[0].shape[1] if features else p
     rows = np.concatenate([np.asarray(f, np.uint8) for f in features]
                           or [np.zeros((0, p), np.uint8)])
-    return GraphSet.from_padded(rows, [f.shape[0] for f in features],
+    widths = np.array([len(row.tobytes().rstrip(b"\0")) for row in rows],
+                      dtype=np.int64)
+    return GraphSet.from_widths(rows[np.arange(p) < widths[:, None]], p,
+                                widths, [f.shape[0] for f in features],
                                 np.array(labels, dtype=np.int64).reshape(-1))
 
 
+def graph_rows(graphs, i: int) -> np.ndarray:
+    """Graph i's (n, p) byte rows, each its stored bytes then zeros."""
+    lo = graphs.first[i]
+    bounds = graphs.bounds[lo:lo + graphs.lengths[i] + 1]
+    rows = np.zeros((bounds.size - 1, graphs.p), dtype=np.uint8)
+    rows[np.arange(graphs.p) < np.diff(bounds)[:, None]] = \
+        graphs.buffer[bounds[0]:bounds[-1]]
+    return rows
+
+
 def batch_rows(batch) -> np.ndarray:
-    """A batch's (N, p) byte rows, each its stored bytes then zeros;
-    checks that the p bytes after the last row are zeros."""
+    """A batch's (N, p) byte rows, expanded as graph_rows expands a
+    graph's; checks that the p bytes after the last row are zeros."""
     from cgnn.graph import GraphSet
 
     stored = batch.widths.sum()
     assert batch.rows.size == stored + batch.p
     assert not batch.rows[stored:].any()
-    (graph,) = GraphSet.from_widths(batch.rows[:stored], batch.p,
-                                    batch.widths, [batch.widths.size], [0])
-    return graph.features
+    one = GraphSet.from_widths(batch.rows[:stored], batch.p, batch.widths,
+                               [batch.widths.size], [0])
+    return graph_rows(one, 0)
+
+
+def dense_propagation_oracle(*lengths: int) -> np.ndarray:
+    """Brute force in 64-bit: build A for consecutive chains of the given
+    lengths, add self-loops, normalize symmetrically. Entirely independent
+    of the implementation."""
+    ends = np.cumsum(lengths)
+    adjacency = np.eye(ends[-1], k=1)
+    adjacency[ends[:-1] - 1, ends[:-1]] = 0.0  # no edge where chains meet
+    loop_adjacency = adjacency + adjacency.T + np.eye(ends[-1])
+    inv_sqrt_degree = np.diag(1.0 / np.sqrt(loop_adjacency.sum(axis=1)))
+    return inv_sqrt_degree @ loop_adjacency @ inv_sqrt_degree
+
+
+def walk(data: bytes) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Each frame's int64 offset and captured length in a whole capture's
+    bytes, and whether the file ends mid-record."""
+    from cgnn import preprocess as pre
+
+    starts, lengths, offset, _ = pre._walk_records(
+        data, pre.GLOBAL_HEADER_LEN, *pre._global_header(data))
+    return *np.array([starts, lengths], dtype=np.int64), offset < len(data)
 
 
 def random_graphs(rng: np.random.Generator, count: int, p: int,

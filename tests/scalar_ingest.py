@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cgnn.graph import ChainedGraph, GraphSet
+from cgnn.graph import GraphSet
 from cgnn.preprocess import FiveTuple, IngestStats
+
+from conftest import graph_set
 
 ETHERNET_HEADER_LEN = 14
 ETHERTYPE_IPV4 = 0x0800
@@ -207,22 +209,19 @@ def split_sessions(frames: list[bytes], *,
 
 def graphs_from_frames(frames: list[bytes], label: int, p: int,
                        fraction: float = 1.0, drop_dns: bool = False,
-                       ) -> tuple[list[ChainedGraph], list[FiveTuple],
-                                  IngestStats]:
+                       ) -> tuple[GraphSet, list[FiveTuple], IngestStats]:
     """Full ingest of a frame list: sessions, cleaning, graphs."""
     split = split_sessions(frames, drop_dns=drop_dns)
     stats = split.stats
-    graphs: list[ChainedGraph] = []
+    features: list[np.ndarray] = []
     keys: list[FiveTuple] = []
     for key, cleaned in split.sessions.items():
         if not cleaned:
             stats.dropped_sessions += 1
             continue
         rows = np.stack([vectorize(packet, p) for packet in cleaned])
-        keep = math.ceil(fraction * len(rows))
-        (graph,) = GraphSet.from_padded(rows[:keep], [keep], [label])
-        graphs.append(graph)
+        features.append(rows[:math.ceil(fraction * len(rows))])
         keys.append(key)
         stats.sessions += 1
-        stats.vertices += graph.n
-    return graphs, keys, stats
+        stats.vertices += len(features[-1])
+    return graph_set(features, [label] * len(features), p), keys, stats

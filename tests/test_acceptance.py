@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 from cgnn.dataset import Dataset, parse_dataset
-from cgnn.graph import batch_graphs, propagation_matrix, split_dataset
+from cgnn.graph import ChainPropagation, batch_graphs, split_dataset
 from cgnn.model import (ModelDims, forward, init_model, load_checkpoint,
                         predict_probs, save_checkpoint)
 from cgnn.preprocess import FiveTuple, graphs_from_records
 from cgnn.train import TrainConfig, backward, evaluate, fit
 
-from conftest import (IP_A, IP_B, arp_frame, graph_set, pcap_bytes,
-                      random_graphs, tcp_frame, udp_frame)
-from test_graph import dense_propagation_oracle
+from conftest import (IP_A, IP_B, arp_frame, dense_propagation_oracle,
+                      graph_rows, graph_set, pcap_bytes, random_graphs,
+                      tcp_frame, udp_frame)
 from test_preprocess import (_only_row, expected_tcp_clean,
                              expected_udp_clean)
 from test_train import max_rel_error, numeric_gradient, smooth_case
@@ -40,7 +40,8 @@ def test_criterion_1_propagation_matches_dense_oracle(capsys):
     start = time.perf_counter()
     worst = 0.0
     for n in range(1, 11):
-        diff = np.abs(propagation_matrix(n) - dense_propagation_oracle(n))
+        got = ChainPropagation.for_batch([n]).apply(np.eye(n))
+        diff = np.abs(got - dense_propagation_oracle(n))
         worst = max(worst, float(diff.max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -156,7 +157,7 @@ def test_criterion_5_golden_capture_cleaning(capsys):
     checks.append(stats.skipped == 1)
     checks.append([FiveTuple.unpack(*key) for key in keys.tolist()]
                   == [FiveTuple(IP_A, 50000, IP_B, 80, 6)])
-    vectors = graphs[0].features
+    vectors = graph_rows(graphs, 0)
     checks.append(vectors.shape == (3, 200) and vectors.dtype == np.uint8)
     expected = [expected_tcp_clean(payload, sport=50000, dport=80),
                 expected_tcp_clean(payload[:8], sport=80, dport=50000),

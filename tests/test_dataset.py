@@ -15,7 +15,7 @@ from cgnn.errors import CorruptFile
 from cgnn.ioutil import WRITE_BUFFER, atomic_write_bytes
 from cgnn.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 
-from conftest import graph_set, random_graphs, traced_peak
+from conftest import graph_rows, graph_set, random_graphs, traced_peak
 
 
 def small_dataset() -> Dataset:
@@ -35,9 +35,10 @@ def test_round_trip_small():
     assert parsed.p == 4
     assert parsed.label_names == ["chat", "mail"]
     assert len(parsed.graphs) == 2
-    for original, restored in zip(data.graphs, parsed.graphs):
-        assert restored.label == original.label
-        assert np.array_equal(restored.features, original.features)
+    for i in range(2):
+        assert parsed.graphs.labels[i] == data.graphs.labels[i]
+        assert np.array_equal(graph_rows(parsed.graphs, i),
+                              graph_rows(data.graphs, i))
 
 
 def test_round_trip_zero_graphs():
@@ -52,7 +53,7 @@ def test_round_trip_single_vertex_small_p():
     data = Dataset(graphs=graph_set([np.array([[255]], dtype=np.uint8)], [0]),
                    label_names=["x"])
     parsed = parse_dataset(data.to_bytes())
-    assert parsed.graphs[0].features.tolist() == [[255]]
+    assert graph_rows(parsed.graphs, 0).tolist() == [[255]]
 
 
 def test_label_name_order_preserved():
@@ -84,8 +85,7 @@ def test_load_views_features_and_copies_weights(tmp_path):
     # the buffer is the file's rows block, not a copy of it
     assert np.shares_memory(loaded.buffer, np.frombuffer(raw, np.uint8))
     assert loaded.buffer.tobytes() == bytes(range(1, 13))
-    for graph in loaded:
-        assert not graph.features.flags.writeable
+    assert not loaded.buffer.flags.writeable
     model = init_model(ModelDims(p=4, d1=3, d2=2, m=2), seed=0)
     save_checkpoint(model, ["chat", "mail"], tmp_path / "model.cgm1")
     for weights in load_checkpoint(tmp_path / "model.cgm1").model.params():
@@ -232,12 +232,12 @@ def test_save_streams_parts_in_order_and_patches_the_count(tmp_path, rng):
     parts = [random_graphs(rng, count, p=5) for count in (3, 0, 4)]
     path = tmp_path / "out.cgd1"
     assert save_dataset(iter(parts), path, ["a", "b"], 5) == 7
-    loaded = load_dataset(path)
-    assert len(loaded.graphs) == 7
-    whole = [g for part in parts for g in part]
-    for original, restored in zip(whole, loaded.graphs):
-        assert restored.label == original.label
-        assert np.array_equal(restored.features, original.features)
+    loaded = load_dataset(path).graphs
+    assert len(loaded) == 7
+    whole = [(part, i) for part in parts for i in range(len(part))]
+    for j, (part, i) in enumerate(whole):
+        assert loaded.labels[j] == part.labels[i]
+        assert np.array_equal(graph_rows(loaded, j), graph_rows(part, i))
 
 
 def test_save_past_the_write_buffer_matches_to_bytes(tmp_path, rng):

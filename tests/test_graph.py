@@ -1,4 +1,4 @@
-"""Chain graphs, the propagation matrix oracle, batching, and splits."""
+"""Chain graphs, propagation against the dense oracle, batching, splits."""
 
 from __future__ import annotations
 
@@ -8,47 +8,34 @@ import numpy as np
 import pytest
 
 from cgnn.errors import DimsMismatch, EmptyDataset
-from cgnn.graph import (ChainPropagation, batch_graphs, propagation_matrix,
-                        split_dataset)
+from cgnn.graph import ChainPropagation, batch_graphs, split_dataset
 from cgnn.preprocess import graphs_from_records
 
-from conftest import (batch_rows, graph_set, pcap_bytes, random_graphs,
-                      tcp_frame, traced_peak)
+from conftest import (batch_rows, dense_propagation_oracle, graph_rows,
+                      graph_set, pcap_bytes, random_graphs, tcp_frame,
+                      traced_peak)
 
 
-def dense_propagation_oracle(n: int) -> np.ndarray:
-    """Brute force in 64-bit: build A for a chain, add self-loops,
-    normalize symmetrically. Entirely independent of the implementation."""
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    for i in range(n - 1):
-        adjacency[i, i + 1] = adjacency[i + 1, i] = 1.0
-    loop_adjacency = adjacency + np.eye(n)
-    inv_sqrt_degree = np.diag(1.0 / np.sqrt(loop_adjacency.sum(axis=1)))
-    return inv_sqrt_degree @ loop_adjacency @ inv_sqrt_degree
+def propagation(*lengths: int) -> np.ndarray:
+    """The chains' dense propagation matrix: apply over the identity."""
+    return ChainPropagation.for_batch(lengths).apply(np.eye(sum(lengths)))
 
 
 # --- propagation matrix ----------------------------------------------------
 
 def test_known_matrices():
-    assert propagation_matrix(1).tolist() == [[1.0]]
-    assert propagation_matrix(2).tolist() == [[0.5, 0.5], [0.5, 0.5]]
-    s3 = propagation_matrix(3)
+    assert propagation(1).tolist() == [[1.0]]
+    assert propagation(2).tolist() == [[0.5, 0.5], [0.5, 0.5]]
+    s3 = propagation(3)
     assert s3[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert s3[0, 1] == pytest.approx(1 / math.sqrt(6), abs=1e-15)
     assert s3[1, 1] == pytest.approx(1 / 3, abs=1e-15)
     assert s3[0, 2] == 0.0
 
 
-def test_matches_dense_oracle_for_small_chains():
-    for n in range(1, 11):
-        expected = dense_propagation_oracle(n)
-        got = propagation_matrix(n)
-        assert np.abs(got - expected).max() <= 1e-12
-
-
 def test_symmetric_with_spectral_radius_at_most_one():
     for n in (1, 2, 3, 7, 16, 33, 64):
-        dense = propagation_matrix(n)
+        dense = propagation(n)
         assert np.array_equal(dense, dense.T)
         assert (dense >= 0).all()
         radius = np.abs(np.linalg.eigvalsh(dense)).max()
@@ -56,7 +43,7 @@ def test_symmetric_with_spectral_radius_at_most_one():
 
 
 def test_tridiagonal_structure():
-    dense = propagation_matrix(6)
+    dense = propagation(6)
     for i in range(6):
         for j in range(6):
             if abs(i - j) > 1:
@@ -71,7 +58,7 @@ def test_apply_equals_dense_multiply(rng):
     for lengths in ([1], [2], [5], [10], MIXED_LENGTHS):
         prop = ChainPropagation.for_batch(lengths)
         x = rng.standard_normal((prop.n, 4))
-        dense = prop.dense()
+        dense = dense_propagation_oracle(*lengths)
         for hops in (0, 1, 2, 3):
             expected = np.linalg.matrix_power(dense, hops) @ x
             assert np.abs(prop.apply(x, hops) - expected).max() <= 1e-12
@@ -97,12 +84,12 @@ def test_apply_rejects_wrong_row_count():
 def test_batched_propagation_is_block_diagonal():
     # the second batch puts single-vertex graphs first, inside and last
     for lengths in ([2, 3], [1, 4, 1, 1, 3, 1]):
-        dense = ChainPropagation.for_batch(lengths).dense()
+        dense = propagation(*lengths)
         assert dense.shape == (sum(lengths), sum(lengths))
         start = 0
         for n in lengths:
             block = slice(start, start + n)
-            assert np.array_equal(dense[block, block], propagation_matrix(n))
+            assert np.array_equal(dense[block, block], propagation(n))
             assert (dense[block, :start] == 0).all()
             assert (dense[block, start + n:] == 0).all()
             start += n
@@ -128,9 +115,9 @@ def test_build_chain_graph_six_vertices():
                              label=1)
     (graph,) = graphs
     assert graph.n == 6
-    assert graphs.p == graph.features.shape[1] == 48
+    assert graphs.p == graph_rows(graphs, 0).shape[1] == 48
     assert graph.label == 1
-    assert graph.features[:, 40].tolist() == [1, 2, 3, 4, 5, 6]  # in order
+    assert graph_rows(graphs, 0)[:, 40].tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_build_chain_graph_single_vertex():
@@ -139,26 +126,20 @@ def test_build_chain_graph_single_vertex():
 
 
 def test_build_chain_graph_identical_packets_identical_rows():
-    (graph,) = _session_graphs([b"same", b"same"], 64)
-    assert np.array_equal(graph.features[0], graph.features[1])
+    rows = graph_rows(_session_graphs([b"same", b"same"], 64), 0)
+    assert np.array_equal(rows[0], rows[1])
 
 
 def test_build_chain_graph_rejects_empty():
     assert len(_session_graphs([b"", b""], 64)) == 0
 
 
-def test_graph_views_are_read_only():
-    (graph,) = _session_graphs([b"ab", b"cd"], 8)
-    with pytest.raises(ValueError):
-        graph.features[0, 0] = 1
-
-
 def test_truncate_by_half():
     payloads = [bytes([i + 1]) for i in range(10)]
-    (whole,) = _session_graphs(payloads, 48)
-    (cut,) = _session_graphs(payloads, 48, fraction=0.5)
-    assert cut.n == 5
-    assert np.array_equal(cut.features, whole.features[:5])
+    whole = _session_graphs(payloads, 48)
+    cut = _session_graphs(payloads, 48, fraction=0.5)
+    assert cut.lengths.tolist() == [5]
+    assert np.array_equal(graph_rows(cut, 0), graph_rows(whole, 0)[:5])
 
 
 def test_truncate_full_fraction_is_identity():
@@ -194,7 +175,7 @@ def test_graph_set_indexing_shares_the_buffer(rng):
     assert picked.buffer is graphs.buffer
     assert len(picked) == 2
     assert picked.labels.tolist() == [graphs[4].label, graphs[1].label]
-    assert np.array_equal(picked[0].features, graphs[4].features)
+    assert np.array_equal(graph_rows(picked, 0), graph_rows(graphs, 4))
     assert [g.n for g in graphs[1:3]] == graphs.lengths[1:3].tolist()
 
 
@@ -213,10 +194,11 @@ def test_batch_single_graph_matches_it(rng):
     graphs = random_graphs(rng, 1, p=6)
     graph = graphs[0]
     batch = batch_graphs(graphs)
-    assert np.array_equal(batch_rows(batch), graph.features)
+    assert np.array_equal(batch_rows(batch), graph_rows(graphs, 0))
     assert batch.lengths.tolist() == [graph.n]
     assert batch.labels.tolist() == [graph.label]
-    assert np.array_equal(batch.prop.dense(), propagation_matrix(graph.n))
+    assert np.array_equal(batch.prop.apply(np.eye(graph.n)),
+                          propagation(graph.n))
 
 
 def test_batch_offsets_and_block_structure():
@@ -224,7 +206,7 @@ def test_batch_offsets_and_block_structure():
                         np.ones((3, 3), np.uint8)], [0, 1])
     batch = batch_graphs(graphs)
     assert batch.offsets.tolist() == [0, 2, 5]
-    assert batch.prop.dense()[1, 2] == 0.0
+    assert batch.prop.apply(np.eye(5))[1, 2] == 0.0
 
 
 def test_batch_of_32_graphs(rng):
@@ -239,9 +221,9 @@ def test_batch_slicing_reproduces_inputs_exactly(rng):
     graphs = random_graphs(rng, 10, p=7)
     batch = batch_graphs(graphs)
     offsets, rows = batch.offsets, batch_rows(batch)
-    for i, graph in enumerate(graphs):
+    for i in range(len(graphs)):
         assert np.array_equal(rows[offsets[i]:offsets[i + 1]],
-                              graph.features)
+                              graph_rows(graphs, i))
 
 
 def test_batch_takes_the_chosen_graphs_in_order(rng):
@@ -250,7 +232,7 @@ def test_batch_takes_the_chosen_graphs_in_order(rng):
     batch = batch_graphs(graphs, idx)
     assert batch.labels.tolist() == graphs.labels[idx].tolist()
     assert np.array_equal(batch_rows(batch), np.concatenate(
-        [graphs[i].features for i in idx.tolist()]))
+        [graph_rows(graphs, i) for i in idx.tolist()]))
 
 
 def test_batch_rejects_empty_list(rng):

@@ -20,8 +20,8 @@ from cgnn import preprocess
 from cgnn.preprocess import FiveTuple, graphs_from_records
 
 import scalar_ingest
-from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, pcap_bytes,
-                      tcp, tcp_frame, udp, udp_frame)
+from conftest import (IP_A, IP_B, arp_frame, ethernet, graph_rows, ipv4,
+                      pcap_bytes, tcp, tcp_frame, udp, udp_frame)
 
 IPS = [IP_A, IP_B, bytes([192, 168, 1, 9])]
 PORTS = [53, 80, 443, 40000]
@@ -136,7 +136,11 @@ def _assert_matches_oracle(data: bytes, capture: list[bytes], label: int):
                 assert stats == want_stats
                 # each row stored up to its last nonzero byte, as the
                 # padded rows of the oracle give it
-                assert [(g.label, g.widths.tolist(), g.features.shape,
-                         g.features.tobytes()) for g in graphs] \
-                    == [(g.label, g.widths.tolist(), g.features.shape,
-                         g.features.tobytes()) for g in want_graphs]
+                assert _contents(graphs) == _contents(want_graphs)
+
+
+def _contents(graphs) -> tuple:
+    """Labels, vertex counts, row widths and each graph's (n, p) rows."""
+    return (graphs.labels.tolist(), graphs.lengths.tolist(),
+            graphs.packed()[1].tolist(),
+            [graph_rows(graphs, i).tobytes() for i in range(len(graphs))])

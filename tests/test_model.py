@@ -20,9 +20,9 @@ from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims,
                         predict_probs, relu, save_checkpoint, sgc_layer,
                         softmax)
 
-from conftest import (batch_rows, bucket_widths, forward_with_pre_acts,
-                      graph_set, random_graphs, traced_peak,
-                      zero_tailed_graphs)
+from conftest import (batch_rows, bucket_widths, dense_propagation_oracle,
+                      forward_with_pre_acts, graph_rows, graph_set,
+                      random_graphs, traced_peak, zero_tailed_graphs)
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2)
 
@@ -31,10 +31,9 @@ def dense_forward_oracle(model: CgnnModel, graphs) -> np.ndarray:
     """Recompute the whole network with 64-bit dense matrices, one graph
     at a time: x = relu(S^k x theta) per layer, pool, softmax(y W + b)."""
     rows = []
-    for graph in graphs:
-        x = graph.features.astype(np.float64) / 255.0
-        from test_graph import dense_propagation_oracle
-        s = dense_propagation_oracle(graph.n)
+    for i in range(len(graphs)):
+        x = graph_rows(graphs, i).astype(np.float64) / 255.0
+        s = dense_propagation_oracle(x.shape[0])
         for theta in model.thetas:
             x = np.maximum(np.linalg.matrix_power(s, model.dims.hops) @ x
                            @ theta.astype(np.float64), 0.0)
@@ -134,7 +133,6 @@ def test_sgc_layer_two_vertices_averages():
 
 
 def test_sgc_layer_two_hops_matches_dense(rng):
-    from test_graph import dense_propagation_oracle
     prop = ChainPropagation.for_batch([3])
     x = rng.standard_normal((3, 4))
     theta = rng.standard_normal((4, 2))
@@ -290,7 +288,7 @@ def test_forward_chain_reversal_same_distribution(rng):
     # classify identically (up to float addition order).
     model = init_model(TINY_DIMS, seed=4)
     graphs = random_graphs(rng, 1, p=6, max_n=9)
-    flipped = graph_set([graphs[0].features[::-1]], graphs.labels)
+    flipped = graph_set([graph_rows(graphs, 0)[::-1]], graphs.labels)
     a = forward(model, batch_graphs(graphs)).probs
     b = forward(model, batch_graphs(flipped)).probs
     assert np.abs(a - b).max() <= 1e-6
@@ -402,7 +400,8 @@ def test_pieces_from_stored_rows_equal_a_scan_of_padded_rows(
     graphs = zero_tailed_graphs(rng, widths * 2, p, count=6)
     for idx in (slice(None), rng.permutation(len(graphs))[:4]):
         batch = batch_graphs(graphs, idx)
-        padded = np.concatenate([g.features for g in graphs[idx]])
+        padded = np.concatenate([graph_rows(graphs, i)
+                                 for i in np.arange(len(graphs))[idx]])
         for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
             got = list(bucket_pieces(batch, dtype))
             want = scanned_pieces(padded, dtype, step)

@@ -15,8 +15,8 @@ from cgnn.cli import RunConfig, _ingest_capture
 from cgnn.errors import CorruptFile
 from cgnn.preprocess import FiveTuple, graphs_from_records
 
-from conftest import (IP_A, IP_B, arp_frame, ethernet, ipv4, pcap_bytes,
-                      tcp, tcp_frame, traced_peak, udp_frame)
+from conftest import (IP_A, IP_B, arp_frame, ethernet, graph_rows, ipv4,
+                      pcap_bytes, tcp, tcp_frame, traced_peak, udp_frame)
 
 REASONS = ("non_ipv4", "non_tcp_udp", "fragments", "malformed")
 
@@ -30,9 +30,9 @@ def ingest(frames: list[bytes], p: int = 64, **kwargs):
 
 
 def _only_row(frame: bytes, p: int) -> np.ndarray:
-    (graph,), _, _ = ingest([frame], p)
-    assert graph.n == 1
-    return graph.features[0]
+    graphs, _, _ = ingest([frame], p)
+    assert graphs.lengths.tolist() == [1]
+    return graph_rows(graphs, 0)[0]
 
 
 def _skip_reason(frame: bytes) -> str:
@@ -198,7 +198,7 @@ def test_feature_length_below_the_headers(p):
     udp_clean = expected_udp_clean(b"ping")
     graphs, _, _ = ingest([tcp_frame(b"xyz", ip_options=options),
                            udp_frame(b"ping")], p=p)
-    rows = [bytes(g.features[0]) for g in graphs]
+    rows = [bytes(graph_rows(graphs, i)[0]) for i in range(len(graphs))]
     assert rows == [(tcp_clean + bytes(p))[:p], (udp_clean + bytes(p))[:p]]
 
 
@@ -222,7 +222,7 @@ def test_rows_are_stored_up_to_their_last_nonzero_byte(p):
     stored = [row[:p].rstrip(b"\0") for row in cleaned]
     assert widths.tolist() == [len(row) for row in stored]
     assert data.tobytes() == b"".join(stored)
-    assert np.concatenate([g.features for g in graphs]).tobytes() \
+    assert b"".join(graph_rows(graphs, i).tobytes() for i in range(3)) \
         == b"".join((row[:p] + bytes(p))[:p] for row in cleaned)
 
 
@@ -237,11 +237,11 @@ def test_last_frame_claiming_past_the_capture_end():
     whole = pcap_bytes([tcp_frame(b"a"), cut])
     truncated = pcap_bytes([tcp_frame(b"a"), cut, tcp_frame(b"b")])[:-3]
     for data in (whole, truncated):
-        (graph,), _, stats = graphs_from_records(data, 0, 1500)
-        assert stats.truncated == (data is truncated)
-        expected = expected_tcp_clean(payload)[:70]
-        assert bytes(graph.features[1, :70]) == expected
-        assert not graph.features[1, 70:].any()
+        graphs, _, stats = graphs_from_records(data, 0, 1500)
+        assert len(graphs) == 1 and stats.truncated == (data is truncated)
+        row = graph_rows(graphs, 0)[1]
+        assert bytes(row[:70]) == expected_tcp_clean(payload)[:70]
+        assert not row[70:].any()
         assert stats.skipped == 0
     graphs, _, stats = graphs_from_records(
         pcap_bytes([tcp_frame(b"a"), header_only]), 0, 1500)
@@ -346,7 +346,7 @@ def test_session_order_preserved():
                expected_tcp_clean(b"b1", sport=40001, dport=443),
                expected_tcp_clean(b"a2", sport=40000, dport=80),
                expected_tcp_clean(b"b2", sport=40001, dport=443)]
-    rows = [[bytes(row[:42]) for row in g.features] for g in graphs]
+    rows = [[bytes(row[:42]) for row in graph_rows(graphs, i)] for i in (0, 1)]
     assert rows[0] == [cleaned[0], cleaned[2]]
     assert rows[1] == [cleaned[1], cleaned[3]]
     assert [k.port_a for k in keys] == [40000, 40001]
@@ -380,7 +380,7 @@ def test_interleaved_sessions_are_numbered_by_first_appearance():
               for i, port in enumerate(ports)]
     graphs, keys, _ = ingest(frames)
     assert [k.port_a for k in keys] == [40002, 40000, 40001]
-    assert [[row[40] for row in g.features] for g in graphs] \
+    assert [graph_rows(graphs, i)[:, 40].tolist() for i in range(3)] \
         == [[0, 2, 6], [1, 4], [3, 5]]
 
 

@@ -18,13 +18,12 @@ from cgnn.cli import (RunConfig, format_config, parse_config_file,
                       parse_config_text)
 from cgnn.dataset import Dataset, parse_dataset
 from cgnn.errors import ConfigError, CorruptFile
-from cgnn.graph import GraphSet
 from cgnn.model import (ModelDims, init_model, parse_checkpoint,
                         save_checkpoint, softmax)
-from cgnn.preprocess import FiveTuple, graphs_from_records, walk_pcap
+from cgnn.preprocess import FiveTuple, graphs_from_records
 
-from conftest import (arp_frame, graph_set, pcap_bytes, random_graphs,
-                      tcp_frame, udp_frame)
+from conftest import (arp_frame, graph_rows, graph_set, pcap_bytes,
+                      random_graphs, tcp_frame, udp_frame, walk)
 from test_preprocess import expected_tcp_clean
 
 # Text that survives a UTF-8 round trip (no surrogates).
@@ -35,8 +34,8 @@ utf8_text = st.text(
 
 @given(data=st.binary(min_size=1, max_size=300), p=st.integers(1, 400))
 def test_vectorize_pads_and_truncates(data, p):
-    (graph,), _, _ = graphs_from_records(pcap_bytes([tcp_frame(data)]), 0, p)
-    vector = graph.features[0]
+    graphs, _, _ = graphs_from_records(pcap_bytes([tcp_frame(data)]), 0, p)
+    (vector,) = graph_rows(graphs, 0)
     assert vector.shape == (p,)
     assert vector.dtype == np.uint8
     cleaned = expected_tcp_clean(data)
@@ -76,12 +75,12 @@ def test_five_tuple_canonical_ignores_direction(src_ip, dst_ip, src_port,
 def test_capture_files_round_trip(frames, nanosecond, big_endian):
     data = pcap_bytes(frames, magic=0xA1B23C4D if nanosecond else 0xA1B2C3D4,
                       big_endian=big_endian)
-    starts, lengths, truncated = walk_pcap(data)
+    starts, lengths, truncated = walk(data)
     assert [data[s:s + n] for s, n in zip(starts.tolist(),
                                           lengths.tolist())] == frames
     assert truncated is False
     # every magic value and byte order lays the records out alike
-    reference, ref_lengths, _ = walk_pcap(pcap_bytes(frames))
+    reference, ref_lengths, _ = walk(pcap_bytes(frames))
     assert starts.tolist() == reference.tolist()
     assert lengths.tolist() == ref_lengths.tolist()
 
@@ -125,8 +124,9 @@ def padded_rows_case(draw):
 @settings(deadline=None, max_examples=80)
 def test_padded_rows_round_trip_through_stored_rows_and_a_file(case):
     rows, lengths, labels = case
-    p = rows.shape[1]
-    graphs = GraphSet.from_padded(rows, lengths, labels)
+    p, ends = rows.shape[1], np.cumsum(lengths)
+    graphs = graph_set([rows[end - n:end] for end, n in zip(ends, lengths)],
+                       labels, p)
     nonzero = [np.flatnonzero(row) for row in rows]
     widths = [int(nz[-1]) + 1 if nz.size else 0 for nz in nonzero]
     assert graphs.packed()[1].tolist() == widths
@@ -135,13 +135,13 @@ def test_padded_rows_round_trip_through_stored_rows_and_a_file(case):
     raw = Dataset(graphs=graphs, label_names=["a", "b", "c"]).to_bytes()
     parsed = parse_dataset(raw)
     assert parsed.to_bytes() == raw
-    ends = np.cumsum(lengths)
     for got in (graphs, parsed.graphs):
         assert len(got) == len(lengths)
-        for graph, end, n, label in zip(got, ends, lengths, labels):
-            assert (graph.n, graph.label) == (n, label)
-            assert graph.features.shape == (n, p)
-            assert graph.features.tobytes() == rows[end - n:end].tobytes()
+        for i, (end, n, label) in enumerate(zip(ends, lengths, labels)):
+            assert (got[i].n, got[i].label) == (n, label)
+            expanded = graph_rows(got, i)
+            assert expanded.shape == (n, p)
+            assert expanded.tobytes() == rows[end - n:end].tobytes()
 
 
 @given(p=st.integers(1, 10_000), d1=st.integers(1, 10_000),
@@ -168,13 +168,13 @@ def test_softmax_rows_are_distributions(rows):
 @settings(deadline=None)
 def test_truncation_keeps_a_leading_ceil_fraction(n, fraction):
     frames = [tcp_frame(bytes([i + 1])) for i in range(n)]
-    (whole,), _, _ = graphs_from_records(pcap_bytes(frames), 0, 48)
-    (graph,), _, stats = graphs_from_records(pcap_bytes(frames), 0, 48,
-                                             fraction)
-    kept = graph.n
+    whole, _, _ = graphs_from_records(pcap_bytes(frames), 0, 48)
+    graphs, _, stats = graphs_from_records(pcap_bytes(frames), 0, 48,
+                                           fraction)
+    (kept,) = graphs.lengths.tolist()
     assert kept == math.ceil(fraction * n) == stats.vertices
     assert 1 <= kept <= n
-    assert np.array_equal(graph.features, whole.features[:kept])
+    assert np.array_equal(graph_rows(graphs, 0), graph_rows(whole, 0)[:kept])
 
 
 # --- parser robustness ------------------------------------------------------

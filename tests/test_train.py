@@ -18,8 +18,9 @@ from cgnn.model import (POOLING_KINDS, CgnnModel, ModelDims, forward,
 from cgnn.train import (AdamState, TrainConfig, adam_step, backward,
                         cross_entropy, evaluate, fit)
 
-from conftest import (bucket_widths, forward_with_pre_acts, graph_set,
-                      random_graphs, traced_peak, zero_tailed_graphs)
+from conftest import (bucket_widths, forward_with_pre_acts, graph_rows,
+                      graph_set, random_graphs, traced_peak,
+                      zero_tailed_graphs)
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2)
 
@@ -519,7 +520,8 @@ def test_predict_breaks_ties_toward_lowest_class():
 
 def test_predict_numbers_graphs_across_batches(rng, monkeypatch):
     model = init_model(TINY_DIMS, seed=0)
-    features = [g.features for g in random_graphs(rng, 7, p=6)]
+    graphs = random_graphs(rng, 7, p=6)
+    features = [graph_rows(graphs, i) for i in range(7)]
     features.insert(5, np.full((15, 6), 7, np.uint8))
     graphs = graph_set(features, [0] * 8)  # predict reads no label
     batches = []
