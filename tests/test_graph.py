@@ -33,6 +33,12 @@ def test_known_matrices():
     assert s3[0, 2] == 0.0
 
 
+def test_matches_dense_oracle_for_small_chains():
+    for n in range(1, 11):
+        expected = dense_propagation_oracle(n)
+        assert np.abs(propagation(n) - expected).max() <= 1e-12
+
+
 def test_symmetric_with_spectral_radius_at_most_one():
     for n in (1, 2, 3, 7, 16, 33, 64):
         dense = propagation(n)
