@@ -9,7 +9,7 @@ Little-endian layout:
     label names  num_classes strings, each u32 length + UTF-8 bytes
     num_graphs   u32
     row_bytes    u64      length of the rows block
-    rows         every row's bytes up to its last nonzero one, in order
+    rows         every row's stored bytes, in order
     labels       num_graphs u32
     lengths      num_graphs u32, vertex counts
     widths       sum(lengths) u32, stored bytes per row (at most p)

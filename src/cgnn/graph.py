@@ -5,11 +5,11 @@ Each session becomes a graph whose vertices are its packets in arrival
 order, joined in a chain: packet i connects to packet i+1, giving n
 vertices and n-1 edges. The topology is a function of n alone, so a set
 of graphs is its rows, each graph's first row and vertex count, and the
-labels (as in PyTorch Geometric's ``ptr`` layout). A row is stored only
-up to its last nonzero byte, its width, in one flat byte buffer; the
-model reads the zeros past it from the width. The propagation matrix is
-kept as its diagonal and off-diagonal and applied a hop at a time, each
-row from a 3-row window of its input.
+labels (as in PyTorch Geometric's ``ptr`` layout). A row is stored as
+its packet's cleaned bytes cut to p, its width, in one flat byte buffer;
+the model reads the zeros past it from the width. The propagation
+matrix is kept as its diagonal and off-diagonal and applied a hop at a
+time, each row from a 3-row window of its input.
 """
 
 from __future__ import annotations

@@ -257,12 +257,11 @@ def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
 
 @dataclass
 class ForwardCache:
-    """What the backward pass reads of one forward pass: each layer's
-    input and activation, which backward pops as it reads them."""
+    """What the backward pass reads of one forward pass: the first
+    layer's input and each layer's activation, which is also the next
+    layer's input. Backward pops each as it reads it."""
 
-    # Layer inputs: the first layer's is its bucket_pieces, the float
-    # pieces of the batch's byte rows; the others' are (rows, width).
-    hop_inputs: list = field(default_factory=list)
+    pieces: list = field(default_factory=list)  # first layer's bucket_pieces
     acts: list[np.ndarray] = field(default_factory=list)  # after relu
     pooled: np.ndarray | None = None
     pool_winners: np.ndarray | None = None  # max pooling row indices
@@ -278,11 +277,10 @@ def forward(model: CgnnModel, batch: BatchedGraph,
     if batch.p != dims.p:
         raise DimsMismatch(f"batch has feature length {batch.p}, "
                            f"model expects {dims.p}")
+    cache = ForwardCache()
     x = bucket_pieces(batch, model.W.dtype)
     if for_backward:
-        x = list(x)
-
-    cache = ForwardCache()
+        x = cache.pieces = list(x)
     # Overflow to inf, and the inf * 0 it meets in propagation, are
     # tolerated here; fc_softmax turns any non-finite outcome into a
     # typed error.
@@ -294,7 +292,6 @@ def forward(model: CgnnModel, batch: BatchedGraph,
                 pre_act = batch.prop.apply(
                     bucket_product(x, theta, batch.prop.n), dims.hops)
             if for_backward:  # relu turns pre_act into the activation
-                cache.hop_inputs.append(x)
                 cache.acts.append(pre_act)
             x = relu(pre_act, out=pre_act)
 

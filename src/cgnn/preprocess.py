@@ -8,9 +8,9 @@ map onto the same key). Each packet is cleaned before use: the Ethernet
 header is removed, the IP source and destination addresses are zeroed,
 the UDP header is padded with zeros to the 20-byte TCP header length,
 and packets with no transport payload are discarded. The surviving
-bytes are cut to a fixed length p, and each row is kept only up to its
-last nonzero byte: its zero padding to p is implied. A capture file is
-read twice through one reused block, never whole.
+bytes are cut to a fixed length p, and each row is kept as those bytes
+alone: its zero padding to p is implied. A capture file is read twice
+through one reused block, never whole.
 """
 
 from __future__ import annotations
@@ -318,15 +318,14 @@ def _reread(capture: BinaryIO, buf: np.ndarray, spans: list[int]):
 def _fill_rows(blocks, ip: np.ndarray, header_len: np.ndarray,
                transport_len: np.ndarray, udp: np.ndarray, p: int,
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Each packet's cleaned row cut to p, up to its last nonzero byte,
-    back to back, and each row's width, copied in file order from the
+    """Each packet's cleaned row cut to p, back to back, and each row's
+    width, min(cleaned length, p), copied in file order from the
     (file offset, bytes) blocks. A row is the IPv4 header, its addresses
     zeroed, and the whole TCP segment in one copy; or the IPv4 and UDP
     headers, 12 zero bytes (already there) and the payload."""
     width = np.minimum(header_len + transport_len.astype(np.int64)
                        + (TCP_HEADER_LEN - UDP_HEADER_LEN) * udp, p)
-    ends = np.cumsum(width)
-    row = ends - width
+    row = np.cumsum(width) - width
     tail = np.where(udp, width - header_len - TCP_HEADER_LEN, 0)
     second = np.flatnonzero(tail > 0)
     dst = np.concatenate([row, row[second] + header_len[second]
@@ -349,15 +348,4 @@ def _fill_rows(blocks, ip: np.ndarray, header_len: np.ndarray,
     del dst, src, count
     for byte in range(12, min(20, p)):  # addresses; every row has min(28, p)
         buffer[row + byte] = 0
-
-    # The few rows ending in a zero byte are cut back to their last
-    # nonzero one (byte 0, the IP version, is not), and the rows after
-    # each cut move down in place.
-    trimmed = np.flatnonzero(buffer[ends - 1] == 0).tolist()
-    for r in trimmed:
-        width[r] = np.flatnonzero(buffer[row[r]:ends[r]])[-1] + 1
-    new_ends = np.cumsum(width)
-    for r, last in zip(trimmed, [*trimmed[1:], width.size - 1]):
-        size = new_ends[last] - new_ends[r]
-        buffer[new_ends[r]:new_ends[last]] = buffer[ends[r]:ends[r] + size]
-    return buffer[:width.sum()], width
+    return buffer, width

@@ -82,12 +82,11 @@ def backward(model: CgnnModel, batch: BatchedGraph,
         dx *= cache.acts.pop() > 0  # relu(z) > 0 exactly where z > 0
         g = batch.prop.apply(dx, dims.hops)
         del dx  # before the products that read g
-        if layer:
-            dthetas[layer] = cache.hop_inputs.pop().T @ g
+        if layer:  # its input is the activation of the layer below
+            dthetas[layer] = cache.acts[-1].T @ g
             dx = g @ model.thetas[layer].T
         else:
-            dthetas[0] = bucket_transpose_product(cache.hop_inputs.pop(), g,
-                                                  dims.p)
+            dthetas[0] = bucket_transpose_product(cache.pieces, g, dims.p)
     grads = [*dthetas, d_w, d_b]
     for grad in grads:
         grad *= 1 / GRAD_SCALE

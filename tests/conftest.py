@@ -78,17 +78,19 @@ def pcap_bytes(frames: list[bytes], *, magic: int = 0xA1B2C3D4,
 
 
 def graph_set(features: list[np.ndarray], labels: list[int],
-              p: int | None = None):
+              p: int | None = None, widths=None):
     """A GraphSet of the given (n, p) uint8 matrices and labels: their rows
-    stacked in order, each stored up to its last nonzero byte; p is needed
-    only when there are no graphs."""
+    stacked in order, row r storing its first widths[r] bytes (default:
+    up to its last nonzero byte); p is needed only when there are no
+    graphs."""
     from cgnn.graph import GraphSet
 
     p = features[0].shape[1] if features else p
     rows = np.concatenate([np.asarray(f, np.uint8) for f in features]
                           or [np.zeros((0, p), np.uint8)])
-    widths = np.array([len(row.tobytes().rstrip(b"\0")) for row in rows],
-                      dtype=np.int64)
+    if widths is None:
+        widths = [len(row.tobytes().rstrip(b"\0")) for row in rows]
+    widths = np.array(widths, dtype=np.int64)
     return GraphSet.from_widths(rows[np.arange(p) < widths[:, None]], p,
                                 widths, [f.shape[0] for f in features],
                                 np.array(labels, dtype=np.int64).reshape(-1))

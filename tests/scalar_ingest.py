@@ -3,8 +3,10 @@ session grouping and vectorizer that the columnar path in
 cgnn.preprocess replaced, kept here unchanged so tests can require the
 two to agree byte for byte.
 
-The one addition is the skip reason of a frame the decoder returns None
-for, so the oracle yields the same per-reason counts as IngestStats.
+Two things are added: the skip reason of a frame the decoder returns
+None for, so the oracle yields the same per-reason counts as
+IngestStats, and each row's width, min(cleaned length, p), the bytes
+its GraphSet stores.
 """
 
 from __future__ import annotations
@@ -214,6 +216,7 @@ def graphs_from_frames(frames: list[bytes], label: int, p: int,
     split = split_sessions(frames, drop_dns=drop_dns)
     stats = split.stats
     features: list[np.ndarray] = []
+    widths: list[int] = []  # each row stores its cleaned bytes cut to p
     keys: list[FiveTuple] = []
     for key, cleaned in split.sessions.items():
         if not cleaned:
@@ -221,7 +224,8 @@ def graphs_from_frames(frames: list[bytes], label: int, p: int,
             continue
         rows = np.stack([vectorize(packet, p) for packet in cleaned])
         features.append(rows[:math.ceil(fraction * len(rows))])
+        widths += [min(len(c), p) for c in cleaned[:len(features[-1])]]
         keys.append(key)
         stats.sessions += 1
         stats.vertices += len(features[-1])
-    return graph_set(features, [label] * len(features), p), keys, stats
+    return graph_set(features, [label] * len(features), p, widths), keys, stats

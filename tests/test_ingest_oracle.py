@@ -134,8 +134,8 @@ def _assert_matches_oracle(data: bytes, capture: list[bytes], label: int):
                                                      fraction, drop_dns)
                 assert keys == want_keys
                 assert stats == want_stats
-                # each row stored up to its last nonzero byte, as the
-                # padded rows of the oracle give it
+                # each row stored as its cleaned bytes cut to p, and
+                # expanded to the oracle's padded rows
                 assert _contents(graphs) == _contents(want_graphs)
 
 

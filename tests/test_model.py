@@ -10,6 +10,7 @@ import pytest
 
 import cgnn.model
 
+from cgnn.dataset import load_dataset, save_dataset
 from cgnn.errors import (ConfigError, CorruptFile, DimsMismatch,
                          EmptyDataset, NonFiniteInput)
 from cgnn.graph import ChainPropagation, batch_graphs
@@ -307,12 +308,14 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
     batch = batch_graphs(zero_tailed_graphs(rng, bucket_widths(27, 8), 27,
                                             count=3))
     n = batch.widths.size
+    layer_inputs, sgc_layer = [], cgnn.model.sgc_layer
+    monkeypatch.setattr(cgnn.model, "sgc_layer", lambda prop, x, *args:
+                        layer_inputs.append(x) or sgc_layer(prop, x, *args))
     cache, pre_acts = forward_with_pre_acts(model, batch)
-    assert len(cache.hop_inputs) == 2
     # The first layer keeps its input as float pieces, one per width
     # bucket, that scatter back to the batch's bytes over 255: not S X,
     # and no (rows, p) float matrix.
-    pieces = cache.hop_inputs[0]
+    pieces = cache.pieces
     assert [piece.shape[1] for _, piece in pieces] == [8, 16, 24, 27]
     scattered = np.zeros((n, 27), dtype=np.float32)
     seen = np.zeros(n, dtype=int)
@@ -323,9 +326,10 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
     assert seen.tolist() == [1] * n
     assert np.array_equal(scattered, batch_rows(batch).astype(np.float32)
                           / np.float32(255))
-    assert cache.hop_inputs[1].shape == (n, 5)
     assert len(cache.acts) == len(pre_acts) == 2
     assert cache.acts[0].shape == (n, 5)
+    # Layer 2's input is layer 1's activation, one array held once.
+    assert len(layer_inputs) == 1 and layer_inputs[0] is cache.acts[0]
     for act, pre_act in zip(cache.acts, pre_acts):
         assert np.array_equal(act, np.maximum(pre_act, 0))
     assert cache.pooled.shape == (3, 4)
@@ -429,6 +433,36 @@ def test_multi_bucket_graphs_score_alike_alone_and_in_one_block(rng,
         assert np.abs(predict_probs(model, graphs) - alone).max() <= 1e-5
 
 
+def test_rows_stored_to_their_last_nonzero_byte_match_wider_ones(
+        rng, tmp_path):
+    """A set stored to each row's last nonzero byte, as older datasets
+    were written, and the same rows stored wider: a saved and reloaded
+    file expands to the same padded rows, and scores bit for bit alike
+    while no row changes width bucket, within the block bound of
+    test_multi_bucket_graphs_score_alike_alone_and_in_one_block when
+    rows do."""
+    p, step = 1500, cgnn.model.WIDTH_STEP
+    narrow = zero_tailed_graphs(rng, bucket_widths(p, step) * 8, p, count=30)
+    rows = [graph_rows(narrow, i) for i in range(len(narrow))]
+    width = narrow.packed()[1]
+    bucket = np.maximum(-(-width // step), 1)
+    same = np.minimum(bucket * step, p)  # the widest of each row's bucket
+    other = rng.integers(width, p + 1)
+    assert (same > width).any() and (-(-other // step) > bucket).any()
+    model = init_model(ModelDims(), seed=0)
+    probs = []
+    for name, widths in [("narrow", None), ("same", same), ("other", other)]:
+        path = tmp_path / f"{name}.cgd1"
+        save_dataset([graph_set(rows, narrow.labels, p, widths)], path,
+                     ["a", "b"], p)
+        graphs = load_dataset(path).graphs
+        assert [graph_rows(graphs, i).tobytes() for i in range(len(graphs))] \
+            == [r.tobytes() for r in rows]
+        probs.append(forward(model, batch_graphs(graphs)).probs)
+    assert probs[1].tobytes() == probs[0].tobytes()
+    assert np.abs(probs[2] - probs[0]).max() <= 1e-5
+
+
 def test_forward_repeats_bit_for_bit_across_buckets(rng):
     model = init_model(ModelDims(), seed=1)
     batch = batch_graphs(zero_tailed_graphs(
@@ -461,7 +495,7 @@ def test_predict_probs_keeps_no_backward_cache(rng, monkeypatch):
 
     monkeypatch.setattr(cgnn.model, "forward", keeping_forward)
     probs = predict_probs(model, graphs)
-    assert caches and all(c.hop_inputs == c.acts == [] for c in caches)
+    assert caches and all(c.pieces == c.acts == [] for c in caches)
     assert np.array_equal(probs,
                           forward(model, batch_graphs(graphs)).probs)
 

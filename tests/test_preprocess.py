@@ -203,10 +203,10 @@ def test_feature_length_below_the_headers(p):
 
 
 @pytest.mark.parametrize("p", [16, 26, 35, 41, 64, 1500])
-def test_rows_are_stored_up_to_their_last_nonzero_byte(p):
+def test_rows_are_stored_as_their_cleaned_bytes_cut_at_p(p):
     """Payloads ending in zero bytes, alone and in runs of rows, over
-    TCP and UDP: each row keeps its cleaned bytes, cut at p, up to the
-    last nonzero one, and the rows after a cut row stay whole."""
+    TCP and UDP: each row stores its cleaned bytes cut at p, trailing
+    zeros and all."""
     payloads = [(b"ab\0\0", 40000), (b"\0", 40000), (b"c", 40000),
                 (b"\0\0\0", None), (b"d\0", None), (b"e\0", 40001),
                 (b"f", 40001)]
@@ -219,7 +219,7 @@ def test_rows_are_stored_up_to_their_last_nonzero_byte(p):
     graphs, _, _ = ingest(frames, p=p)
     assert graphs.lengths.tolist() == [3, 2, 2]
     data, widths = graphs.packed()
-    stored = [row[:p].rstrip(b"\0") for row in cleaned]
+    stored = [row[:p] for row in cleaned]
     assert widths.tolist() == [len(row) for row in stored]
     assert data.tobytes() == b"".join(stored)
     assert b"".join(graph_rows(graphs, i).tobytes() for i in range(3)) \
