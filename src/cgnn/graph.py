@@ -8,8 +8,8 @@ of graphs is its rows, each graph's first row and vertex count, and the
 labels (as in PyTorch Geometric's ``ptr`` layout). A row is stored as
 its packet's cleaned bytes cut to p, its width, in one flat byte buffer;
 the model reads the zeros past it from the width. The propagation
-matrix is kept as its diagonal and off-diagonal and applied a hop at a
-time, each row from a 3-row window of its input.
+matrix is kept as each row's three taps and applied a hop at a time,
+each row from a 3-row window of its input.
 """
 
 from __future__ import annotations
@@ -97,12 +97,11 @@ class ChainPropagation:
 
     With A the chain adjacency, the matrix is D^{-1/2} (A + I) D^{-1/2}
     where D holds the degrees of A + I. For chains this is tridiagonal,
-    stored as its diagonal and its single off-diagonal; a batch of chains
-    stays tridiagonal with zeros at the graph boundaries.
+    stored as each row's three taps; a batch of chains stays tridiagonal
+    with zero taps where two graphs meet.
     """
 
-    diag: np.ndarray  # (N,) float64
-    off: np.ndarray  # (N-1,) float64, zero where two graphs meet
+    taps: np.ndarray  # (N, 3) float64: row i's weights of rows i-1, i, i+1
 
     @classmethod
     def for_batch(cls, lengths: Sequence[int]) -> "ChainPropagation":
@@ -119,28 +118,26 @@ class ChainPropagation:
         deg = np.full(ends[-1], 3.0, dtype=np.float64)
         deg[ends - lengths] -= 1.0
         deg[ends - 1] -= 1.0
-        off = 1.0 / np.sqrt(deg[:-1] * deg[1:])
-        off[ends[:-1] - 1] = 0.0  # two graphs meet here
-        return cls(diag=1.0 / deg, off=off)
+        off = np.zeros(ends[-1] + 1)  # off[i] joins rows i - 1 and i
+        off[1:-1] = 1.0 / np.sqrt(deg[:-1] * deg[1:])
+        off[ends[:-1]] = 0.0  # two graphs meet here
+        return cls(taps=np.stack([off[:-1], 1.0 / deg, off[1:]], axis=1))
 
     @property
     def n(self) -> int:
-        return self.diag.size
+        return self.taps.shape[0]
 
     def apply(self, x: np.ndarray, hops: int = 1) -> np.ndarray:
         """Multiply S @ x (hops times) without forming S. The matrix is
         symmetric, so this also serves as multiplication by its transpose.
-        A hop reads x once: row i is the taps [off[i-1], diag[i], off[i]]
-        times rows i-1..i+1, one stacked (1, 3) @ (3, width) matmul over a
-        strided view of x; the first and last rows take the taps that fit."""
+        A hop reads x once: row i is its taps times rows i-1..i+1, one
+        stacked (1, 3) @ (3, width) matmul over a strided view of x; the
+        first and last rows take the taps that fit."""
         n = self.n
         if x.shape[0] != n:
             raise DimsMismatch(
                 f"matrix has {x.shape[0]} rows, propagation covers {n}")
-        taps = np.zeros((n, 3), dtype=x.dtype)
-        taps[:, 1] = self.diag
-        taps[1:, 0] = self.off
-        taps[:-1, 2] = self.off
+        taps = self.taps.astype(x.dtype, copy=False)
         for _ in range(hops):
             out = np.empty(x.shape, dtype=x.dtype)
             rows = as_strided(x, (max(n - 2, 0), 3, x.shape[1]),

@@ -154,12 +154,12 @@ def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
 def bucket_pieces(batch: BatchedGraph, dtype,
                   ) -> Iterator[tuple[np.ndarray | slice, np.ndarray]]:
     """The first layer's input: the batch's rows split by width. Yields,
-    per nonempty bucket, narrowest first, its row indices (slice(None)
-    when it holds every row) and its rows' first `edge` columns cast to
-    dtype and divided by 255; each piece is built only when asked for.
-    A row's bucket is the first edge at or past its width. A row is read
-    as the `edge` bytes from its start; those past its width, all in the
-    last WIDTH_STEP, are zeroed."""
+    per nonempty bucket, its row indices (slice(None) when it holds every
+    row) and its rows' first `edge` columns cast to dtype and divided by
+    255; each piece is built only when asked for. The widest bucket comes
+    first, then the rest narrowest first. A row's bucket is the first
+    edge at or past its width. A row is read as the `edge` bytes from its
+    start; those past its width, all in the last WIDTH_STEP, are zeroed."""
     p, widths = batch.p, batch.widths
     count = -(-p // WIDTH_STEP)  # the last edge is p
     bucket = np.clip(-(-widths // WIDTH_STEP), 1, count)
@@ -167,7 +167,7 @@ def bucket_pieces(batch: BatchedGraph, dtype,
     windows = sliding_window_view(batch.rows, p)  # p bytes from each offset
     starts = np.cumsum(widths) - widths
     keep = np.tri(WIDTH_STEP + 1, WIDTH_STEP, -1, dtype=np.uint8)  # j ones
-    for k in present.tolist():
+    for k in np.roll(present, 1).tolist():
         edge, low = min(k * WIDTH_STEP, p), (k - 1) * WIDTH_STEP
         idx = np.flatnonzero(bucket == k) if present.size > 1 else slice(None)
         x = windows[starts[idx], :edge]
@@ -193,19 +193,21 @@ def bucket_product(pieces, theta: np.ndarray, n: int) -> np.ndarray:
 
 
 def bucket_transpose_product(pieces, g: np.ndarray, p: int) -> np.ndarray:
-    """X^T g for the p-column X that bucket_pieces split up: each bucket's
-    X_b^T g[rows_b], widest first and then narrowest first, added into
-    the rows of its columns. Pops each piece as it reads it."""
-    idx, x = pieces.pop()  # the widest bucket is last
+    """X^T g for the p-column X that bucket_pieces split up, one piece
+    alive at a time: the first (widest) bucket's X_b^T g[rows_b] is
+    written into the rows of its columns, each later one added there."""
     out = np.zeros((p, g.shape[1]), dtype=g.dtype)
-    np.matmul(x.T, g[idx], out=out[:x.shape[1]])
-    part = np.empty((WIDTH_STEP, g.shape[1]), dtype=g.dtype)
-    while pieces:  # narrower buckets end on a multiple of WIDTH_STEP
-        idx, x = pieces.pop(0)
+    part = None
+    for idx, x in pieces:
         rows = g[idx]
-        for lo in range(0, x.shape[1], WIDTH_STEP):
-            np.matmul(x[:, lo:lo + WIDTH_STEP].T, rows, out=part)
-            out[lo:lo + WIDTH_STEP] += part
+        if part is None:  # the widest bucket
+            np.matmul(x.T, rows, out=out[:x.shape[1]])
+            part = np.empty((WIDTH_STEP, g.shape[1]), dtype=g.dtype)
+        else:  # narrower buckets end on a multiple of WIDTH_STEP
+            for lo in range(0, x.shape[1], WIDTH_STEP):
+                np.matmul(x[:, lo:lo + WIDTH_STEP].T, rows, out=part)
+                out[lo:lo + WIDTH_STEP] += part
+        del x, rows  # before the generator builds the next piece
     return out
 
 
@@ -257,30 +259,26 @@ def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
 
 @dataclass
 class ForwardCache:
-    """What the backward pass reads of one forward pass: the first
-    layer's input and each layer's activation, which is also the next
-    layer's input. Backward pops each as it reads it."""
+    """What one forward pass leaves: each layer's activation (also the
+    next layer's input), the pooled rows and the class distributions.
+    Backward pops each activation as it reads it."""
 
-    pieces: list = field(default_factory=list)  # first layer's bucket_pieces
     acts: list[np.ndarray] = field(default_factory=list)  # after relu
     pooled: np.ndarray | None = None
     pool_winners: np.ndarray | None = None  # max pooling row indices
     probs: np.ndarray | None = None
 
 
-def forward(model: CgnnModel, batch: BatchedGraph,
-            for_backward: bool = True) -> ForwardCache:
-    """Run the network over a batch; ReLU overwrites each pre-activation.
-    The layer inputs and activations backward reads are cached only
-    for_backward; without it, one bucket's float piece is alive at once."""
+def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
+    """Run the network over a batch, for training and inference alike.
+    One float piece of the first layer's input is alive at once; ReLU
+    overwrites each pre-activation, and the cache keeps the result."""
     dims = model.dims
     if batch.p != dims.p:
         raise DimsMismatch(f"batch has feature length {batch.p}, "
                            f"model expects {dims.p}")
     cache = ForwardCache()
     x = bucket_pieces(batch, model.W.dtype)
-    if for_backward:
-        x = cache.pieces = list(x)
     # Overflow to inf, and the inf * 0 it meets in propagation, are
     # tolerated here; fc_softmax turns any non-finite outcome into a
     # typed error.
@@ -291,8 +289,7 @@ def forward(model: CgnnModel, batch: BatchedGraph,
             else:
                 pre_act = batch.prop.apply(
                     bucket_product(x, theta, batch.prop.n), dims.hops)
-            if for_backward:  # relu turns pre_act into the activation
-                cache.acts.append(pre_act)
+            cache.acts.append(pre_act)  # relu turns it into the activation
             x = relu(pre_act, out=pre_act)
 
     cache.pooled, cache.pool_winners = pool(
@@ -304,8 +301,8 @@ def forward(model: CgnnModel, batch: BatchedGraph,
 def predict_probs(model: CgnnModel, graphs: GraphSet) -> np.ndarray:
     """Class distributions of a set of graphs, shape (len(graphs), m):
     row i belongs to graphs[i]. Consecutive graphs share a batch up to
-    BATCH_ROWS vertices in all; a longer graph is a batch alone. No batch
-    keeps activations for a backward pass."""
+    BATCH_ROWS vertices in all; a longer graph is a batch alone. A batch's
+    forward cache goes with it, before the next batch is built."""
     offsets = np.concatenate([[0], np.cumsum(graphs.lengths)])
     parts = []
     start = 0
@@ -314,7 +311,7 @@ def predict_probs(model: CgnnModel, graphs: GraphSet) -> np.ndarray:
                                    "right")) - 1  # the most that fit
         stop = max(stop, start + 1)
         batch = batch_graphs(graphs, slice(start, stop))
-        parts.append(forward(model, batch, for_backward=False).probs)
+        parts.append(forward(model, batch).probs)
         start = stop
     return np.concatenate(parts) if parts else \
         np.zeros((0, model.dims.m), dtype=np.float32)

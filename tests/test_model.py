@@ -312,11 +312,11 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
     monkeypatch.setattr(cgnn.model, "sgc_layer", lambda prop, x, *args:
                         layer_inputs.append(x) or sgc_layer(prop, x, *args))
     cache, pre_acts = forward_with_pre_acts(model, batch)
-    # The first layer keeps its input as float pieces, one per width
-    # bucket, that scatter back to the batch's bytes over 255: not S X,
-    # and no (rows, p) float matrix.
-    pieces = cache.pieces
-    assert [piece.shape[1] for _, piece in pieces] == [8, 16, 24, 27]
+    # The first layer reads its input as float pieces, widest first, one
+    # per width bucket, that scatter back to the batch's bytes over 255:
+    # not S X, and no (rows, p) float matrix.
+    pieces = list(bucket_pieces(batch, np.dtype(np.float32)))
+    assert [piece.shape[1] for _, piece in pieces] == [27, 8, 16, 24]
     scattered = np.zeros((n, 27), dtype=np.float32)
     seen = np.zeros(n, dtype=int)
     for idx, piece in pieces:
@@ -371,8 +371,9 @@ def test_width_counts_every_nonzero_byte_of_a_row(monkeypatch):
 
 def scanned_pieces(rows: np.ndarray, dtype, step: int):
     """The first layer's pieces, divided by 255, as a scan of padded
-    (N, p) rows finds them: a row's width is the end of its last nonzero
-    4-byte word, or p when one of the p mod 4 tail bytes is nonzero."""
+    (N, p) rows finds them, the widest bucket first and the rest
+    narrowest first: a row's width is the end of its last nonzero 4-byte
+    word, or p when one of the p mod 4 tail bytes is nonzero."""
     n, p = rows.shape
     count = -(-p // step)
     bucket = np.full(n, count)
@@ -387,7 +388,7 @@ def scanned_pieces(rows: np.ndarray, dtype, step: int):
         bucket = np.clip(-(-width // step), 1, count)
     present = np.flatnonzero(np.bincount(bucket))
     pieces = []
-    for k in present:
+    for k in np.roll(present, 1):
         idx = np.flatnonzero(bucket == k) if present.size > 1 else slice(None)
         x = rows[idx, :min(int(k) * step, p)].astype(dtype)
         x /= dtype.type(255)
@@ -484,7 +485,7 @@ def test_predict_probs_and_labels(rng, monkeypatch):
     assert np.abs(probs - whole).max() <= 1e-6
 
 
-def test_predict_probs_keeps_no_backward_cache(rng, monkeypatch):
+def test_predict_probs_runs_each_batch_through_forward(rng, monkeypatch):
     model = init_model(TINY_DIMS, seed=0)
     graphs = random_graphs(rng, 10, p=6)
     caches = []
@@ -495,7 +496,7 @@ def test_predict_probs_keeps_no_backward_cache(rng, monkeypatch):
 
     monkeypatch.setattr(cgnn.model, "forward", keeping_forward)
     probs = predict_probs(model, graphs)
-    assert caches and all(c.pieces == c.acts == [] for c in caches)
+    assert len(caches) == 1
     assert np.array_equal(probs,
                           forward(model, batch_graphs(graphs)).probs)
 
