@@ -22,7 +22,7 @@ from .dataset import DATASET_MAGIC, load_dataset, parse_dataset, save_dataset
 from .errors import (CgnnError, ConfigError, CorruptFile, DimsMismatch,
                      EmptyDataset)
 from .graph import split_dataset
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_bytes, atomic_write_csv
 from .metrics import classification_report, format_report, write_heatmap_csv
 from .model import (CHECKPOINT_MAGIC, ModelDims, load_checkpoint,
                     parse_checkpoint, predict_probs, save_checkpoint)
@@ -251,13 +251,12 @@ def cmd_train(args) -> int:
     atomic_write_bytes(out_dir / "config.txt", (format_config(
         cfg, COMMAND_KEYS["train"]) + "\n").encode("utf-8"))
 
-    history = ["epoch,train_loss,valid_loss,valid_accuracy"]
-    for i in range(report.epochs_run):
-        history.append(f"{i + 1},{report.train_losses[i]:.6f},"
-                       f"{report.val_losses[i]:.6f},"
-                       f"{report.val_accuracies[i]:.6f}")
-    atomic_write_bytes(out_dir / "history.csv",
-                       ("\n".join(history) + "\n").encode("utf-8"))
+    epochs = zip(report.train_losses, report.val_losses,
+                 report.val_accuracies)
+    atomic_write_csv(out_dir / "history.csv", [
+        ["epoch", "train_loss", "valid_loss", "valid_accuracy"],
+        *([i, *(f"{v:.6f}" for v in row)]
+          for i, row in enumerate(epochs, 1))])
 
     if report.best_epoch:
         print(f"best epoch {report.best_epoch}: validation loss "
@@ -313,7 +312,7 @@ def cmd_predict(args) -> int:
         raise EmptyDataset(f"no sessions survived cleaning in {pcap_path} "
                            f"({stats.describe()})")
 
-    rows = []
+    rows = [["graph_id", "label", *checkpoint.label_names]]
     probs = predict_probs(model, graphs)
     for graph_id, (key, n, dist) in enumerate(
             zip(keys.tolist(), graphs.lengths.tolist(), probs)):
@@ -321,12 +320,9 @@ def cmd_predict(args) -> int:
         name = checkpoint.label_names[label]
         print(f"{FiveTuple.unpack(*key)} [{n} packets] -> {name} "
               f"({dist[label]:.4f})")
-        columns = ",".join(f"{v:.6f}" for v in dist)
-        rows.append(f"{graph_id},{name},{columns}")
+        rows.append([graph_id, name, *(f"{v:.6f}" for v in dist)])
     if args.csv:
-        header = "graph_id,label," + ",".join(checkpoint.label_names)
-        atomic_write_bytes(args.csv,
-                           ("\n".join([header] + rows) + "\n").encode())
+        atomic_write_csv(args.csv, rows)
         print(f"wrote {args.csv}")
     return 0
 

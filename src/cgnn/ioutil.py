@@ -8,6 +8,8 @@ a file.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import struct
 import tempfile
@@ -53,6 +55,13 @@ def atomic_write_bytes(path: Path | str, data: bytes) -> None:
     """Write data to path via a temporary file and an atomic rename."""
     with atomic_write(path) as handle:
         handle.write(data)
+
+
+def atomic_write_csv(path: Path | str, rows) -> None:
+    """Write rows of fields as CSV, one line each, quoting only as needed."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    atomic_write_bytes(path, text.getvalue().encode("utf-8"))
 
 
 class ByteWriter:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimsMismatch, EmptyDataset
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_csv
 
 
 def confusion_matrix(true: np.ndarray, pred: np.ndarray,
@@ -105,10 +105,9 @@ def write_heatmap_csv(report: EvalReport, path: Path | str) -> None:
     """Row-normalized confusion matrix as CSV: one row per true class,
     one column per predicted class, fractions in [0, 1]."""
     fractions = normalized_confusion(report.confusion)
-    lines = ["true\\predicted," + ",".join(report.label_names)]
-    for name, row in zip(report.label_names, fractions):
-        lines.append(name + "," + ",".join(f"{v:.6f}" for v in row))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write_csv(path, [["true\\predicted", *report.label_names]] + [
+        [name, *(f"{v:.6f}" for v in row)]
+        for name, row in zip(report.label_names, fractions)])
 
 
 def format_report(report: EvalReport) -> str:

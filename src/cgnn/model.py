@@ -5,10 +5,10 @@ Layer l computes relu(S^k (X theta_l)) where S is the chain propagation
 matrix and k = ModelDims.hops, the same for every layer; projecting
 before propagating keeps S at the hidden width, and S is a fixed linear
 map, so the order does not change the result. The first layer's X is a
-batch's packet bytes / 255, multiplied in width buckets (WIDTH_STEP) so
-that the zero bytes past a packet's end are neither stored, cast nor
-multiplied. Pooling averages (or maxes, or sums) each graph's vertex
-rows; the head computes softmax(y W + b). Checkpoints (magic "CGM1")
+batch's packet bytes / 255, cast and multiplied one width bucket at a
+time (graph.batch_graphs), so that no zero byte past its bucket's edge
+is cast or multiplied. Pooling averages (or maxes, or sums) each graph's
+vertex rows; the head computes softmax(y W + b). Checkpoints (magic "CGM1")
 store the dimensions, the label names, and the float32 weights.
 """
 
@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigError, CorruptFile, DimsMismatch, EmptyDataset,
                      NonFiniteInput)
@@ -35,22 +33,14 @@ POOLING_KINDS = ("avg", "max", "sum")
 # BATCH_ROWS vertex rows; a longer graph goes alone. Time falls as a
 # block's rows x d1 activations shrink toward the cache and is flat from
 # 2048 rows down; 1024 is as fast as 2048 in half the memory. ms per
-# predict_probs of 20,315 rows in 150 sessions at d1 = 516, WIDTH_STEP
+# predict_probs of 20,315 rows in 150 sessions at d1 = 516, bucket step
 # 256 (2-vCPU Xeon, OpenBLAS), by cap:       512  1024  2048  4096  8192
 #                                 p = 1500   303   288   295   371   372
 #                                 p = 256    145   149   150   183   218
 #                                 p = 64     123   116   123   157   195
 BATCH_ROWS = 1024
 
-# The first layer puts a batch's rows into buckets by width with fixed
-# edges WIDTH_STEP, 2 * WIDTH_STEP, ..., p, and multiplies each bucket
-# over its first `edge` columns only. Fixed edges make each row's
-# product a function of its own bytes, whatever else is in the batch.
-# Narrower steps skip more zero bytes in more, smaller products. ms per
-# predict_probs of the same rows at p = 1500, BATCH_ROWS 1024, by step
-# (1500 is one bucket):   128   192   256   320   384   512  1500
-#                         293   287   281   280   284   295   367
-WIDTH_STEP = 256
+PART_ROWS = 256  # rows of bucket_transpose_product's reused scratch block
 
 
 @dataclass(frozen=True)
@@ -151,63 +141,40 @@ def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
     return prop.apply(x @ theta, k)
 
 
-def bucket_pieces(batch: BatchedGraph, dtype,
-                  ) -> Iterator[tuple[np.ndarray | slice, np.ndarray]]:
-    """The first layer's input: the batch's rows split by width. Yields,
-    per nonempty bucket, its row indices (slice(None) when it holds every
-    row) and its rows' first `edge` columns cast to dtype and divided by
-    255; each piece is built only when asked for. The widest bucket comes
-    first, then the rest narrowest first. A row's bucket is the first
-    edge at or past its width. A row is read as the `edge` bytes from its
-    start; those past its width, all in the last WIDTH_STEP, are zeroed."""
-    p, widths = batch.p, batch.widths
-    count = -(-p // WIDTH_STEP)  # the last edge is p
-    bucket = np.clip(-(-widths // WIDTH_STEP), 1, count)
-    present = np.flatnonzero(np.bincount(bucket))
-    windows = sliding_window_view(batch.rows, p)  # p bytes from each offset
-    starts = np.cumsum(widths) - widths
-    keep = np.tri(WIDTH_STEP + 1, WIDTH_STEP, -1, dtype=np.uint8)  # j ones
-    for k in np.roll(present, 1).tolist():
-        edge, low = min(k * WIDTH_STEP, p), (k - 1) * WIDTH_STEP
-        idx = np.flatnonzero(bucket == k) if present.size > 1 else slice(None)
-        x = windows[starts[idx], :edge]
-        width = widths[idx]
-        if width.min() < edge:
-            x[:, low:] *= keep[width - low, :edge - low]
-        x = x.astype(dtype)
-        x /= dtype.type(255)
-        yield idx, x
-
-
-def bucket_product(pieces, theta: np.ndarray, n: int) -> np.ndarray:
-    """X theta for the n rows that bucket_pieces split up. Each piece is
-    multiplied as it comes, so of a generator's pieces one is alive."""
-    out = np.empty((n, theta.shape[1]), dtype=theta.dtype)
-    for idx, x in pieces:
+def bucket_product(batch: BatchedGraph, theta: np.ndarray) -> np.ndarray:
+    """X theta for the batch's first-layer input X, its bytes / 255. Each
+    bucket is cast and multiplied alone, so one float piece is alive."""
+    out = np.empty((batch.prop.n, theta.shape[1]), dtype=theta.dtype)
+    for idx, rows in batch.buckets:
+        x = np.divide(rows, 255, dtype=theta.dtype)
         if isinstance(idx, slice):  # the one bucket: every row, in order
             np.matmul(x, theta[:x.shape[1]], out=out)
         else:
             out[idx] = x @ theta[:x.shape[1]]
-        del x  # before the generator builds the next piece
+        del x  # before the next bucket is cast
     return out
 
 
-def bucket_transpose_product(pieces, g: np.ndarray, p: int) -> np.ndarray:
-    """X^T g for the p-column X that bucket_pieces split up, one piece
-    alive at a time: the first (widest) bucket's X_b^T g[rows_b] is
-    written into the rows of its columns, each later one added there."""
-    out = np.zeros((p, g.shape[1]), dtype=g.dtype)
+def bucket_transpose_product(batch: BatchedGraph,
+                             g: np.ndarray) -> np.ndarray:
+    """X^T g for the batch's first-layer input X, one float piece alive
+    at a time: the first (widest) bucket's X_b^T g[rows_b] is written
+    into the rows of its columns, each later one added there."""
+    out = np.zeros((batch.p, g.shape[1]), dtype=g.dtype)
     part = None
-    for idx, x in pieces:
-        rows = g[idx]
+    for idx, rows in batch.buckets:
+        x = np.divide(rows, 255, dtype=g.dtype)
+        g_b = g[idx]
+        edge = x.shape[1]
         if part is None:  # the widest bucket
-            np.matmul(x.T, rows, out=out[:x.shape[1]])
-            part = np.empty((WIDTH_STEP, g.shape[1]), dtype=g.dtype)
-        else:  # narrower buckets end on a multiple of WIDTH_STEP
-            for lo in range(0, x.shape[1], WIDTH_STEP):
-                np.matmul(x[:, lo:lo + WIDTH_STEP].T, rows, out=part)
-                out[lo:lo + WIDTH_STEP] += part
-        del x, rows  # before the generator builds the next piece
+            np.matmul(x.T, g_b, out=out[:edge])
+            part = np.empty((PART_ROWS, g.shape[1]), dtype=g.dtype)
+        else:
+            for lo in range(0, edge, PART_ROWS):
+                hi = min(lo + PART_ROWS, edge)
+                np.matmul(x[:, lo:hi].T, g_b, out=part[:hi - lo])
+                out[lo:hi] += part[:hi - lo]
+        del x, g_b  # before the next bucket is cast
     return out
 
 
@@ -278,7 +245,6 @@ def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
         raise DimsMismatch(f"batch has feature length {batch.p}, "
                            f"model expects {dims.p}")
     cache = ForwardCache()
-    x = bucket_pieces(batch, model.W.dtype)
     # Overflow to inf, and the inf * 0 it meets in propagation, are
     # tolerated here; fc_softmax turns any non-finite outcome into a
     # typed error.
@@ -287,8 +253,8 @@ def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
             if layer:
                 pre_act = sgc_layer(batch.prop, x, theta, dims.hops)
             else:
-                pre_act = batch.prop.apply(
-                    bucket_product(x, theta, batch.prop.n), dims.hops)
+                pre_act = batch.prop.apply(bucket_product(batch, theta),
+                                           dims.hops)
             cache.acts.append(pre_act)  # relu turns it into the activation
             x = relu(pre_act, out=pre_act)
 

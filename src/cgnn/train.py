@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DimsMismatch, EmptyDataset
 from .graph import BatchedGraph, GraphSet, batch_graphs
-from .model import (CgnnModel, ForwardCache, ModelDims, bucket_pieces,
+from .model import (CgnnModel, ForwardCache, ModelDims,
                     bucket_transpose_product, forward, init_model,
                     predict_probs)
 
@@ -86,8 +86,7 @@ def backward(model: CgnnModel, batch: BatchedGraph,
             dthetas[layer] = cache.acts[-1].T @ g
             dx = g @ model.thetas[layer].T
         else:
-            dthetas[0] = bucket_transpose_product(
-                bucket_pieces(batch, g.dtype), g, dims.p)
+            dthetas[0] = bucket_transpose_product(batch, g)
     grads = [*dthetas, d_w, d_b]
     for grad in grads:
         grad *= 1 / GRAD_SCALE

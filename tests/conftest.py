@@ -107,16 +107,16 @@ def graph_rows(graphs, i: int) -> np.ndarray:
 
 
 def batch_rows(batch) -> np.ndarray:
-    """A batch's (N, p) byte rows, expanded as graph_rows expands a
-    graph's; checks that the p bytes after the last row are zeros."""
-    from cgnn.graph import GraphSet
-
-    stored = batch.widths.sum()
-    assert batch.rows.size == stored + batch.p
-    assert not batch.rows[stored:].any()
-    one = GraphSet.from_widths(batch.rows[:stored], batch.p, batch.widths,
-                               [batch.widths.size], [0])
-    return graph_rows(one, 0)
+    """A batch's (N, p) byte rows, scattered back from its uint8 width
+    buckets; checks that each row is in exactly one bucket."""
+    rows = np.zeros((batch.prop.n, batch.p), dtype=np.uint8)
+    seen = np.zeros(batch.prop.n, dtype=np.int64)
+    for idx, bucket in batch.buckets:
+        assert bucket.dtype == np.uint8
+        rows[idx, :bucket.shape[1]] = bucket
+        seen[idx] += 1
+    assert seen.tolist() == [1] * batch.prop.n
+    return rows
 
 
 def dense_propagation_oracle(*lengths: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import os
 import re
@@ -857,6 +858,37 @@ def test_predict_labels_each_session(trained, tmp_path, capsys):
     for c in cells:
         probs = [float(v) for v in c[2:]]
         assert c[1] == names[probs.index(max(probs))]
+
+
+def test_csv_outputs_keep_a_label_name_with_a_comma_and_quotes(tmp_path,
+                                                               capsys):
+    # preprocess takes any directory name as a label; the heat map and
+    # the predictions quote a name that holds a comma or a quote, so no
+    # column moves.
+    names = ['a,"b"', "mail"]
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=12, names=tuple(names))
+    data, run = tmp_path / "data.cgd1", tmp_path / "run"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    assert main(["train", str(data), str(run), "--d1", "8", "--d2", "8",
+                 "--max-epochs", "0"]) == 0
+    heatmap, predictions = tmp_path / "heat.csv", tmp_path / "pred.csv"
+    assert main(["evaluate", str(run / "best.cgm1"), str(data),
+                 "--heatmap", str(heatmap)]) == 0
+    capture = tmp_path / "fresh.pcap"
+    capture.write_bytes(pcap_bytes(session_frames(0x11, 2)))
+    assert main(["predict", str(capture), str(run / "best.cgm1"),
+                 "--csv", str(predictions)]) == 0
+    with heatmap.open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["true\\predicted", *names]
+    assert [row[0] for row in rows[1:]] == names
+    assert [len(row) for row in rows] == [3, 3, 3]
+    with predictions.open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["graph_id", "label", *names]
+    assert [row[0] for row in rows[1:]] == ["0", "1"]
+    assert all(len(row) == 4 and row[1] in names for row in rows[1:])
 
 
 def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:

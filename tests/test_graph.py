@@ -220,7 +220,7 @@ def test_batch_of_32_graphs(rng):
     batch = batch_graphs(graphs)
     assert batch.size == 32
     assert batch.offsets.shape == (33,)
-    assert batch.widths.size == graphs.lengths.sum()
+    assert batch.prop.n == graphs.lengths.sum()
 
 
 def test_batch_slicing_reproduces_inputs_exactly(rng):

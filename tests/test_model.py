@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+import cgnn.graph
 import cgnn.model
 
 from cgnn.dataset import load_dataset, save_dataset
@@ -15,11 +16,10 @@ from cgnn.errors import (ConfigError, CorruptFile, DimsMismatch,
                          EmptyDataset, NonFiniteInput)
 from cgnn.graph import ChainPropagation, batch_graphs
 from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims,
-                        bucket_pieces, bucket_product,
-                        bucket_transpose_product, fc_softmax, forward,
-                        init_model, load_checkpoint, parse_checkpoint, pool,
-                        predict_probs, relu, save_checkpoint, sgc_layer,
-                        softmax)
+                        bucket_product, bucket_transpose_product,
+                        fc_softmax, forward, init_model, load_checkpoint,
+                        parse_checkpoint, pool, predict_probs, relu,
+                        save_checkpoint, sgc_layer, softmax)
 
 from conftest import (batch_rows, bucket_widths, dense_propagation_oracle,
                       forward_with_pre_acts, graph_rows, graph_set,
@@ -303,29 +303,24 @@ def test_forward_rejects_wrong_feature_length(rng):
 
 
 def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
-    monkeypatch.setattr(cgnn.model, "WIDTH_STEP", 8)
+    monkeypatch.setattr(cgnn.graph, "WIDTH_STEP", 8)
     model = init_model(ModelDims(p=27, d1=5, d2=4, m=2), seed=0)
-    batch = batch_graphs(zero_tailed_graphs(rng, bucket_widths(27, 8), 27,
-                                            count=3))
-    n = batch.widths.size
+    graphs = zero_tailed_graphs(rng, bucket_widths(27, 8), 27, count=3)
+    batch = batch_graphs(graphs)
+    n = batch.prop.n
     layer_inputs, sgc_layer = [], cgnn.model.sgc_layer
     monkeypatch.setattr(cgnn.model, "sgc_layer", lambda prop, x, *args:
                         layer_inputs.append(x) or sgc_layer(prop, x, *args))
     cache, pre_acts = forward_with_pre_acts(model, batch)
-    # The first layer reads its input as float pieces, widest first, one
-    # per width bucket, that scatter back to the batch's bytes over 255:
-    # not S X, and no (rows, p) float matrix.
-    pieces = list(bucket_pieces(batch, np.dtype(np.float32)))
-    assert [piece.shape[1] for _, piece in pieces] == [27, 8, 16, 24]
-    scattered = np.zeros((n, 27), dtype=np.float32)
-    seen = np.zeros(n, dtype=int)
-    for idx, piece in pieces:
-        assert piece.dtype == np.float32 and piece.shape[0] < n
-        scattered[idx, :piece.shape[1]] = piece
-        seen[idx] += 1
-    assert seen.tolist() == [1] * n
-    assert np.array_equal(scattered, batch_rows(batch).astype(np.float32)
-                          / np.float32(255))
+    # The first layer reads its input as uint8 buckets, widest first, one
+    # per width bucket, that scatter back to the batch's bytes: not S X,
+    # and no (rows, p) matrix. Cast, they are the bytes over 255.
+    assert [x.shape[1] for _, x in batch.buckets] == [27, 8, 16, 24]
+    assert all(x.shape[0] < n for _, x in batch.buckets)
+    rows = np.concatenate([graph_rows(graphs, i) for i in range(len(graphs))])
+    assert np.array_equal(batch_rows(batch), rows)  # each row in one bucket
+    assert np.array_equal(bucket_product(batch, np.eye(27, dtype=np.float32)),
+                          rows.astype(np.float32) / np.float32(255))
     assert len(cache.acts) == len(pre_acts) == 2
     assert cache.acts[0].shape == (n, 5)
     # Layer 2's input is layer 1's activation, one array held once.
@@ -337,43 +332,44 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [1, 3, 255, 256, 257, 1500])
-def test_bucketed_products_match_the_dense_ones(rng, p):
-    step = cgnn.model.WIDTH_STEP
+def test_bucketed_products_match_the_dense_ones(rng, monkeypatch, p):
+    step = cgnn.graph.WIDTH_STEP
     graphs = zero_tailed_graphs(rng, bucket_widths(p, step) * 3, p)
     batch = batch_graphs(graphs)
-    rows = batch_rows(batch)
+    rows = np.concatenate([graph_rows(graphs, i) for i in range(len(graphs))])
     n, dense = rows.shape[0], rows.astype(np.float32) / np.float32(255)
-    pieces = list(bucket_pieces(batch, np.dtype(np.float32)))
-    assert len(pieces) == -(-p // step)  # every bucket is reached
+    assert len(batch.buckets) == -(-p // step)  # every bucket is reached
     theta = rng.standard_normal((p, 7)).astype(np.float32)
     want = dense @ theta
-    got = bucket_product(pieces, theta, n)
+    got = bucket_product(batch, theta)
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
     g = rng.standard_normal((n, 7)).astype(np.float32)
     want = dense.T @ g
-    got = bucket_transpose_product(pieces, g, p)
-    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    for part_rows in (cgnn.model.PART_ROWS, 100):  # 100 cuts 256-byte edges
+        monkeypatch.setattr(cgnn.model, "PART_ROWS", part_rows)
+        got = bucket_transpose_product(batch, g)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 def test_width_counts_every_nonzero_byte_of_a_row(monkeypatch):
     # A row's width must see a lone nonzero byte at any place, the
     # p mod 4 tail bytes included.
-    monkeypatch.setattr(cgnn.model, "WIDTH_STEP", 4)
+    monkeypatch.setattr(cgnn.graph, "WIDTH_STEP", 4)
     p = 11
     rows = np.zeros((p + 1, p), dtype=np.uint8)
     rows[np.arange(p), np.arange(p)] = 1  # row i ends at byte i + 1
     batch = batch_graphs(graph_set([rows], [0]))
     got = np.zeros(p + 1, dtype=int)
-    for idx, piece in bucket_pieces(batch, np.dtype(np.float32)):
-        got[idx] = piece.shape[1]
+    for idx, bucket in batch.buckets:
+        got[idx] = bucket.shape[1]
     assert got.tolist() == [4, 4, 4, 4, 8, 8, 8, 8, 11, 11, 11, 4]
 
 
-def scanned_pieces(rows: np.ndarray, dtype, step: int):
-    """The first layer's pieces, divided by 255, as a scan of padded
-    (N, p) rows finds them, the widest bucket first and the rest
-    narrowest first: a row's width is the end of its last nonzero 4-byte
-    word, or p when one of the p mod 4 tail bytes is nonzero."""
+def scanned_pieces(rows: np.ndarray, step: int):
+    """The first layer's uint8 buckets as a scan of padded (N, p) rows
+    finds them, the widest bucket first and the rest narrowest first: a
+    row's width is the end of its last nonzero 4-byte word, or p when one
+    of the p mod 4 tail bytes is nonzero."""
     n, p = rows.shape
     count = -(-p // step)
     bucket = np.full(n, count)
@@ -390,9 +386,7 @@ def scanned_pieces(rows: np.ndarray, dtype, step: int):
     pieces = []
     for k in np.roll(present, 1):
         idx = np.flatnonzero(bucket == k) if present.size > 1 else slice(None)
-        x = rows[idx, :min(int(k) * step, p)].astype(dtype)
-        x /= dtype.type(255)
-        pieces.append((idx, x))
+        pieces.append((idx, rows[idx, :min(int(k) * step, p)]))
     return pieces
 
 
@@ -400,31 +394,31 @@ def scanned_pieces(rows: np.ndarray, dtype, step: int):
 @pytest.mark.parametrize("p", [1, 3, 4, 255, 256, 257, 1500])
 def test_pieces_from_stored_rows_equal_a_scan_of_padded_rows(
         rng, monkeypatch, p, step):
-    monkeypatch.setattr(cgnn.model, "WIDTH_STEP", step)
+    monkeypatch.setattr(cgnn.graph, "WIDTH_STEP", step)
     widths = bucket_widths(p, step)
     graphs = zero_tailed_graphs(rng, widths * 2, p, count=6)
     for idx in (slice(None), rng.permutation(len(graphs))[:4]):
         batch = batch_graphs(graphs, idx)
         padded = np.concatenate([graph_rows(graphs, i)
                                  for i in np.arange(len(graphs))[idx]])
-        for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
-            got = list(bucket_pieces(batch, dtype))
-            want = scanned_pieces(padded, dtype, step)
-            assert len(got) == len(want)
-            for (got_idx, got_x), (want_idx, want_x) in zip(got, want):
-                if isinstance(want_idx, slice):
-                    assert got_idx == want_idx
-                else:
-                    assert got_idx.tolist() == want_idx.tolist()
-                assert got_x.dtype == want_x.dtype
-                assert got_x.flags.c_contiguous
-                assert got_x.tobytes() == want_x.tobytes()
+        got = batch.buckets
+        want = scanned_pieces(padded, step)
+        assert len(got) == len(want)
+        for (got_idx, got_x), (want_idx, want_x) in zip(got, want):
+            if isinstance(want_idx, slice):
+                assert got_idx == want_idx
+            else:
+                assert got_idx.tolist() == want_idx.tolist()
+            assert got_x.dtype == want_x.dtype == np.uint8
+            assert got_x.flags.c_contiguous
+            assert got_x.shape == want_x.shape
+            assert got_x.tobytes() == want_x.tobytes()
 
 
 def test_multi_bucket_graphs_score_alike_alone_and_in_one_block(rng,
                                                                monkeypatch):
     model = init_model(ModelDims(), seed=0)
-    widths = bucket_widths(1500, cgnn.model.WIDTH_STEP)
+    widths = bucket_widths(1500, cgnn.graph.WIDTH_STEP)
     graphs = zero_tailed_graphs(rng, widths * 8, 1500, count=30)
     alone = np.concatenate([forward(model, batch_graphs(graphs, [i])).probs
                             for i in range(len(graphs))])
@@ -442,7 +436,7 @@ def test_rows_stored_to_their_last_nonzero_byte_match_wider_ones(
     while no row changes width bucket, within the block bound of
     test_multi_bucket_graphs_score_alike_alone_and_in_one_block when
     rows do."""
-    p, step = 1500, cgnn.model.WIDTH_STEP
+    p, step = 1500, cgnn.graph.WIDTH_STEP
     narrow = zero_tailed_graphs(rng, bucket_widths(p, step) * 8, p, count=30)
     rows = [graph_rows(narrow, i) for i in range(len(narrow))]
     width = narrow.packed()[1]
@@ -467,7 +461,7 @@ def test_rows_stored_to_their_last_nonzero_byte_match_wider_ones(
 def test_forward_repeats_bit_for_bit_across_buckets(rng):
     model = init_model(ModelDims(), seed=1)
     batch = batch_graphs(zero_tailed_graphs(
-        rng, bucket_widths(1500, cgnn.model.WIDTH_STEP) * 4, 1500, count=12))
+        rng, bucket_widths(1500, cgnn.graph.WIDTH_STEP) * 4, 1500, count=12))
     first, second = forward(model, batch), forward(model, batch)
     assert first.probs.tobytes() == second.probs.tobytes()
     for a, b in zip(first.acts, second.acts):
@@ -503,9 +497,11 @@ def test_predict_probs_runs_each_batch_through_forward(rng, monkeypatch):
 
 def test_predict_probs_holds_one_bucket_piece_at_a_time(rng):
     """Full batches whose rows reach every width bucket: the peak is the
-    batch's first-layer product and its propagation, about 2.2 (rows,
-    d1) float32 arrays. Keeping every bucket's float piece alive through
-    the propagation took it to 3.7."""
+    batch's first-layer product and its propagation beside the batch's
+    uint8 width buckets, 2.19-2.44 (rows, d1) float32 arrays over 8
+    seeds and every pooling (2.13-2.38 when a batch held its packed rows
+    and each pass gathered a bucket at a time). Keeping every bucket's
+    float piece alive through the propagation took it to 3.7."""
     dims = ModelDims()
     model = init_model(dims, seed=0)
     widths = list(range(1, dims.p + 1, 10))

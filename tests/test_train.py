@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import cgnn.graph
 import cgnn.model
 import cgnn.train
 from cgnn.errors import (ConfigError, DimsMismatch, EmptyDataset,
@@ -179,7 +180,7 @@ def test_gradients_match_for_layer_counts_and_hops(rng):
 def test_gradients_match_across_width_buckets(rng, monkeypatch):
     # Rows end at 0, at each bucket edge, one past it, and at p, where p
     # is not a multiple of the 4-byte word the width scan reads.
-    monkeypatch.setattr(cgnn.model, "WIDTH_STEP", 8)
+    monkeypatch.setattr(cgnn.graph, "WIDTH_STEP", 8)
     widths = bucket_widths(27, 8)
     assert widths == [0, 8, 9, 16, 17, 24, 25, 27]
 
@@ -220,22 +221,54 @@ def test_propagation_runs_at_hidden_widths_only(rng, monkeypatch):
 
 def test_training_step_holds_only_what_backward_still_reads(rng):
     """A step over ~1,000 rows that reach every width bucket, at default
-    dims. ReLU runs in place, backward drops each cached array once read,
-    and it rebuilds the first layer's float pieces one at a time, so the
-    peak is g, the p x d1 gradient and one piece: 3.6-3.8 (rows, d1)
-    float32 arrays over 8 seeds and every pooling. Holding every piece
-    from forward to backward read 4.7-4.8; keeping each pre-activation
-    beside its activation, and the whole cache until backward returned,
-    read 9.4."""
+    dims; the batch, its uint8 width buckets included, is built before
+    the trace. ReLU runs in place, backward drops each cached array once
+    read, and it casts the batch's buckets one at a time, as forward
+    does, so the peak is g, the p x d1 gradient and one float piece:
+    3.60-3.71 (rows, d1) float32 arrays over 8 seeds and every pooling.
+    Gathering every bucket's bytes again in backward read 3.64-3.76;
+    holding every float piece from forward to backward read 4.7-4.8;
+    keeping each pre-activation beside its activation, and the whole
+    cache until backward returned, read 9.4."""
     dims = ModelDims()
     model = init_model(dims, seed=0)
-    widths = bucket_widths(dims.p, cgnn.model.WIDTH_STEP)
+    widths = bucket_widths(dims.p, cgnn.graph.WIDTH_STEP)
     widths += rng.integers(1, dims.p + 1, size=1000).tolist()
     batch = batch_graphs(zero_tailed_graphs(rng, widths, dims.p, count=32))
     grads, peak = traced_peak(
         lambda: backward(model, batch, forward(model, batch)))
     assert [g.shape for g in grads] == dims.param_shapes
-    assert peak <= 4.3 * batch.widths.size * dims.d1 * 4
+    assert peak <= 4.3 * batch.prop.n * dims.d1 * 4
+
+
+def test_a_training_step_gathers_each_batch_once(rng, monkeypatch):
+    # batch_graphs gathers a batch's bytes into its width buckets; forward
+    # and backward only cast them, so neither pass gathers again.
+    gathers, built = [], []
+    window = cgnn.graph.sliding_window_view
+
+    def counting_window(*args, **kwargs):
+        gathers.append(args[0].size)
+        return window(*args, **kwargs)
+
+    def counting_batch(*args):
+        built.append(len(gathers))
+        return batch_graphs(*args)
+
+    monkeypatch.setattr(cgnn.graph, "sliding_window_view", counting_window)
+    monkeypatch.setattr(cgnn.graph, "WIDTH_STEP", 8)
+    dims = ModelDims(p=27, d1=5, d2=4, m=2)
+    model = init_model(dims, seed=0)
+    graphs = zero_tailed_graphs(rng, bucket_widths(27, 8) * 4, 27, count=12)
+    batch = batch_graphs(graphs)
+    assert len(gathers) == 1
+    backward(model, batch, forward(model, batch))
+    assert len(gathers) == 1
+    for module in (cgnn.train, cgnn.model):  # fit's batches, and evaluate's
+        monkeypatch.setattr(module, "batch_graphs", counting_batch)
+    fit(graphs[:8], graphs[8:], dims, TrainConfig(batch_size=3, max_epochs=2))
+    assert built == list(range(1, 9))  # 3 + 1 per epoch, and each gathered
+    assert len(gathers) == 9
 
 
 def test_gradient_scale_is_exact_in_float64(rng, monkeypatch):
