@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import DimsMismatch, EmptyDataset
+from .errors import DimsMismatch
 
 # A batch puts its rows into buckets by width with fixed edges
 # WIDTH_STEP, 2 * WIDTH_STEP, ..., p, and the first layer multiplies
@@ -115,15 +115,10 @@ class ChainPropagation:
 
     @classmethod
     def for_batch(cls, lengths: Sequence[int]) -> "ChainPropagation":
-        """Propagation over consecutive chains of the given lengths. The
-        self-loop-augmented degree is 3 inside a chain, 2 at its ends and
-        1 for a single vertex."""
+        """Propagation over consecutive chains of the given positive
+        lengths. The self-loop-augmented degree is 3 inside a chain, 2 at
+        its ends and 1 for a single vertex."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        if not lengths.size:
-            raise EmptyDataset("no graphs to build a propagation matrix for")
-        if lengths.min() <= 0:
-            raise ValueError(f"chain lengths must be positive, got "
-                             f"{lengths.min()}")
         ends = np.cumsum(lengths)
         deg = np.full(ends[-1], 3.0, dtype=np.float64)
         deg[ends - lengths] -= 1.0
@@ -192,7 +187,7 @@ def batch_graphs(graphs: GraphSet, idx=slice(None)) -> BatchedGraph:
     its row indices (slice(None) when it holds every row) and those uint8
     rows; the widest comes first, then the rest narrowest first."""
     chosen = graphs[idx]
-    prop = ChainPropagation.for_batch(chosen.lengths)  # raises if empty
+    prop = ChainPropagation.for_batch(chosen.lengths)
     p = chosen.p
     data, widths = chosen.packed(pad=p)
     count = -(-p // WIDTH_STEP)  # the last edge is p
@@ -222,8 +217,6 @@ def split_dataset(graphs: GraphSet, seed: int = 0,
     validation, floor(n/10) to test, and the rest to train. Each part
     lists the labels in increasing order.
     """
-    if not len(graphs):
-        raise EmptyDataset("cannot split zero graphs")
     rng = np.random.default_rng(seed)
     train, valid, test = [], [], []
     # Not np.unique: it imports numpy.ma, which train needs nowhere else.

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, CorruptFile, DimsMismatch, EmptyDataset,
-                     NonFiniteInput)
+from .errors import ConfigError, CorruptFile, DimsMismatch, NonFiniteInput
 from .graph import BatchedGraph, GraphSet, batch_graphs
 from .ioutil import ByteReader, ByteWriter, atomic_write
 
@@ -135,9 +134,6 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
               k: int = 1) -> np.ndarray:
     """One graph-convolution layer before its activation: S^k (X theta)."""
-    if x.shape[1] != theta.shape[0]:
-        raise DimsMismatch(f"features are {x.shape[1]} wide, layer weights "
-                           f"expect {theta.shape[0]}")
     return prop.apply(x @ theta, k)
 
 
@@ -201,11 +197,6 @@ def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
     Returns the pooled (B, width) matrix and, for max pooling, the row
     index that won each feature (needed to route gradients back).
     """
-    if lengths.size == 0 or np.any(lengths <= 0):
-        raise EmptyDataset("cannot pool over an empty segment")
-    if kind not in POOLING_KINDS:
-        raise ConfigError(f"pooling must be one of {POOLING_KINDS}, "
-                          f"got {kind!r}")
     width = x.shape[1]
     out = np.empty((lengths.size, width), dtype=x.dtype)
     winners = np.empty(out.shape, dtype=np.int64) if kind == "max" else None
@@ -279,8 +270,7 @@ def predict_probs(model: CgnnModel, graphs: GraphSet) -> np.ndarray:
         batch = batch_graphs(graphs, slice(start, stop))
         parts.append(forward(model, batch).probs)
         start = stop
-    return np.concatenate(parts) if parts else \
-        np.zeros((0, model.dims.m), dtype=np.float32)
+    return np.concatenate(parts)
 
 
 def save_checkpoint(model: CgnnModel, label_names: list[str],

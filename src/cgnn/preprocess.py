@@ -227,10 +227,6 @@ def graphs_from_records(capture: BinaryIO | bytes, label: int, p: int,
     A packet with an empty payload still opens its session; with
     drop_dns, a packet on port 53 never does.
     """
-    if p <= 0:
-        raise ValueError(f"feature length must be positive, got {p}")
-    if not 0 < fraction <= 1:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     capture = io.BytesIO(capture) if isinstance(capture, bytes) else capture
     size = capture.seek(0, io.SEEK_END)
     capture.seek(0)

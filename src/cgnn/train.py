@@ -43,13 +43,6 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, 2015)
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise EmptyDataset("cross entropy over zero rows")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
-        raise DimsMismatch(
-            f"labels span [{labels.min()}, {labels.max()}], "
-            f"distribution has {probs.shape[1]} classes")
     p_true = probs[np.arange(labels.size), labels]
     return float(np.mean(-np.log(np.maximum(p_true, LOSS_FLOOR))))
 
@@ -173,7 +166,6 @@ class TrainReport:
     """What happened during fit, epoch by epoch."""
 
     best_epoch: int = 0  # 1-based; 0 when no epoch ran
-    stopped_early: bool = False
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     val_accuracies: list[float] = field(default_factory=list)
@@ -251,7 +243,6 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
             best = None  # the old copy goes before the new one is taken
             best = model.copy()
         elif epoch - report.best_epoch >= config.patience:
-            report.stopped_early = True
             break
 
     return model if best is None else best, report

@@ -456,14 +456,18 @@ def test_out_of_range_fraction_or_seed_stops_before_any_work(tmp_path,
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)
     data = tmp_path / "data.cgd1"
+    csv_path = tmp_path / "predictions.csv"
+    predict = ["predict", str(next(root.rglob("*.pcap"))),
+               str(tmp_path / "best.cgm1"), "--csv", str(csv_path)]
     for value in ("0", "1.5"):
-        assert main(["preprocess", str(root), str(data),
-                     "--fraction", value]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == \
-            f"error: fraction must lie in (0, 1], got {float(value)}\n"
-        assert not data.exists()
+        for argv, output in ((["preprocess", str(root), str(data)], data),
+                             (predict, csv_path)):
+            assert main([*argv, "--fraction", value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == \
+                f"error: fraction must lie in (0, 1], got {float(value)}\n"
+            assert not output.exists()
     assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
     capsys.readouterr()
     run = tmp_path / "run"
@@ -471,6 +475,29 @@ def test_out_of_range_fraction_or_seed_stops_before_any_work(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: seeds cannot be negative\n"
+    assert not run.exists()
+
+
+def test_zero_feature_length_or_unknown_pooling_stops_before_any_work(
+        tmp_path, capsys):
+    # The config is the one check of both rules: ingest and pooling
+    # trust what it passed.
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: feature length must be positive, got 0\n"
+    assert not data.exists()
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", str(data), str(run), "--pooling", "median"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: pooling must be one of ('avg', 'max', "
+                            "'sum'), got 'median'\n")
     assert not run.exists()
 
 

@@ -1,4 +1,5 @@
-"""Source checks: error types are raised and tested; no test-only code."""
+"""Source checks: error types are raised and tested; no test-only code or
+fields."""
 
 from __future__ import annotations
 
@@ -45,10 +46,15 @@ def _names(tree: ast.AST) -> Counter:
                    for part in text.split("."))
 
 
+def _trees() -> dict[Path, ast.Module]:
+    """The parsed modules of src/ and bench/."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in [*(ROOT / "src").rglob("*.py"),
+                         *(ROOT / "bench").glob("*.py")]}
+
+
 def test_src_defines_only_what_src_or_bench_names():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in [*(ROOT / "src").rglob("*.py"),
-                          *(ROOT / "bench").glob("*.py")]}
+    trees = _trees()
     named = sum(map(_names, trees.values()), Counter())
     unused = [f"{path.name}:{node.name}" for path, tree in trees.items()
               if path.is_relative_to(ROOT / "src") for node in ast.walk(tree)
@@ -57,3 +63,27 @@ def test_src_defines_only_what_src_or_bench_names():
               and not re.fullmatch(r"__\w+__", node.name)
               and named[node.name] <= _names(node)[node.name]]
     assert unused == [], "named nowhere in src/ or bench/ but its definition"
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """The attribute names tree loads, and each dot-separated part of a
+    string (getattr and bench/spans.py read by string)."""
+    texts = [node.attr if isinstance(node, ast.Attribute) else node.value
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)
+             or isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return Counter(part for text in texts for part in text.split("."))
+
+
+def test_src_class_fields_are_read_in_src_or_bench():
+    trees = _trees()
+    read = sum(map(_reads, trees.values()), Counter())
+    unread = [f"{path.name}:{cls.name}.{stmt.target.id}"
+              for path, tree in trees.items()
+              if path.is_relative_to(ROOT / "src") for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and not read[stmt.target.id]]
+    assert unread == [], "read nowhere in src/ or bench/"

@@ -73,11 +73,6 @@ def test_vectorize_length_always_p(rng):
         assert _only_row(tcp_frame(bytes(size)), p).shape == (p,)
 
 
-def test_vectorize_rejects_nonpositive_length():
-    with pytest.raises(ValueError):
-        ingest([tcp_frame(b"abc")], p=0)
-
-
 # --- cleaning golden layouts --------------------------------------------
 
 PAYLOAD = b"GET / HTTP/1.1\r\n"
