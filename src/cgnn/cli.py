@@ -26,7 +26,8 @@ from .ioutil import atomic_write_bytes, atomic_write_csv
 from .metrics import classification_report, format_report, write_heatmap_csv
 from .model import (CHECKPOINT_MAGIC, ModelDims, load_checkpoint,
                     parse_checkpoint, predict_probs, save_checkpoint)
-from .preprocess import FiveTuple, IngestStats, graphs_from_records
+from .preprocess import (PROTO_TCP, PROTO_UDP, IngestStats,
+                         graphs_from_records)
 from .train import TrainConfig, fit
 
 CHECKPOINT_NAME = "best.cgm1"
@@ -195,20 +196,19 @@ def cmd_preprocess(args) -> int:
         for label_id, group in enumerate(paths):
             for path in group:
                 graphs, _, stats = _ingest_capture(path, label_id, cfg.p, cfg)
-                stats.files = 1
                 per_label[label_id].add(stats)
                 yield graphs
 
     count = save_dataset(captures(), args.out, labels, cfg.p)
     total = IngestStats()
     for label_id, (name, stats) in enumerate(zip(labels, per_label)):
-        print(f"label {name} (id {label_id}): {stats.files} files, "
+        print(f"label {name} (id {label_id}): {len(paths[label_id])} files, "
               f"{stats.describe()}")
         if stats.sessions == 0:
             print(f"warning: label {name} produced no sessions",
                   file=sys.stderr)
         total.add(stats)
-    print(f"total: {total.files} files, {total.describe()}")
+    print(f"total: {sum(map(len, paths))} files, {total.describe()}")
     print(f"skipped frames by reason: {total.non_ipv4} non-IPv4, "
           f"{total.non_tcp_udp} non-TCP/UDP, {total.fragments} fragments, "
           f"{total.malformed} malformed")
@@ -300,6 +300,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def format_key(low: int, high: int, protocol: int) -> str:
+    """A row of graphs_from_records' session keys as ip:port-ip:port/tcp
+    (or /udp), the lower endpoint first."""
+    a, b = (".".join(map(str, (end >> 16).to_bytes(4, "big")))
+            + f":{end & 0xFFFF}" for end in (low, high))
+    name = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}[protocol]
+    return f"{a}-{b}/{name}"
+
+
 def cmd_predict(args) -> int:
     if args.csv:
         _refuse_overwrite(args.csv, args.pcap, args.checkpoint)
@@ -318,7 +327,7 @@ def cmd_predict(args) -> int:
             zip(keys.tolist(), graphs.lengths.tolist(), probs)):
         label = int(dist.argmax())
         name = checkpoint.label_names[label]
-        print(f"{FiveTuple.unpack(*key)} [{n} packets] -> {name} "
+        print(f"{format_key(*key)} [{n} packets] -> {name} "
               f"({dist[label]:.4f})")
         rows.append([graph_id, name, *(f"{v:.6f}" for v in dist)])
     if args.csv:

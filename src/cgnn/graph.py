@@ -45,10 +45,9 @@ class ChainedGraph:
 @dataclass
 class GraphSet:
     """Labeled graphs on one row buffer: row r is buffer[bounds[r]:
-    bounds[r + 1]], and graph i the lengths[i] rows from row first[i]. An
-    int index gives one graph's vertex count and label as a ChainedGraph,
-    without its rows; a slice or an index array gives the chosen graphs,
-    in order, as a GraphSet on the same buffer."""
+    bounds[r + 1]], and graph i the lengths[i] rows from row first[i]. A
+    slice or an index array gives the chosen graphs, in order, as a
+    GraphSet on the same buffer."""
 
     buffer: np.ndarray  # flat uint8
     p: int
@@ -72,16 +71,13 @@ class GraphSet:
     def __len__(self) -> int:
         return self.lengths.size
 
-    def __getitem__(self, idx):
-        if isinstance(idx, (int, np.integer)):
-            return ChainedGraph(n=int(self.lengths[idx]),
-                                label=int(self.labels[idx]))
+    def __getitem__(self, idx) -> "GraphSet":
         return GraphSet(buffer=self.buffer, p=self.p, bounds=self.bounds,
                         first=self.first[idx], lengths=self.lengths[idx],
                         labels=self.labels[idx])
 
     def __iter__(self) -> Iterator[ChainedGraph]:
-        return (self[i] for i in range(len(self)))
+        return map(ChainedGraph, self.lengths.tolist(), self.labels.tolist())
 
     def packed(self, pad: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The graphs' rows in order: their stored bytes back to back, then

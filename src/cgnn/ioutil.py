@@ -21,9 +21,6 @@ import numpy as np
 
 from .errors import CorruptFile
 
-WRITE_BUFFER = 256 * 1024  # gathers many small dataset fields per write
-
-
 @contextmanager
 def atomic_write(path: Path | str) -> Iterator[BinaryIO]:
     """A binary handle on a temporary sibling of path, renamed over path
@@ -38,7 +35,7 @@ def atomic_write(path: Path | str) -> Iterator[BinaryIO]:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp_name, 0o666 & ~umask)  # mkstemp made it 0600
-        with os.fdopen(fd, "wb", buffering=WRITE_BUFFER) as handle:
+        with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp_name, path)
     except BaseException:

@@ -16,14 +16,6 @@ import numpy as np
 from .ioutil import atomic_write_csv
 
 
-def confusion_matrix(true: np.ndarray, pred: np.ndarray,
-                     num_classes: int) -> np.ndarray:
-    """Counts[i, j] of graphs with true class i predicted as class j."""
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(counts, (true, pred), 1)
-    return counts
-
-
 @dataclass
 class EvalReport:
     """Scores for one evaluation run."""
@@ -51,21 +43,14 @@ def classification_report(true: np.ndarray, pred: np.ndarray,
     Macro averages weigh every class equally; with weighted=True they
     are weighed by class support instead.
     """
-    counts = confusion_matrix(true, pred, len(label_names))
-    return report_from_confusion(counts, label_names, weighted=weighted)
-
-
-def report_from_confusion(counts: np.ndarray, label_names: list[str],
-                          weighted: bool = False) -> EvalReport:
-    """Score an already-tallied confusion matrix."""
+    m = len(label_names)
+    counts = np.zeros((m, m), dtype=np.int64)
+    np.add.at(counts, (true, pred), 1)
     diag = np.diag(counts).astype(np.float64)
-    precision = _safe_divide(diag, counts.sum(axis=0))
-    recall = _safe_divide(diag, counts.sum(axis=1))
     support = counts.sum(axis=1)
-    if weighted:
-        weights = support / support.sum()
-    else:
-        weights = np.full(len(label_names), 1.0 / len(label_names))
+    precision = _safe_divide(diag, counts.sum(axis=0))
+    recall = _safe_divide(diag, support)
+    weights = support / support.sum() if weighted else np.full(m, 1.0 / m)
     return EvalReport(
         label_names=list(label_names),
         confusion=counts,
@@ -77,18 +62,13 @@ def report_from_confusion(counts: np.ndarray, label_names: list[str],
     )
 
 
-def normalized_confusion(counts: np.ndarray) -> np.ndarray:
-    """Rows rescaled to fractions of each true class; rows with no
-    samples stay all zero."""
-    sums = counts.sum(axis=1, keepdims=True).astype(np.float64)
-    return _safe_divide(counts.astype(np.float64),
-                        np.broadcast_to(sums, counts.shape))
-
-
 def write_heatmap_csv(report: EvalReport, path: Path | str) -> None:
     """Row-normalized confusion matrix as CSV: one row per true class,
-    one column per predicted class, fractions in [0, 1]."""
-    fractions = normalized_confusion(report.confusion)
+    one column per predicted class, fractions in [0, 1]; a class with no
+    graphs has a row of zeros."""
+    counts = report.confusion
+    fractions = _safe_divide(counts.astype(np.float64),
+                             counts.sum(axis=1, keepdims=True))
     atomic_write_csv(path, [["true\\predicted", *report.label_names]] + [
         [name, *(f"{v:.6f}" for v in row)]
         for name, row in zip(report.label_names, fractions)])

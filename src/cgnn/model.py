@@ -174,20 +174,15 @@ def bucket_transpose_product(batch: BatchedGraph,
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by the row max so exp cannot overflow."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def fc_softmax(y: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Class distributions of a batch of pooled rows: softmax(y W + b)."""
+    """Class distributions of a batch of pooled rows: softmax(y W + b),
+    each row shifted by its max so exp cannot overflow."""
     with np.errstate(invalid="ignore", over="ignore"):
         logits = y @ W + b
     if not np.isfinite(logits).all():
         raise NonFiniteInput("classifier logits are not finite")
-    return softmax(logits)
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def pool(x: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,

@@ -50,35 +50,10 @@ DNS_PORT = 53
 READ_BLOCK = 2 << 20
 
 
-@dataclass(frozen=True, order=True)
-class FiveTuple:
-    """Canonical bidirectional flow key: the two endpoints are ordered so
-    that both directions of a conversation hash to the same value."""
-
-    ip_a: bytes
-    port_a: int
-    ip_b: bytes
-    port_b: int
-    protocol: int
-
-    @classmethod
-    def unpack(cls, low: int, high: int, protocol: int) -> "FiveTuple":
-        """The key of one row of the keys graphs_from_records returns."""
-        return cls((low >> 16).to_bytes(4, "big"), low & 0xFFFF,
-                   (high >> 16).to_bytes(4, "big"), high & 0xFFFF, protocol)
-
-    def __str__(self) -> str:
-        name = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(
-            self.protocol, str(self.protocol))
-        a, b = (".".join(map(str, ip)) for ip in (self.ip_a, self.ip_b))
-        return f"{a}:{self.port_a}-{b}:{self.port_b}/{name}"
-
-
 @dataclass
 class IngestStats:
     """Counts of what preprocessing kept and dropped."""
 
-    files: int = 0
     truncated: int = 0  # captures that ended mid-record
     sessions: int = 0
     vertices: int = 0
@@ -125,11 +100,12 @@ def _global_header(head: bytes) -> tuple[Callable, int]:
     return struct.Struct(end + "I").unpack_from, snaplen
 
 
-def _walk_records(data, offset: int, captured_len: Callable, snaplen: int,
+def _walk_records(data, captured_len: Callable, snaplen: int,
                   ) -> tuple[list[int], list[int], int, int]:
-    """Starts and captured lengths of the whole records in data from offset
-    on, the offset past them, and the bytes the next needs (0 past snaplen)."""
-    starts, lengths, total = [], [], len(data)
+    """Starts and captured lengths of the whole records at the head of
+    data, the offset past them, and the bytes the next needs (0 past
+    snaplen)."""
+    starts, lengths, total, offset = [], [], len(data), 0
     while (start := offset + RECORD_HEADER_LEN) <= total:
         (incl_len,) = captured_len(data, offset + 8)
         if snaplen and incl_len > snaplen:
@@ -209,11 +185,11 @@ def _decode_headers(buf: np.ndarray, start: np.ndarray, length: np.ndarray,
             transport_len > payload_offset[ok]]
 
 
-def graphs_from_records(capture: BinaryIO | bytes, label: int, p: int,
+def graphs_from_records(capture: BinaryIO, label: int, p: int,
                         fraction: float = 1.0, drop_dns: bool = False,
                         ) -> tuple[GraphSet, np.ndarray, IngestStats]:
-    """Full ingest of a seekable binary capture file, or its bytes, in two
-    passes through one block of READ_BLOCK bytes, grown only to fit a
+    """Full ingest of a seekable binary capture file in two passes
+    through one block of READ_BLOCK bytes, grown only to fit a
     longer record. Pass 1 decodes the headers of each block's whole
     records (a capture cut mid-record keeps what parsed and counts in
     stats.truncated) and groups the frames into bidirectional sessions
@@ -227,7 +203,6 @@ def graphs_from_records(capture: BinaryIO | bytes, label: int, p: int,
     A packet with an empty payload still opens its session; with
     drop_dns, a packet on port 53 never does.
     """
-    capture = io.BytesIO(capture) if isinstance(capture, bytes) else capture
     size = capture.seek(0, io.SEEK_END)
     capture.seek(0)
     header = _global_header(capture.read(GLOBAL_HEADER_LEN))
@@ -235,8 +210,8 @@ def graphs_from_records(capture: BinaryIO | bytes, label: int, p: int,
     base, spans, parts, stats = GLOBAL_HEADER_LEN, [], [], IngestStats()
     while True:  # pass 1: each block ends at its last whole record
         fill = capture.readinto(buf)
-        starts, lengths, stop, need = _walk_records(
-            memoryview(buf)[:fill], 0, *header)
+        starts, lengths, stop, need = _walk_records(memoryview(buf)[:fill],
+                                                    *header)
         parts.append(_decode_headers(
             buf[:fill], *np.array([starts, lengths], np.int64), stats, base,
             drop_dns))

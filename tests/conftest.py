@@ -136,9 +136,19 @@ def walk(data: bytes) -> tuple[np.ndarray, np.ndarray, bool]:
     bytes, and whether the file ends mid-record."""
     from cgnn import preprocess as pre
 
+    header = pre._global_header(data)
     starts, lengths, offset, _ = pre._walk_records(
-        data, pre.GLOBAL_HEADER_LEN, *pre._global_header(data))
-    return *np.array([starts, lengths], dtype=np.int64), offset < len(data)
+        memoryview(data)[pre.GLOBAL_HEADER_LEN:], *header)
+    starts, lengths = np.array([starts, lengths], dtype=np.int64)
+    return starts + pre.GLOBAL_HEADER_LEN, lengths, \
+        pre.GLOBAL_HEADER_LEN + offset < len(data)
+
+
+def unpack_key(low: int, high: int, protocol: int) -> tuple:
+    """A row of graphs_from_records' session keys as the scalar oracle's
+    (ip_a, port_a, ip_b, port_b, protocol), the lower endpoint first."""
+    return ((low >> 16).to_bytes(4, "big"), low & 0xFFFF,
+            (high >> 16).to_bytes(4, "big"), high & 0xFFFF, protocol)
 
 
 def random_graphs(rng: np.random.Generator, count: int, p: int,
@@ -205,19 +215,19 @@ def forward_with_pre_acts(model, batch):
 
 
 @pytest.fixture
-def five_tuples_built(monkeypatch) -> list[tuple]:
-    """The arguments of every FiveTuple built while the test runs."""
-    from cgnn.preprocess import FiveTuple
+def keys_formatted(monkeypatch) -> list[tuple]:
+    """The arguments of every cli.format_key call while the test runs."""
+    import cgnn.cli
 
-    built = []
-    init = FiveTuple.__init__
+    calls = []
+    format_key = cgnn.cli.format_key
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+    def counting_format_key(*args):
+        calls.append(args)
+        return format_key(*args)
 
-    monkeypatch.setattr(FiveTuple, "__init__", counting_init)
-    return built
+    monkeypatch.setattr(cgnn.cli, "format_key", counting_format_key)
+    return calls
 
 
 @pytest.fixture

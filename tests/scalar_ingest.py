@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cgnn.graph import GraphSet
-from cgnn.preprocess import FiveTuple, IngestStats
+from cgnn.preprocess import IngestStats
 
 from conftest import graph_set
 
@@ -40,17 +40,19 @@ class DecodeError(Exception):
 
 
 def canonical(src_ip: bytes, src_port: int, dst_ip: bytes, dst_port: int,
-              protocol: int) -> FiveTuple:
+              protocol: int) -> tuple:
+    """The session key (ip_a, port_a, ip_b, port_b, protocol), the lower
+    endpoint first, so both directions share it."""
     if (src_ip, src_port) <= (dst_ip, dst_port):
-        return FiveTuple(src_ip, src_port, dst_ip, dst_port, protocol)
-    return FiveTuple(dst_ip, dst_port, src_ip, src_port, protocol)
+        return src_ip, src_port, dst_ip, dst_port, protocol
+    return dst_ip, dst_port, src_ip, src_port, protocol
 
 
 @dataclass
 class DecodedPacket:
     """One IPv4/TCP-or-UDP frame split into the pieces cleaning needs."""
 
-    five_tuple: FiveTuple
+    five_tuple: tuple  # canonical()
     ip_header: bytes
     transport: bytes  # whole segment (TCP) or datagram (UDP)
     payload_offset: int  # transport bytes before the payload starts
@@ -176,7 +178,7 @@ class SessionSplit:
     whose packets all carried no payload maps to an empty list.
     """
 
-    sessions: dict[FiveTuple, list[bytes]] = field(default_factory=dict)
+    sessions: dict[tuple, list[bytes]] = field(default_factory=dict)
     stats: IngestStats = field(default_factory=IngestStats)
 
 
@@ -197,7 +199,7 @@ def split_sessions(frames: list[bytes], *,
             setattr(stats, reason, getattr(stats, reason) + 1)
             continue
         key = packet.five_tuple
-        if drop_dns and DNS_PORT in (key.port_a, key.port_b):
+        if drop_dns and DNS_PORT in (key[1], key[3]):
             stats.dropped_dns += 1
             continue
         session = split.sessions.setdefault(key, [])
@@ -211,13 +213,13 @@ def split_sessions(frames: list[bytes], *,
 
 def graphs_from_frames(frames: list[bytes], label: int, p: int,
                        fraction: float = 1.0, drop_dns: bool = False,
-                       ) -> tuple[GraphSet, list[FiveTuple], IngestStats]:
+                       ) -> tuple[GraphSet, list[tuple], IngestStats]:
     """Full ingest of a frame list: sessions, cleaning, graphs."""
     split = split_sessions(frames, drop_dns=drop_dns)
     stats = split.stats
     features: list[np.ndarray] = []
     widths: list[int] = []  # each row stores its cleaned bytes cut to p
-    keys: list[FiveTuple] = []
+    keys: list[tuple] = []
     for key, cleaned in split.sessions.items():
         if not cleaned:
             stats.dropped_sessions += 1

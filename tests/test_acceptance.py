@@ -8,6 +8,7 @@ fixed; loosening them is not a fix.
 
 from __future__ import annotations
 
+import io
 import os
 import time
 
@@ -18,12 +19,12 @@ from cgnn.dataset import Dataset, parse_dataset
 from cgnn.graph import ChainPropagation, batch_graphs, split_dataset
 from cgnn.model import (ModelDims, forward, init_model, load_checkpoint,
                         predict_probs, save_checkpoint)
-from cgnn.preprocess import FiveTuple, graphs_from_records
+from cgnn.preprocess import graphs_from_records
 from cgnn.train import TrainConfig, backward, evaluate, fit
 
 from conftest import (IP_A, IP_B, arp_frame, dense_propagation_oracle,
                       graph_rows, graph_set, pcap_bytes, random_graphs,
-                      tcp_frame, udp_frame)
+                      tcp_frame, udp_frame, unpack_key)
 from test_preprocess import (_only_row, expected_tcp_clean,
                              expected_udp_clean)
 from test_train import max_rel_error, numeric_gradient, smooth_case
@@ -134,7 +135,7 @@ def test_criterion_5_golden_capture_cleaning(capsys):
 
     # SYN-only handshake packet: no payload, discarded.
     graphs, _, stats = graphs_from_records(
-        pcap_bytes([tcp_frame(b"", flags=0x02)]), 0, p)
+        io.BytesIO(pcap_bytes([tcp_frame(b"", flags=0x02)])), 0, p)
     checks.append(len(graphs) == 0 and stats.discarded_empty == 1)
 
     # UDP: 8-byte header padded to 20 with zeros.
@@ -142,7 +143,8 @@ def test_criterion_5_golden_capture_cleaning(capsys):
                          expected_udp_clean(b"ping")))
 
     # ARP noise: not a session packet, skipped not fatal.
-    graphs, _, stats = graphs_from_records(pcap_bytes([arp_frame()]), 0, p)
+    graphs, _, stats = graphs_from_records(
+        io.BytesIO(pcap_bytes([arp_frame()])), 0, p)
     checks.append(len(graphs) == 0 and stats.non_ipv4 == 1)
 
     # Bidirectional flow: both directions in one session, order kept,
@@ -152,11 +154,12 @@ def test_criterion_5_golden_capture_cleaning(capsys):
                         src=IP_B, dst=IP_A),
               tcp_frame(payload, sport=50000, dport=80),
               arp_frame()]
-    graphs, keys, stats = graphs_from_records(pcap_bytes(frames), 0, p)
+    graphs, keys, stats = graphs_from_records(
+        io.BytesIO(pcap_bytes(frames)), 0, p)
     checks.append(len(graphs) == 1)
     checks.append(stats.skipped == 1)
-    checks.append([FiveTuple.unpack(*key) for key in keys.tolist()]
-                  == [FiveTuple(IP_A, 50000, IP_B, 80, 6)])
+    checks.append([unpack_key(*key) for key in keys.tolist()]
+                  == [(IP_A, 50000, IP_B, 80, 6)])
     vectors = graph_rows(graphs, 0)
     checks.append(vectors.shape == (3, 200) and vectors.dtype == np.uint8)
     expected = [expected_tcp_clean(payload, sport=50000, dport=80),

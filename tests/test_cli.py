@@ -18,7 +18,9 @@ from cgnn.cli import (RunConfig, format_config, main, parse_config_text)
 from cgnn.dataset import DATASET_VERSION, Dataset, load_dataset
 from cgnn.errors import ConfigError
 from cgnn.graph import split_dataset
-from cgnn.model import CHECKPOINT_VERSION, ModelDims, load_checkpoint
+from cgnn.model import (CHECKPOINT_VERSION, ModelDims, load_checkpoint,
+                        predict_probs)
+from cgnn.preprocess import graphs_from_records
 
 from conftest import (arp_frame, ethernet, ipv4, pcap_bytes, tcp, tcp_frame,
                       udp_frame)
@@ -257,8 +259,7 @@ def test_preprocess_prints_skipped_frames_by_reason(tmp_path, capsys):
                                 "1 non-TCP/UDP, 1 fragments, 1 malformed")
 
 
-def test_preprocess_builds_no_session_key(tmp_path, capsys,
-                                          five_tuples_built):
+def test_preprocess_builds_no_session_key(tmp_path, capsys, keys_formatted):
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=3)
     (root / "chat" / "more.pcap").write_bytes(
@@ -266,7 +267,7 @@ def test_preprocess_builds_no_session_key(tmp_path, capsys,
     assert main(["preprocess", str(root), str(tmp_path / "data.cgd1"),
                  "--p", "64"]) == 0
     assert "total: 3 files, 8 sessions" in capsys.readouterr().out
-    assert five_tuples_built == []
+    assert keys_formatted == []
 
 
 def test_preprocess_is_deterministic(tmp_path):
@@ -710,6 +711,46 @@ def test_evaluate_scores_and_writes_heatmap(trained, tmp_path, capsys):
     assert elsewhere.exists()
 
 
+def test_evaluate_weighted_weighs_the_macro_lines_by_support(tmp_path,
+                                                            capsys):
+    """On an imbalanced dataset the --weighted macro lines are the
+    support-weighted means of the per-class lines, where the plain ones
+    are their means, and the heat map is the same either way. Four mail
+    sessions carry chat's bytes, so the two classes score apart."""
+    root = tmp_path / "captures"
+    for name, frames in (
+            ("chat", session_frames(0x11, 30)),
+            ("mail", session_frames(0xEE, 6)
+             + session_frames(0x11, 4, base_port=42000))):
+        (root / name).mkdir(parents=True)
+        (root / name / "traffic.pcap").write_bytes(pcap_bytes(frames))
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    run = tmp_path / "run"
+    assert main(["train", str(data), str(run)] + TRAIN_FLAGS) == 0
+    capsys.readouterr()
+    scores, heatmaps = [], []
+    for flags in ([], ["--weighted"]):
+        heatmap = tmp_path / f"confusion{len(flags)}.csv"
+        assert main(["evaluate", str(run / "best.cgm1"), str(data),
+                     "--heatmap", str(heatmap), *flags]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        per_class = np.array([[float(v) for v in row[1:]] for row in rows
+                              if row[:1] in (["chat"], ["mail"])])
+        macro = [float(row[-1]) for row in rows if row[:1] == ["macro"]]
+        scores.append((per_class, macro))
+        heatmaps.append(heatmap.read_bytes())
+    (per_class, plain), (same_per_class, weighted) = scores
+    assert np.array_equal(per_class, same_per_class)
+    support = per_class[:, 2]
+    assert support.tolist() == [30, 10]
+    assert plain == pytest.approx(per_class[:, :2].mean(axis=0), abs=1e-4)
+    assert weighted == pytest.approx(
+        support / support.sum() @ per_class[:, :2], abs=1e-4)
+    assert weighted != plain
+    assert heatmaps[0] == heatmaps[1]
+
+
 def class_support(out: str, names) -> dict[str, int]:
     """Per-class support from a printed classification report."""
     rows = (line.split() for line in out.splitlines())
@@ -1021,8 +1062,9 @@ def test_predict_refuses_a_csv_over_its_input(trained, tmp_path, capsys,
 
 
 def test_predict_builds_one_key_per_printed_session(trained, tmp_path,
-                                                    capsys,
-                                                    five_tuples_built):
+                                                    capsys, keys_formatted):
+    """One key is formatted per printed line, and a line reads
+    <key> [<n> packets] -> <label> (<probability>)."""
     _, checkpoint_path, _ = trained
     capture = tmp_path / "fresh.pcap"
     capture.write_bytes(pcap_bytes(
@@ -1030,7 +1072,16 @@ def test_predict_builds_one_key_per_printed_session(trained, tmp_path,
     capsys.readouterr()
     assert main(["predict", str(capture), str(checkpoint_path)]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if "->" in l]
-    assert len(lines) == len(five_tuples_built) == 4
+    assert len(lines) == len(keys_formatted) == 4
+    checkpoint = load_checkpoint(checkpoint_path)
+    with open(capture, "rb") as handle:
+        graphs, _, _ = graphs_from_records(handle, 0, 64)
+    dist = predict_probs(checkpoint.model, graphs)[0]
+    name = checkpoint.label_names[int(dist.argmax())]
+    assert lines[0] == (f"10.0.0.1:41000-10.0.0.2:80/tcp [3 packets] -> "
+                        f"{name} ({dist.max():.4f})")
+    assert lines[3].startswith(
+        "10.0.0.1:40000-10.0.0.2:5353/udp [1 packets] -> ")
 
 
 def test_predict_with_no_usable_sessions(trained, tmp_path, capsys):

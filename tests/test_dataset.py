@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 import struct
@@ -12,7 +13,7 @@ import pytest
 from cgnn.dataset import (DATASET_MAGIC, Dataset, load_dataset, parse_dataset,
                           save_dataset)
 from cgnn.errors import CorruptFile
-from cgnn.ioutil import WRITE_BUFFER, atomic_write_bytes
+from cgnn.ioutil import atomic_write_bytes
 from cgnn.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 
 from conftest import graph_rows, graph_set, random_graphs, traced_peak
@@ -242,7 +243,7 @@ def test_save_streams_parts_in_order_and_patches_the_count(tmp_path, rng):
 
 def test_save_past_the_write_buffer_matches_to_bytes(tmp_path, rng):
     graphs = random_graphs(rng, 160, p=1500)
-    assert graphs.buffer.nbytes > 4 * WRITE_BUFFER
+    assert graphs.buffer.nbytes > 4 * io.DEFAULT_BUFFER_SIZE
     parts = [graphs[np.arange(i, i + 40)] for i in range(0, 160, 40)]
     path = tmp_path / "big.cgd1"
     assert save_dataset(parts, path, ["a", "b"], 1500) == 160

@@ -87,3 +87,62 @@ def test_src_class_fields_are_read_in_src_or_bench():
               and isinstance(stmt.target, ast.Name)
               and not read[stmt.target.id]]
     assert unread == [], "read nowhere in src/ or bench/"
+
+
+def _bound(func: ast.FunctionDef, call: ast.Call) -> dict:
+    """Each named parameter of func and what call passes it: the argument,
+    the default when it is omitted, or None past a * or ** argument."""
+    spec = func.args
+    params = [a.arg for a in spec.posonlyargs + spec.args]
+    bound = dict(zip(params[::-1], spec.defaults[::-1]))
+    bound.update((a.arg, d) for a, d in zip(spec.kwonlyargs, spec.kw_defaults)
+                 if d is not None)
+    for i, arg in enumerate(call.args[:len(params)]):
+        if isinstance(arg, ast.Starred):
+            bound.update(dict.fromkeys(params[i:]))
+            break
+        bound[params[i]] = arg
+    if any(kw.arg is None for kw in call.keywords):
+        bound = dict.fromkeys(bound)
+    bound.update((kw.arg, kw.value) for kw in call.keywords if kw.arg)
+    return bound
+
+
+def _literal(node) -> str | None:
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, RecursionError):
+        return None
+    return ast.dump(node)
+
+
+def test_no_src_function_parameter_takes_one_literal_at_every_call():
+    """With one value in use, a parameter should be a constant. A call
+    reaches a module-level function of src/ by its name, unless the
+    calling module defines its own function of that name and calls it
+    bare."""
+    trees = _trees()
+    own = {path: {node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef)}
+           for path, tree in trees.items()}
+    calls = [(path, node) for path, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    constant = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(ROOT / "src"):
+            continue
+        for func in tree.body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            sites = [_bound(func, call) for caller, call in calls
+                     if isinstance(call.func, ast.Attribute)
+                     and call.func.attr == func.name
+                     or isinstance(call.func, ast.Name)
+                     and call.func.id == func.name
+                     and (caller == path or func.name not in own[caller])]
+            for param in sites[0] if sites else ():
+                values = {_literal(site.get(param)) for site in sites}
+                if len(values) == 1 and None not in values:
+                    constant.append(f"{path.name}:{func.name}({param}="
+                                    f"{ast.unparse(sites[0][param])})")
+    assert constant == [], "every call passes this one literal"

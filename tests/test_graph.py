@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -107,7 +108,8 @@ def _session_graphs(payloads: list[bytes], p: int, label: int = 0,
                     fraction: float = 1.0):
     """Graphs ingest builds from one TCP session's packets."""
     frames = [tcp_frame(payload) for payload in payloads]
-    graphs, _, _ = graphs_from_records(pcap_bytes(frames), label, p, fraction)
+    graphs, _, _ = graphs_from_records(io.BytesIO(pcap_bytes(frames)), label,
+                                       p, fraction)
     return graphs
 
 
@@ -154,9 +156,10 @@ def test_truncate_rounds_up():
 
 
 def test_truncation_copies_no_cut_row():
-    graphs, _, stats = graphs_from_records(
-        pcap_bytes([tcp_frame(bytes([i + 1])) for i in range(10)]
-                 + [tcp_frame(b"u", sport=40001)]), 0, 48, 0.3)
+    frames = [tcp_frame(bytes([i + 1])) for i in range(10)] \
+        + [tcp_frame(b"u", sport=40001)]
+    graphs, _, stats = graphs_from_records(io.BytesIO(pcap_bytes(frames)), 0,
+                                           48, 0.3)
     assert graphs.lengths.tolist() == [3, 1]
     assert graphs.buffer.size == 4 * 41  # 20 + 20 + 1 bytes in each row
     assert stats.vertices == 4
@@ -169,7 +172,7 @@ def test_graph_set_indexing_shares_the_buffer(rng):
     picked = graphs[np.array([4, 1])]
     assert picked.buffer is graphs.buffer
     assert len(picked) == 2
-    assert picked.labels.tolist() == [graphs[4].label, graphs[1].label]
+    assert picked.labels.tolist() == [graphs.labels[4], graphs.labels[1]]
     assert np.array_equal(graph_rows(picked, 0), graph_rows(graphs, 4))
     assert [g.n for g in graphs[1:3]] == graphs.lengths[1:3].tolist()
 
@@ -187,13 +190,12 @@ def test_iterating_for_vertex_counts_builds_no_rows(rng):
 
 def test_batch_single_graph_matches_it(rng):
     graphs = random_graphs(rng, 1, p=6)
-    graph = graphs[0]
+    n = graphs.lengths[0]
     batch = batch_graphs(graphs)
     assert np.array_equal(batch_rows(batch), graph_rows(graphs, 0))
-    assert batch.lengths.tolist() == [graph.n]
-    assert batch.labels.tolist() == [graph.label]
-    assert np.array_equal(batch.prop.apply(np.eye(graph.n)),
-                          propagation(graph.n))
+    assert batch.lengths.tolist() == [n]
+    assert batch.labels.tolist() == [graphs.labels[0]]
+    assert np.array_equal(batch.prop.apply(np.eye(n)), propagation(n))
 
 
 def test_batch_offsets_and_block_structure():

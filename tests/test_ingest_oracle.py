@@ -10,6 +10,7 @@ occur. Keys, stats and graph bytes must be identical.
 
 from __future__ import annotations
 
+import io
 import struct
 from unittest import mock
 
@@ -17,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgnn import preprocess
-from cgnn.preprocess import FiveTuple, graphs_from_records
+from cgnn.preprocess import graphs_from_records
 
 import scalar_ingest
 from conftest import (IP_A, IP_B, arp_frame, ethernet, graph_rows, ipv4,
-                      pcap_bytes, tcp, tcp_frame, udp, udp_frame)
+                      pcap_bytes, tcp, tcp_frame, udp, udp_frame,
+                      unpack_key)
 
 IPS = [IP_A, IP_B, bytes([192, 168, 1, 9])]
 PORTS = [53, 80, 443, 40000]
@@ -127,8 +129,8 @@ def _assert_matches_oracle(data: bytes, capture: list[bytes], label: int):
         for fraction in (1.0, 0.5):
             for drop_dns in (False, True):
                 graphs, key_rows, stats = graphs_from_records(
-                    data, label, p, fraction, drop_dns)
-                keys = [FiveTuple.unpack(*row) for row in key_rows.tolist()]
+                    io.BytesIO(data), label, p, fraction, drop_dns)
+                keys = [unpack_key(*row) for row in key_rows.tolist()]
                 want_graphs, want_keys, want_stats = \
                     scalar_ingest.graphs_from_frames(capture, label, p,
                                                      fraction, drop_dns)

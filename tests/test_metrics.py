@@ -5,28 +5,46 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cgnn.metrics import (classification_report, confusion_matrix,
-                          format_report, normalized_confusion,
-                          report_from_confusion, write_heatmap_csv)
+from cgnn.metrics import (classification_report, format_report,
+                          write_heatmap_csv)
+
+
+def scored(counts, label_names: list[str], **kwargs):
+    """classification_report of (true, pred) pairs, counts[i][j] of them
+    with true class i predicted as j."""
+    counts = np.asarray(counts)
+    true, pred = (np.repeat(axis.ravel(), counts.ravel())
+                  for axis in np.indices(counts.shape))
+    return classification_report(true, pred, label_names, **kwargs)
+
+
+def heatmap(counts, tmp_path) -> list[list[float]]:
+    """The fractions write_heatmap_csv writes for the given counts."""
+    path = tmp_path / "confusion.csv"
+    write_heatmap_csv(scored(counts, ["a", "b"]), path)
+    return [[float(v) for v in line.split(",")[1:]]
+            for line in path.read_text().splitlines()[1:]]
 
 
 # --- confusion matrix --------------------------------------------------------
 
 def test_perfect_predictions_fill_the_diagonal():
     true = np.array([0, 1, 2, 0, 1, 2])
-    counts = confusion_matrix(true, true, 3)
+    counts = classification_report(true, true, ["a", "b", "c"]).confusion
     assert np.array_equal(counts, np.diag([2, 2, 2]))
 
 
 def test_known_tally():
-    counts = confusion_matrix(np.array([0, 0, 1]), np.array([0, 1, 1]), 2)
+    counts = classification_report(np.array([0, 0, 1]), np.array([0, 1, 1]),
+                                   ["a", "b"]).confusion
     assert counts.tolist() == [[1, 1], [0, 1]]
 
 
 def test_matrix_total_equals_sample_count(rng):
     true = rng.integers(0, 4, size=100)
     pred = rng.integers(0, 4, size=100)
-    assert confusion_matrix(true, pred, 4).sum() == 100
+    report = classification_report(true, pred, ["a", "b", "c", "d"])
+    assert report.confusion.sum() == 100
 
 
 # --- report ------------------------------------------------------------------
@@ -34,7 +52,7 @@ def test_matrix_total_equals_sample_count(rng):
 def test_known_precision_and_recall():
     # Class 0: 3 correct, 1 false positive, 1 false negative.
     counts = np.array([[3, 1], [1, 5]])
-    report = report_from_confusion(counts, ["a", "b"])
+    report = scored(counts, ["a", "b"])
     assert report.precision[0] == pytest.approx(0.75)
     assert report.recall[0] == pytest.approx(0.75)
     assert report.precision[1] == pytest.approx(5 / 6)
@@ -43,7 +61,7 @@ def test_known_precision_and_recall():
 
 
 def test_perfect_diagonal_scores_one():
-    report = report_from_confusion(np.diag([4, 2, 9]), ["a", "b", "c"])
+    report = scored(np.diag([4, 2, 9]), ["a", "b", "c"])
     assert report.precision.tolist() == [1.0, 1.0, 1.0]
     assert report.recall.tolist() == [1.0, 1.0, 1.0]
     assert report.accuracy == 1.0
@@ -54,7 +72,7 @@ def test_perfect_diagonal_scores_one():
 def test_absent_class_scores_zero_not_nan():
     # Nothing was ever labeled or predicted as class 1.
     counts = np.array([[5, 0], [0, 0]])
-    report = report_from_confusion(counts, ["seen", "unseen"])
+    report = scored(counts, ["seen", "unseen"])
     assert report.precision[1] == 0.0
     assert report.recall[1] == 0.0
     assert np.isfinite(report.precision).all()
@@ -93,15 +111,15 @@ def test_weighted_macro_weighs_by_support():
     # 9 of 10 samples are class 0 and perfectly predicted; class 1's
     # single sample is missed.
     counts = np.array([[9, 0], [1, 0]])
-    plain = report_from_confusion(counts, ["a", "b"])
-    weighted = report_from_confusion(counts, ["a", "b"], weighted=True)
+    plain = scored(counts, ["a", "b"])
+    weighted = scored(counts, ["a", "b"], weighted=True)
     assert plain.macro_recall == pytest.approx(0.5)
     assert weighted.macro_recall == pytest.approx(0.9)
 
 
 def test_macro_average_of_per_class_scores():
     counts = np.array([[3, 1], [1, 5]])
-    report = report_from_confusion(counts, ["a", "b"])
+    report = scored(counts, ["a", "b"])
     assert report.macro_precision == pytest.approx(
         report.precision.mean())
     assert report.macro_recall == pytest.approx(report.recall.mean())
@@ -109,22 +127,20 @@ def test_macro_average_of_per_class_scores():
 
 # --- normalization and output ------------------------------------------------
 
-def test_normalized_rows_are_fractions():
-    counts = np.array([[1, 1], [0, 2]])
-    fractions = normalized_confusion(counts)
-    assert fractions.tolist() == [[0.5, 0.5], [0.0, 1.0]]
+def test_normalized_rows_are_fractions(tmp_path):
+    fractions = heatmap([[1, 1], [0, 2]], tmp_path)
+    assert fractions == [[0.5, 0.5], [0.0, 1.0]]
 
 
-def test_normalized_empty_row_stays_zero():
-    counts = np.array([[0, 0], [1, 3]])
-    fractions = normalized_confusion(counts)
-    assert fractions[0].tolist() == [0.0, 0.0]
-    assert fractions[1].sum() == pytest.approx(1.0)
+def test_normalized_empty_row_stays_zero(tmp_path):
+    fractions = heatmap([[0, 0], [1, 3]], tmp_path)
+    assert fractions[0] == [0.0, 0.0]
+    assert sum(fractions[1]) == pytest.approx(1.0)
 
 
 def test_heatmap_csv_layout(tmp_path):
     counts = np.array([[1, 1], [0, 2]])
-    report = report_from_confusion(counts, ["chat", "mail"])
+    report = scored(counts, ["chat", "mail"])
     path = tmp_path / "confusion.csv"
     write_heatmap_csv(report, path)
     lines = path.read_text().splitlines()
@@ -142,14 +158,16 @@ def test_heatmap_csv_rows_parse_back(tmp_path, rng):
     write_heatmap_csv(report, path)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     parsed = np.array([[float(v) for v in row[1:]] for row in rows])
-    assert np.abs(parsed - normalized_confusion(report.confusion)).max() \
+    counts = report.confusion
+    assert counts.sum(axis=1).min() > 0
+    assert np.abs(parsed - counts / counts.sum(axis=1, keepdims=True)).max() \
         <= 1e-6
     assert [row[0] for row in rows] == ["a", "b", "c"]
 
 
 def test_format_report_mentions_every_score():
     counts = np.array([[3, 1], [1, 5]])
-    text = format_report(report_from_confusion(counts, ["chat", "mail"]))
+    text = format_report(scored(counts, ["chat", "mail"]))
     assert "chat" in text and "mail" in text
     assert "accuracy" in text and "0.8000" in text
     assert "macro precision" in text

@@ -19,7 +19,7 @@ from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims,
                         bucket_product, bucket_transpose_product,
                         fc_softmax, forward, init_model, load_checkpoint,
                         parse_checkpoint, pool, predict_probs, relu,
-                        save_checkpoint, sgc_layer, softmax)
+                        save_checkpoint, sgc_layer)
 
 from conftest import (batch_rows, bucket_widths, dense_propagation_oracle,
                       forward_with_pre_acts, graph_rows, graph_set,
@@ -192,7 +192,8 @@ def test_avg_pool_brute_force_oracle(rng):
 # --- output layer ------------------------------------------------------------
 
 def test_softmax_uniform_on_equal_logits():
-    assert softmax(np.zeros((1, 4))).tolist() == [[0.25] * 4]
+    probs = fc_softmax(np.zeros((1, 4)), np.eye(4), np.zeros(4))
+    assert probs.tolist() == [[0.25] * 4]
 
 
 def test_fc_softmax_zero_everything_is_uniform():

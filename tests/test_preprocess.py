@@ -11,22 +11,23 @@ import pytest
 
 import cgnn.cli
 import cgnn.preprocess
-from cgnn.cli import RunConfig, _ingest_capture
+from cgnn.cli import RunConfig, _ingest_capture, format_key
 from cgnn.errors import CorruptFile
-from cgnn.preprocess import FiveTuple, graphs_from_records
+from cgnn.preprocess import graphs_from_records
 
 from conftest import (IP_A, IP_B, arp_frame, ethernet, graph_rows, ipv4,
-                      pcap_bytes, tcp, tcp_frame, traced_peak, udp_frame)
+                      pcap_bytes, tcp, tcp_frame, traced_peak, udp_frame,
+                      unpack_key)
 
 REASONS = ("non_ipv4", "non_tcp_udp", "fragments", "malformed")
 
 
 def ingest(frames: list[bytes], p: int = 64, **kwargs):
-    """graphs_from_records over the frames, its key rows as FiveTuples."""
-    graphs, keys, stats = graphs_from_records(pcap_bytes(frames), 0, p,
-                                              **kwargs)
+    """graphs_from_records over the frames, its key rows unpacked."""
+    graphs, keys, stats = graphs_from_records(
+        io.BytesIO(pcap_bytes(frames)), 0, p, **kwargs)
     assert keys.shape == (len(graphs), 3)
-    return graphs, [FiveTuple.unpack(*key) for key in keys.tolist()], stats
+    return graphs, [unpack_key(*key) for key in keys.tolist()], stats
 
 
 def _only_row(frame: bytes, p: int) -> np.ndarray:
@@ -232,14 +233,14 @@ def test_last_frame_claiming_past_the_capture_end():
     whole = pcap_bytes([tcp_frame(b"a"), cut])
     truncated = pcap_bytes([tcp_frame(b"a"), cut, tcp_frame(b"b")])[:-3]
     for data in (whole, truncated):
-        graphs, _, stats = graphs_from_records(data, 0, 1500)
+        graphs, _, stats = graphs_from_records(io.BytesIO(data), 0, 1500)
         assert len(graphs) == 1 and stats.truncated == (data is truncated)
         row = graph_rows(graphs, 0)[1]
         assert bytes(row[:70]) == expected_tcp_clean(payload)[:70]
         assert not row[70:].any()
         assert stats.skipped == 0
     graphs, _, stats = graphs_from_records(
-        pcap_bytes([tcp_frame(b"a"), header_only]), 0, 1500)
+        io.BytesIO(pcap_bytes([tcp_frame(b"a"), header_only])), 0, 1500)
     assert len(graphs) == 1 and stats.malformed == 1
 
 
@@ -306,8 +307,8 @@ def test_both_directions_form_one_session():
                        src=IP_B, dst=IP_A)
     graphs, keys, _ = ingest([a_to_b, b_to_a])
     assert len(graphs) == 1
-    assert graphs[0].n == 2
-    assert keys == [FiveTuple(IP_A, 40000, IP_B, 80, 6)]
+    assert graphs.lengths[0] == 2
+    assert keys == [(IP_A, 40000, IP_B, 80, 6)]
 
 
 def test_distinct_port_pairs_form_two_sessions():
@@ -344,7 +345,7 @@ def test_session_order_preserved():
     rows = [[bytes(row[:42]) for row in graph_rows(graphs, i)] for i in (0, 1)]
     assert rows[0] == [cleaned[0], cleaned[2]]
     assert rows[1] == [cleaned[1], cleaned[3]]
-    assert [k.port_a for k in keys] == [40000, 40001]
+    assert [k[1] for k in keys] == [40000, 40001]
 
 
 def test_session_opened_by_an_empty_packet_keeps_its_place():
@@ -353,7 +354,7 @@ def test_session_opened_by_an_empty_packet_keeps_its_place():
     frames = [tcp_frame(b"", sport=40001, flags=0x02),
               tcp_frame(b"a", sport=40000), tcp_frame(b"b", sport=40001)]
     _, keys, stats = ingest(frames)
-    assert [k.port_a for k in keys] == [40001, 40000]
+    assert [k[1] for k in keys] == [40001, 40000]
     assert stats.discarded_empty == 1 and stats.dropped_sessions == 0
 
 
@@ -362,8 +363,7 @@ def test_tcp_and_udp_on_the_same_ports_are_two_sessions():
               tcp_frame(b"t2", dport=80), udp_frame(b"u2", dport=80)]
     graphs, keys, _ = ingest(frames)
     assert [g.n for g in graphs] == [2, 2]
-    assert keys == [FiveTuple(IP_A, 40000, IP_B, 80, 6),
-                    FiveTuple(IP_A, 40000, IP_B, 80, 17)]
+    assert keys == [(IP_A, 40000, IP_B, 80, 6), (IP_A, 40000, IP_B, 80, 17)]
 
 
 def test_interleaved_sessions_are_numbered_by_first_appearance():
@@ -374,7 +374,7 @@ def test_interleaved_sessions_are_numbered_by_first_appearance():
     frames = [tcp_frame(bytes([i]), sport=port)
               for i, port in enumerate(ports)]
     graphs, keys, _ = ingest(frames)
-    assert [k.port_a for k in keys] == [40002, 40000, 40001]
+    assert [k[1] for k in keys] == [40002, 40000, 40001]
     assert [graph_rows(graphs, i)[:, 40].tolist() for i in range(3)] \
         == [[0, 2, 6], [1, 4], [3, 5]]
 
@@ -389,18 +389,34 @@ def test_drop_dns_flag():
     assert stats.dropped_dns == 1
 
 
+def _key_rows(frames: list[bytes]) -> list[list[int]]:
+    return graphs_from_records(io.BytesIO(pcap_bytes(frames)), 0,
+                               64)[1].tolist()
+
+
 def test_five_tuple_canonical_is_direction_free():
-    _, (forward_key,), _ = ingest([tcp_frame(b"x", sport=40000, dport=80,
-                                             src=IP_A, dst=IP_B)])
-    _, (reverse_key,), _ = ingest([tcp_frame(b"x", sport=80, dport=40000,
-                                             src=IP_B, dst=IP_A)])
+    (forward_key,) = _key_rows([tcp_frame(b"x", sport=40000, dport=80,
+                                          src=IP_A, dst=IP_B)])
+    (reverse_key,) = _key_rows([tcp_frame(b"x", sport=80, dport=40000,
+                                          src=IP_B, dst=IP_A)])
     assert forward_key == reverse_key
-    assert str(forward_key) == "10.0.0.1:40000-10.0.0.2:80/tcp"
+    assert format_key(*forward_key) == "10.0.0.1:40000-10.0.0.2:80/tcp"
 
 
-def test_ingest_builds_one_key_per_session(tmp_path, five_tuples_built):
+def test_format_key_prints_udp_keys_and_the_edge_values():
+    """The lower endpoint comes first whichever way the packet went."""
+    rows = _key_rows([
+        udp_frame(b"q", sport=5353, dport=40000, src=IP_B, dst=IP_A),
+        tcp_frame(b"t", sport=65535, dport=0, src=bytes([255, 254, 0, 1]),
+                  dst=IP_A)])
+    assert [format_key(*row) for row in rows] \
+        == ["10.0.0.1:40000-10.0.0.2:5353/udp",
+            "10.0.0.1:0-255.254.0.1:65535/tcp"]
+
+
+def test_ingest_builds_one_key_per_session(tmp_path, keys_formatted):
     """A capture goes from its bytes to graphs with one key row for each
-    session it emits, and builds no FiveTuple."""
+    session it emits, and formats no key."""
     frames = [tcp_frame(b"a1"), udp_frame(b"u1"), arp_frame(),
               b"\x00" * 8, udp_frame(b"\x12\x34", dport=53),
               tcp_frame(b"", flags=0x02), tcp_frame(b"a2"),
@@ -409,11 +425,10 @@ def test_ingest_builds_one_key_per_session(tmp_path, five_tuples_built):
     path.write_bytes(pcap_bytes(frames))
     graphs, keys, stats = _ingest_capture(path, 0, 64,
                                           RunConfig(drop_dns=True))
-    assert five_tuples_built == []
+    assert keys_formatted == []
     assert len(keys) == len(graphs) == 2
-    assert [FiveTuple.unpack(*key) for key in keys.tolist()] \
-        == [FiveTuple(IP_A, 40000, IP_B, 80, 6),
-            FiveTuple(IP_A, 40000, IP_B, 5353, 17)]
+    assert [unpack_key(*key) for key in keys.tolist()] \
+        == [(IP_A, 40000, IP_B, 80, 6), (IP_A, 40000, IP_B, 5353, 17)]
     assert [g.n for g in graphs] == [2, 1]
     assert (stats.skipped, stats.dropped_dns, stats.discarded_empty,
             stats.dropped_sessions) == (2, 1, 2, 1)
@@ -478,7 +493,7 @@ def test_a_capture_shorter_on_its_second_read_is_corrupt(tmp_path,
                                                          monkeypatch):
     monkeypatch.setattr(cgnn.preprocess, "READ_BLOCK", 256)
     data = pcap_bytes([tcp_frame(bytes([i + 1]) * 60) for i in range(12)])
-    want = graphs_from_records(data, 0, 64)[0].buffer.tobytes()
+    want = graphs_from_records(io.BytesIO(data), 0, 64)[0].buffer.tobytes()
     unchanged = _Shrinking(data, len(data))  # the wrapper alone
     assert graphs_from_records(unchanged, 0, 64)[0].buffer.tobytes() == want
     path = tmp_path / "shrinks.pcap"
@@ -498,12 +513,12 @@ def test_a_long_record_grows_the_block_only_to_fit_it(monkeypatch):
     long = pcap_bytes([tcp_frame(b"a"), tcp_frame(bytes(range(1, 256)) * 200)],
                       snaplen=0)
     (graphs, _, stats), peak = traced_peak(
-        lambda: graphs_from_records(long, 0, 1500))
+        lambda: graphs_from_records(io.BytesIO(long), 0, 1500))
     assert graphs.lengths.tolist() == [2] and not stats.truncated
     assert peak <= len(long) + 4096 + 16384
     claims = pcap_bytes([tcp_frame(b"a")], snaplen=0) \
         + struct.pack("<IIII", 0, 0, 2 ** 31, 2 ** 31) + bytes(2 * 4096)
     (graphs, _, stats), peak = traced_peak(
-        lambda: graphs_from_records(claims, 0, 1500))
+        lambda: graphs_from_records(io.BytesIO(claims), 0, 1500))
     assert graphs.lengths.tolist() == [1] and stats.truncated
     assert peak <= 4096 + 16384

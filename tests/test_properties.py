@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -18,12 +19,12 @@ from cgnn.cli import (RunConfig, format_config, parse_config_file,
                       parse_config_text)
 from cgnn.dataset import Dataset, parse_dataset
 from cgnn.errors import ConfigError, CorruptFile
-from cgnn.model import (ModelDims, init_model, parse_checkpoint,
-                        save_checkpoint, softmax)
-from cgnn.preprocess import FiveTuple, graphs_from_records
+from cgnn.model import (ModelDims, fc_softmax, init_model, parse_checkpoint,
+                        save_checkpoint)
+from cgnn.preprocess import graphs_from_records
 
 from conftest import (arp_frame, graph_rows, graph_set, pcap_bytes,
-                      random_graphs, tcp_frame, udp_frame, walk)
+                      random_graphs, tcp_frame, udp_frame, unpack_key, walk)
 from test_preprocess import expected_tcp_clean
 
 # Text that survives a UTF-8 round trip (no surrogates).
@@ -34,7 +35,8 @@ utf8_text = st.text(
 
 @given(data=st.binary(min_size=1, max_size=300), p=st.integers(1, 400))
 def test_vectorize_pads_and_truncates(data, p):
-    graphs, _, _ = graphs_from_records(pcap_bytes([tcp_frame(data)]), 0, p)
+    graphs, _, _ = graphs_from_records(
+        io.BytesIO(pcap_bytes([tcp_frame(data)])), 0, p)
     (vector,) = graph_rows(graphs, 0)
     assert vector.shape == (p,)
     assert vector.dtype == np.uint8
@@ -55,17 +57,18 @@ def test_five_tuple_canonical_ignores_direction(src_ip, dst_ip, src_port,
                     dst=dst_ip)
     reverse = build(b"y", sport=dst_port, dport=src_port, src=dst_ip,
                     dst=src_ip)
-    _, (forward_row,), _ = graphs_from_records(pcap_bytes([forward]), 0, 8)
-    _, (reverse_row,), _ = graphs_from_records(pcap_bytes([reverse]), 0, 8)
-    forward_key = FiveTuple.unpack(*forward_row.tolist())
-    reverse_key = FiveTuple.unpack(*reverse_row.tolist())
-    assert forward_key == reverse_key
-    assert (forward_key.ip_a, forward_key.port_a) \
-        <= (forward_key.ip_b, forward_key.port_b)
-    assert {(forward_key.ip_a, forward_key.port_a),
-            (forward_key.ip_b, forward_key.port_b)} \
+    _, (forward_row,), _ = graphs_from_records(
+        io.BytesIO(pcap_bytes([forward])), 0, 8)
+    _, (reverse_row,), _ = graphs_from_records(
+        io.BytesIO(pcap_bytes([reverse])), 0, 8)
+    ip_a, port_a, ip_b, port_b, proto = unpack_key(*forward_row.tolist())
+    assert unpack_key(*reverse_row.tolist()) == (ip_a, port_a, ip_b, port_b,
+                                                proto)
+    assert (ip_a, port_a) <= (ip_b, port_b)
+    assert {(ip_a, port_a), (ip_b, port_b)} \
         == {(src_ip, src_port), (dst_ip, dst_port)}
-    (graph,), _, _ = graphs_from_records(pcap_bytes([forward, reverse]), 0, 8)
+    (graph,), _, _ = graphs_from_records(
+        io.BytesIO(pcap_bytes([forward, reverse])), 0, 8)
     assert graph.n == 2
 
 
@@ -138,7 +141,7 @@ def test_padded_rows_round_trip_through_stored_rows_and_a_file(case):
     for got in (graphs, parsed.graphs):
         assert len(got) == len(lengths)
         for i, (end, n, label) in enumerate(zip(ends, lengths, labels)):
-            assert (got[i].n, got[i].label) == (n, label)
+            assert (got.lengths[i], got.labels[i]) == (n, label)
             expanded = graph_rows(got, i)
             assert expanded.shape == (n, p)
             assert expanded.tobytes() == rows[end - n:end].tobytes()
@@ -159,7 +162,9 @@ def test_config_echo_round_trip(p, d1, lr, drop_dns, fraction, pooling):
                 min_size=1, max_size=6).filter(
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_softmax_rows_are_distributions(rows):
-    probs = softmax(np.array(rows, dtype=np.float64))
+    logits = np.array(rows, dtype=np.float64)
+    width = logits.shape[1]
+    probs = fc_softmax(logits, np.eye(width), np.zeros(width))
     assert (probs >= 0).all()
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
 
@@ -168,9 +173,9 @@ def test_softmax_rows_are_distributions(rows):
 @settings(deadline=None)
 def test_truncation_keeps_a_leading_ceil_fraction(n, fraction):
     frames = [tcp_frame(bytes([i + 1])) for i in range(n)]
-    whole, _, _ = graphs_from_records(pcap_bytes(frames), 0, 48)
-    graphs, _, stats = graphs_from_records(pcap_bytes(frames), 0, 48,
-                                           fraction)
+    whole, _, _ = graphs_from_records(io.BytesIO(pcap_bytes(frames)), 0, 48)
+    graphs, _, stats = graphs_from_records(io.BytesIO(pcap_bytes(frames)), 0,
+                                           48, fraction)
     (kept,) = graphs.lengths.tolist()
     assert kept == math.ceil(fraction * n) == stats.vertices
     assert 1 <= kept <= n
@@ -202,11 +207,11 @@ def _valid_capture() -> bytes:
 
 
 def _ingest(raw: bytes):
-    return graphs_from_records(raw, 0, 64, drop_dns=True)
+    return graphs_from_records(io.BytesIO(raw), 0, 64, drop_dns=True)
 
 
 def _ingest_frame(raw: bytes):
-    return graphs_from_records(pcap_bytes([raw]), 0, 64)
+    return graphs_from_records(io.BytesIO(pcap_bytes([raw])), 0, 64)
 
 
 def _ingest_blocks(raw: bytes):
