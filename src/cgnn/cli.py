@@ -48,25 +48,25 @@ def _pick(cls, cfg, **extra):
                **extra)
 
 
-def _validate(cfg) -> None:
-    _pick(ModelDims, cfg, m=2).validate()
-    _pick(TrainConfig, cfg).validate()
+def _check(cfg) -> None:
+    _pick(ModelDims, cfg, m=2)
+    _pick(TrainConfig, cfg)
     if not 0 < cfg.fraction <= 1:
         raise ConfigError(f"fraction must lie in (0, 1], got {cfg.fraction}")
-    if cfg.seed < 0 or cfg.split_seed < 0:
+    if cfg.split_seed < 0:
         raise ConfigError("seeds cannot be negative")
 
 
 # Every knob of the pipeline, with the recommended defaults: the model
 # shape (the class count m comes from the dataset), preprocessing, the
-# optimizer, and the dataset split.
+# optimizer, and the dataset split. Building one runs every check (_check).
 RunConfig = dataclasses.make_dataclass(
     "RunConfig",
     _field_specs(ModelDims, skip=("m",))
     + [("fraction", float, 1.0), ("drop_dns", bool, False)]
     + _field_specs(TrainConfig)
     + [("split_seed", int, 0)],
-    namespace={"validate": _validate}, frozen=True)
+    namespace={"__post_init__": _check}, frozen=True)
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
@@ -149,7 +149,6 @@ def _resolve_config(args) -> RunConfig:
     keys = COMMAND_KEYS[args.command]
     cfg = dataclasses.replace(cfg, **{
         k: getattr(args, k) for k in keys if getattr(args, k) is not None})
-    cfg.validate()
     print(format_config(cfg, keys))
     return cfg
 
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CgnnError, OSError) as exc:
+    except (CgnnError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -57,7 +57,7 @@ class ModelDims:
     hops: int = 1
     pooling: str = "avg"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.p < 1:
             raise ConfigError(f"feature length must be positive, got {self.p}")
         if self.layers not in (1, 2, 3):
@@ -119,7 +119,6 @@ def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
 def init_model(dims: ModelDims, seed: int = 0) -> CgnnModel:
     """Fresh weights: uniform(-sqrt(6/(fan_in+fan_out)), +same) for the
     matrices, zeros for the bias. Deterministic per seed."""
-    dims.validate()
     rng = np.random.default_rng(seed)
     *matrices, b_shape = dims.param_shapes
     *thetas, W = [_glorot(rng, *shape) for shape in matrices]
@@ -299,10 +298,9 @@ class Checkpoint:
 def parse_checkpoint(data: bytes) -> Checkpoint:
     r = ByteReader(data)
     r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
-    dims = ModelDims(**{f.name: r.utf8() if type(f.default) is str
-                        else r.u32() for f in fields(ModelDims)})
     try:
-        dims.validate()
+        dims = ModelDims(**{f.name: r.utf8() if type(f.default) is str
+                            else r.u32() for f in fields(ModelDims)})
     except ConfigError as exc:
         raise CorruptFile(f"checkpoint dimensions invalid: {exc}")
     label_names = [r.utf8() for _ in range(dims.m)]

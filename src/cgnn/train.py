@@ -146,7 +146,7 @@ class TrainConfig:
     patience: int = 20
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"learning rate must be positive and finite, "
                               f"got {self.lr}")
@@ -159,6 +159,8 @@ class TrainConfig:
         if self.patience < 1:
             raise ConfigError(f"patience must be positive, "
                               f"got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError("seeds cannot be negative")
 
 
 @dataclass
@@ -198,8 +200,6 @@ def fit(train_graphs: GraphSet, valid_graphs: GraphSet, dims: ModelDims,
     short), then measures validation loss. Training stops after
     config.patience epochs without a new strict best.
     """
-    dims.validate()
-    config.validate()
     if not len(train_graphs):
         raise EmptyDataset("cannot train on zero graphs")
     if not len(valid_graphs):

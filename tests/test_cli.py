@@ -322,6 +322,25 @@ def test_config_file_keys_of_other_commands_are_checked_not_echoed(
     assert "learning rate" in capsys.readouterr().err
 
 
+def test_config_file_value_is_checked_though_a_flag_overrides_it(
+        tmp_path, capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    config = tmp_path / "run.conf"
+    config.write_text("lr = -1\n")
+    run = tmp_path / "run"
+    assert main(["train", str(data), str(run), "--config", str(config),
+                 "--lr", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: learning rate must be positive and "
+                            "finite, got -1.0\n")
+    assert not run.exists()
+
+
 def test_config_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
     root = tmp_path / "captures"
     write_capture_tree(root, sessions=2)
@@ -570,6 +589,28 @@ def test_train_rejects_bad_dimensions_before_working(tmp_path, capsys):
 
 def epoch_lines(out: str) -> list[str]:
     return [line for line in out.splitlines() if line.startswith("epoch")]
+
+
+def test_train_reports_a_model_too_large_for_memory(tmp_path, capsys,
+                                                    monkeypatch):
+    # A size the checkpoint can store may still not fit in memory. The
+    # allocation is faked: a host that overcommits would attempt it.
+    def refuse(dims, seed=0):
+        raise MemoryError(f"Unable to allocate a {dims.p} x {dims.d1} array")
+
+    monkeypatch.setattr(cgnn.train, "init_model", refuse)
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=12)
+    data = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", str(data), str(run), "--d1", "4000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "error: Unable to allocate a 64 x 4000000000 array\n"
+    assert epoch_lines(captured.out) == []
+    assert not run.exists()
 
 
 def test_commands_reject_sizes_the_files_cannot_store(tmp_path, capsys):

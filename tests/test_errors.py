@@ -1,5 +1,5 @@
 """Source checks: error types are raised and tested; no test-only code or
-fields."""
+fields; no validate step."""
 
 from __future__ import annotations
 
@@ -63,6 +63,20 @@ def test_src_defines_only_what_src_or_bench_names():
               and not re.fullmatch(r"__\w+__", node.name)
               and named[node.name] <= _names(node)[node.name]]
     assert unused == [], "named nowhere in src/ or bench/ but its definition"
+
+
+def test_src_defines_and_calls_no_validate():
+    """Settings check their rules when they are built, so no caller has
+    a validate() step to remember."""
+    trees = _trees()
+    found = [f"{path.name}:{node.lineno}" for path, tree in trees.items()
+             if path.is_relative_to(ROOT / "src") for node in ast.walk(tree)
+             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name == "validate")
+             or (isinstance(node, ast.Call) and "validate" in (
+                 getattr(node.func, "attr", None),
+                 getattr(node.func, "id", None)))]
+    assert found == [], "a validate step; check in __post_init__ instead"
 
 
 def _reads(tree: ast.AST) -> Counter:

@@ -98,16 +98,15 @@ def test_init_three_layer_widths():
 
 
 def test_dims_validation_errors():
-    ModelDims(hops=0).validate()  # S^0 = I: the bag-of-packets model
-    for bad in (ModelDims(p=0), ModelDims(d1=0), ModelDims(d2=0),
-                ModelDims(m=1), ModelDims(layers=4), ModelDims(hops=-1),
-                ModelDims(pooling="median")):
+    ModelDims(hops=0)  # S^0 = I: the bag-of-packets model
+    for bad in ({"p": 0}, {"d1": 0}, {"d2": 0}, {"m": 1}, {"layers": 4},
+                {"hops": -1}, {"pooling": "median"}):
         with pytest.raises(ConfigError):
-            bad.validate()
+            ModelDims(**bad)
 
 
 def test_single_layer_ignores_d2():
-    ModelDims(p=4, d1=3, d2=0, m=2, layers=1).validate()
+    ModelDims(p=4, d1=3, d2=0, m=2, layers=1)
 
 
 # --- activation and layers ---------------------------------------------------
@@ -569,14 +568,18 @@ def test_checkpoint_rejects_truncation(tmp_path):
 def test_checkpoint_rejects_dimensions_that_fail_validation(tmp_path):
     # The checkpoint's dims are the one check of p and pooling on the
     # paths of evaluate and predict: ingest and pooling trust them.
+    # Invalid dims cannot be built, so a valid checkpoint's header is
+    # patched: magic and version, six u32 fields (p first), then the
+    # pooling name as a u32 length and its bytes.
     path = tmp_path / "model.cgm1"
-    for bad in (ModelDims(p=0, d1=3, d2=2),
-                ModelDims(p=4, d1=3, d2=2, pooling="median")):
-        *thetas, W, b = [np.zeros(s, np.float32) for s in bad.param_shapes]
-        save_checkpoint(CgnnModel(bad, tuple(thetas), W, b), ["a", "b"],
-                        path)
+    save_checkpoint(init_model(ModelDims(p=4, d1=3, d2=2), seed=0),
+                    ["a", "b"], path)
+    raw = path.read_bytes()
+    assert raw[32:39] == struct.pack("<I", 3) + b"avg"
+    for offset, patch in ((8, struct.pack("<I", 0)), (36, b"med")):
+        bad = raw[:offset] + patch + raw[offset + len(patch):]
         with pytest.raises(CorruptFile, match="checkpoint dimensions invalid"):
-            load_checkpoint(path)
+            parse_checkpoint(bad)
 
 
 def test_save_checkpoint_rejects_wrong_name_count(tmp_path):

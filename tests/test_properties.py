@@ -148,9 +148,9 @@ def test_padded_rows_round_trip_through_stored_rows_and_a_file(case):
 
 
 @given(p=st.integers(1, 10_000), d1=st.integers(1, 10_000),
-       lr=st.floats(allow_nan=False, allow_infinity=False),
+       lr=st.floats(0, exclude_min=True, allow_infinity=False),
        drop_dns=st.booleans(),
-       fraction=st.floats(allow_nan=False, allow_infinity=False),
+       fraction=st.floats(0, 1, exclude_min=True),
        pooling=st.sampled_from(["avg", "max", "sum"]))
 def test_config_echo_round_trip(p, d1, lr, drop_dns, fraction, pooling):
     cfg = RunConfig(p=p, d1=d1, lr=lr, drop_dns=drop_dns, fraction=fraction,

@@ -380,12 +380,11 @@ def test_adam_chunk_size_changes_no_bit(monkeypatch):
 
 
 def test_train_config_validation():
-    TrainConfig().validate()
-    for bad in (TrainConfig(lr=0), TrainConfig(lr=math.nan),
-                TrainConfig(lr=math.inf), TrainConfig(batch_size=0),
-                TrainConfig(max_epochs=-1), TrainConfig(patience=0)):
+    TrainConfig()
+    for bad in ({"lr": 0}, {"lr": math.nan}, {"lr": math.inf},
+                {"batch_size": 0}, {"max_epochs": -1}, {"patience": 0}):
         with pytest.raises(ConfigError):
-            bad.validate()
+            TrainConfig(**bad)
 
 
 # --- fit ---------------------------------------------------------------------
@@ -504,6 +503,15 @@ def test_fit_input_validation(rng):
         fit(bad, graphs[:2], dims, TrainConfig(max_epochs=1))
     with pytest.raises(ConfigError):
         fit(graphs[:8], graphs[8:], dims, TrainConfig(lr=-1.0))
+
+
+def test_negative_seed_is_refused_by_the_config_and_by_fit(rng):
+    with pytest.raises(ConfigError, match="^seeds cannot be negative$"):
+        TrainConfig(seed=-1)
+    graphs = two_pattern_graphs(rng, 10)
+    with pytest.raises(ConfigError, match="^seeds cannot be negative$"):
+        fit(graphs[:8], graphs[8:], ModelDims(p=16, d1=6, d2=4, m=2),
+            TrainConfig(seed=-1))
 
 
 def test_fit_raises_on_exploding_loss(rng):
