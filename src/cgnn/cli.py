@@ -136,7 +136,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 def parse_config_file(path: Path | str) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # BOM or none
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}")
     return parse_config_text(text)
@@ -182,6 +182,10 @@ def cmd_preprocess(args) -> int:
     if not root.is_dir():
         raise EmptyDataset(f"{root} is not a directory")
     labels = sorted(d.name for d in root.iterdir() if d.is_dir())
+    for name in labels:  # saved as UTF-8, which a directory name need not be
+        raw = name.encode("utf-8", "surrogateescape")  # its bytes on disk
+        if raw.decode("utf-8", "replace") != name:
+            raise ConfigError(f"{root}: label directory {raw!r} is not UTF-8")
     if not labels:
         raise EmptyDataset(f"no label directories under {root}")
     paths = [sorted((root / name).glob("*.pcap")) for name in labels]

@@ -7,9 +7,10 @@ vertices and n-1 edges. The topology is a function of n alone, so a set
 of graphs is its rows, each graph's first row and vertex count, and the
 labels (as in PyTorch Geometric's ``ptr`` layout). A row is stored as
 its packet's cleaned bytes cut to p, its width, in one flat byte buffer;
-a batch gathers its rows once, into width buckets. The propagation
-matrix is kept as each row's three taps and applied a hop at a time,
-each row from a 3-row window of its input.
+a batch gathers its rows once, into width buckets, and multiplies them
+for the first layer (X theta and X^T g, X its bytes / 255). The
+propagation matrix is kept as each row's three taps and applied a hop
+at a time, each row from a 3-row window of its input.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import DimsMismatch
 # step (1500: one bucket)  128   192   256   320   384   512  1500
 #                          293   287   281   280   284   295   367
 WIDTH_STEP = 256
+PART_ROWS = 256  # rows of transpose_product's reused scratch block
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,8 @@ class ChainPropagation:
 class BatchedGraph:
     """Several graphs packed for one forward pass: their rows in width
     buckets (see batch_graphs), each graph's vertex count, so pooling can
-    find its rows again, and their propagation."""
+    find its rows again, and their propagation. The first layer reads the
+    rows, as bytes / 255, only through product and transpose_product."""
 
     buckets: list[tuple[np.ndarray | slice, np.ndarray]]  # uint8 rows
     p: int
@@ -172,6 +175,40 @@ class BatchedGraph:
         """Row offsets of each graph: offsets[i]:offsets[i+1] are its rows."""
         out = np.zeros(self.size + 1, dtype=np.int64)
         np.cumsum(self.lengths, out=out[1:])
+        return out
+
+    def product(self, theta: np.ndarray) -> np.ndarray:
+        """X theta. Each bucket is cast and multiplied alone, so one
+        float piece is alive."""
+        out = np.empty((self.prop.n, theta.shape[1]), dtype=theta.dtype)
+        for idx, rows in self.buckets:
+            x = np.divide(rows, 255, dtype=theta.dtype)
+            if isinstance(idx, slice):  # the one bucket: every row, in order
+                np.matmul(x, theta[:x.shape[1]], out=out)
+            else:
+                out[idx] = x @ theta[:x.shape[1]]
+            del x  # before the next bucket is cast
+        return out
+
+    def transpose_product(self, g: np.ndarray) -> np.ndarray:
+        """X^T g, one float piece alive at a time: the first (widest)
+        bucket's X_b^T g[rows_b] is written into the rows of its columns,
+        each later one added there."""
+        out = np.zeros((self.p, g.shape[1]), dtype=g.dtype)
+        part = None
+        for idx, rows in self.buckets:
+            x = np.divide(rows, 255, dtype=g.dtype)
+            g_b = g[idx]
+            edge = x.shape[1]
+            if part is None:  # the widest bucket
+                np.matmul(x.T, g_b, out=out[:edge])
+                part = np.empty((PART_ROWS, g.shape[1]), dtype=g.dtype)
+            else:
+                for lo in range(0, edge, PART_ROWS):
+                    hi = min(lo + PART_ROWS, edge)
+                    np.matmul(x[:, lo:hi].T, g_b, out=part[:hi - lo])
+                    out[lo:hi] += part[:hi - lo]
+            del x, g_b  # before the next bucket is cast
         return out
 
 

@@ -5,9 +5,8 @@ Layer l computes relu(S^k (X theta_l)) where S is the chain propagation
 matrix and k = ModelDims.hops, the same for every layer; projecting
 before propagating keeps S at the hidden width, and S is a fixed linear
 map, so the order does not change the result. The first layer's X is a
-batch's packet bytes / 255, cast and multiplied one width bucket at a
-time (graph.batch_graphs), so that no zero byte past its bucket's edge
-is cast or multiplied. Pooling averages (or maxes, or sums) each graph's
+batch's packet bytes / 255, and the batch multiplies its own bytes
+(BatchedGraph.product). Pooling averages (or maxes, or sums) each graph's
 vertex rows; the head computes softmax(y W + b). Checkpoints (magic "CGM1")
 store the dimensions, the label names, and the float32 weights.
 """
@@ -38,8 +37,6 @@ POOLING_KINDS = ("avg", "max", "sum")
 #                                 p = 256    145   149   150   183   218
 #                                 p = 64     123   116   123   157   195
 BATCH_ROWS = 1024
-
-PART_ROWS = 256  # rows of bucket_transpose_product's reused scratch block
 
 
 @dataclass(frozen=True)
@@ -130,49 +127,6 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0, out=out)
 
 
-def sgc_layer(prop, x: np.ndarray, theta: np.ndarray,
-              k: int = 1) -> np.ndarray:
-    """One graph-convolution layer before its activation: S^k (X theta)."""
-    return prop.apply(x @ theta, k)
-
-
-def bucket_product(batch: BatchedGraph, theta: np.ndarray) -> np.ndarray:
-    """X theta for the batch's first-layer input X, its bytes / 255. Each
-    bucket is cast and multiplied alone, so one float piece is alive."""
-    out = np.empty((batch.prop.n, theta.shape[1]), dtype=theta.dtype)
-    for idx, rows in batch.buckets:
-        x = np.divide(rows, 255, dtype=theta.dtype)
-        if isinstance(idx, slice):  # the one bucket: every row, in order
-            np.matmul(x, theta[:x.shape[1]], out=out)
-        else:
-            out[idx] = x @ theta[:x.shape[1]]
-        del x  # before the next bucket is cast
-    return out
-
-
-def bucket_transpose_product(batch: BatchedGraph,
-                             g: np.ndarray) -> np.ndarray:
-    """X^T g for the batch's first-layer input X, one float piece alive
-    at a time: the first (widest) bucket's X_b^T g[rows_b] is written
-    into the rows of its columns, each later one added there."""
-    out = np.zeros((batch.p, g.shape[1]), dtype=g.dtype)
-    part = None
-    for idx, rows in batch.buckets:
-        x = np.divide(rows, 255, dtype=g.dtype)
-        g_b = g[idx]
-        edge = x.shape[1]
-        if part is None:  # the widest bucket
-            np.matmul(x.T, g_b, out=out[:edge])
-            part = np.empty((PART_ROWS, g.shape[1]), dtype=g.dtype)
-        else:
-            for lo in range(0, edge, PART_ROWS):
-                hi = min(lo + PART_ROWS, edge)
-                np.matmul(x[:, lo:hi].T, g_b, out=part[:hi - lo])
-                out[lo:hi] += part[:hi - lo]
-        del x, g_b  # before the next bucket is cast
-    return out
-
-
 def fc_softmax(y: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Class distributions of a batch of pooled rows: softmax(y W + b),
     each row shifted by its max so exp cannot overflow."""
@@ -235,11 +189,8 @@ def forward(model: CgnnModel, batch: BatchedGraph) -> ForwardCache:
     # typed error.
     with np.errstate(over="ignore", invalid="ignore"):
         for layer, theta in enumerate(model.thetas):
-            if layer:
-                pre_act = sgc_layer(batch.prop, x, theta, dims.hops)
-            else:
-                pre_act = batch.prop.apply(bucket_product(batch, theta),
-                                           dims.hops)
+            pre_act = batch.prop.apply(
+                x @ theta if layer else batch.product(theta), dims.hops)
             cache.acts.append(pre_act)  # relu turns it into the activation
             x = relu(pre_act, out=pre_act)
 

@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, DimsMismatch, EmptyDataset
 from .graph import BatchedGraph, GraphSet, batch_graphs
-from .model import (CgnnModel, ForwardCache, ModelDims,
-                    bucket_transpose_product, forward, init_model,
-                    predict_probs)
+from .model import (CgnnModel, ForwardCache, ModelDims, forward,
+                    init_model, predict_probs)
 
 LOSS_FLOOR = 1e-12  # keeps log() finite when a probability collapses
 GRAD_SCALE = 2.0 ** 64  # backward-pass gradient scale; see the docstring
@@ -79,7 +78,7 @@ def backward(model: CgnnModel, batch: BatchedGraph,
             dthetas[layer] = cache.acts[-1].T @ g
             dx = g @ model.thetas[layer].T
         else:
-            dthetas[0] = bucket_transpose_product(batch, g)
+            dthetas[0] = batch.transpose_product(g)
     grads = [*dthetas, d_w, d_b]
     for grad in grads:
         grad *= 1 / GRAD_SCALE

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import cgnn
-from cgnn.cli import (RunConfig, format_config, main, parse_config_text)
+from cgnn.cli import (RunConfig, format_config, main, parse_config_file,
+                      parse_config_text)
 from cgnn.dataset import DATASET_VERSION, Dataset, load_dataset
 from cgnn.errors import ConfigError
 from cgnn.graph import split_dataset
@@ -354,6 +355,45 @@ def test_config_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path,
+                                                             capsys):
+    # Windows Notepad and PowerShell 5's Out-File -Encoding utf8 start
+    # a UTF-8 file with the mark.
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    text = "p = 64\nfraction = 0.5\nlr = 0.005\n"
+    echoes, configs = [], []
+    for name, data in (("plain.conf", text.encode()),
+                       ("bom.conf", b"\xef\xbb\xbf" + text.encode())):
+        config = tmp_path / name
+        config.write_bytes(data)
+        out = tmp_path / f"{name}.cgd1"
+        assert main(["preprocess", str(root), str(out),
+                     "--config", str(config)]) == 0
+        echoes.append(config_echo(capsys.readouterr().out))
+        configs.append(parse_config_file(config))
+    assert configs[1] == configs[0] == RunConfig(p=64, fraction=0.5, lr=0.005)
+    assert echoes[1] == echoes[0]
+    assert (tmp_path / "bom.conf.cgd1").read_bytes() == \
+        (tmp_path / "plain.conf.cgd1").read_bytes()
+
+
+def test_preprocess_refuses_a_label_directory_not_named_in_utf8(tmp_path,
+                                                                capsys):
+    root = tmp_path / "captures"
+    write_capture_tree(root, sessions=2)
+    try:
+        (root / os.fsdecode(b"\xff")).mkdir()
+    except OSError:  # the filesystem takes only names it can decode
+        pytest.skip("this filesystem refuses a name that is not UTF-8")
+    out = tmp_path / "data.cgd1"
+    assert main(["preprocess", str(root), str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: {root}: label directory b'\\xff' is not UTF-8\n"
+    assert not out.exists()
+
+
 def test_preprocess_rejects_missing_or_empty_root(tmp_path, capsys):
     out = tmp_path / "data.cgd1"
     assert main(["preprocess", str(tmp_path / "nowhere"), str(out)]) == 1
@@ -491,11 +531,12 @@ def test_out_of_range_fraction_or_seed_stops_before_any_work(tmp_path,
     assert main(["preprocess", str(root), str(data), "--p", "64"]) == 0
     capsys.readouterr()
     run = tmp_path / "run"
-    assert main(["train", str(data), str(run), "--seed", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: seeds cannot be negative\n"
-    assert not run.exists()
+    for flag in ("--seed", "--split-seed"):
+        assert main(["train", str(data), str(run), flag, "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seeds cannot be negative\n"
+        assert not run.exists()
 
 
 def test_zero_feature_length_or_unknown_pooling_stops_before_any_work(

@@ -13,7 +13,7 @@ import pytest
 from cgnn.dataset import (DATASET_MAGIC, Dataset, load_dataset, parse_dataset,
                           save_dataset)
 from cgnn.errors import CorruptFile
-from cgnn.ioutil import atomic_write_bytes
+from cgnn.ioutil import ByteWriter, atomic_write_bytes
 from cgnn.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 
 from conftest import graph_rows, graph_set, random_graphs, traced_peak
@@ -284,3 +284,18 @@ def test_atomic_save_leaves_no_temp_files(tmp_path):
     data = small_dataset()
     save_dataset([data.graphs], path, data.label_names, 4)
     assert [f.name for f in tmp_path.iterdir()] == ["out.cgd1"]
+
+
+@pytest.mark.parametrize("value", [-1, 2 ** 32])
+def test_byte_writer_refuses_a_u32_out_of_range(value):
+    buffer = io.BytesIO()
+    writer = ByteWriter(buffer)
+    with pytest.raises(ValueError, match=f"value {value} does not fit"):
+        writer.u32(value)
+    for values in ([0, value], [value]):
+        with pytest.raises(ValueError, match="values do not fit in u32"):
+            writer.u32_array(np.array(values, dtype=np.int64))
+    assert buffer.getvalue() == b""  # nothing half written
+    writer.u32(2 ** 32 - 1)
+    writer.u32_array(np.array([0, 2 ** 32 - 1], dtype=np.int64))
+    assert buffer.getvalue() == b"\xff" * 4 + b"\0" * 4 + b"\xff" * 4

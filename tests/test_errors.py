@@ -1,5 +1,5 @@
 """Source checks: error types are raised and tested; no test-only code or
-fields; no validate step."""
+fields; no validate step; one module knows a batch's bucket layout."""
 
 from __future__ import annotations
 
@@ -77,6 +77,24 @@ def test_src_defines_and_calls_no_validate():
                  getattr(node.func, "attr", None),
                  getattr(node.func, "id", None)))]
     assert found == [], "a validate step; check in __post_init__ instead"
+
+
+def test_only_graph_reads_the_bucket_layout():
+    """A batch's width buckets are graph.py's format: no other src/
+    module reads a batch's buckets or names the constants that shape
+    them; they multiply through BatchedGraph.product and
+    transpose_product."""
+    layout = {"WIDTH_STEP", "PART_ROWS"}
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _trees().items()
+             if path.is_relative_to(ROOT / "src") and path.name != "graph.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and (
+                 node.attr in layout or node.attr == "buckets"
+                 and isinstance(node.ctx, ast.Load))
+             or isinstance(node, ast.Name) and node.id in layout
+             or isinstance(node, ast.alias) and node.name in layout]
+    assert found == [], "reads the bucket layout outside graph.py"
 
 
 def _reads(tree: ast.AST) -> Counter:

@@ -15,11 +15,10 @@ from cgnn.dataset import load_dataset, save_dataset
 from cgnn.errors import (ConfigError, CorruptFile, DimsMismatch,
                          NonFiniteInput)
 from cgnn.graph import ChainPropagation, batch_graphs
-from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims,
-                        bucket_product, bucket_transpose_product,
-                        fc_softmax, forward, init_model, load_checkpoint,
+from cgnn.model import (CHECKPOINT_MAGIC, CgnnModel, ModelDims, fc_softmax,
+                        forward, init_model, load_checkpoint,
                         parse_checkpoint, pool, predict_probs, relu,
-                        save_checkpoint, sgc_layer)
+                        save_checkpoint)
 
 from conftest import (batch_rows, bucket_widths, dense_propagation_oracle,
                       forward_with_pre_acts, graph_rows, graph_set,
@@ -122,13 +121,13 @@ def test_sgc_layer_single_vertex_is_plain_matmul():
     prop = ChainPropagation.for_batch([1])
     x = np.array([[1.0, 2.0]])
     theta = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-    assert sgc_layer(prop, x, theta).tolist() == [[1.0, 2.0, 3.0]]
+    assert prop.apply(x @ theta, 1).tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_sgc_layer_two_vertices_averages():
     prop = ChainPropagation.for_batch([2])
     x = np.array([[2.0, 0.0], [0.0, 2.0]])
-    out = sgc_layer(prop, x, np.eye(2))
+    out = prop.apply(x @ np.eye(2), 1)
     assert out.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
@@ -138,7 +137,7 @@ def test_sgc_layer_two_hops_matches_dense(rng):
     theta = rng.standard_normal((4, 2))
     expected = np.linalg.matrix_power(
         dense_propagation_oracle(3), 2) @ x @ theta
-    assert np.abs(sgc_layer(prop, x, theta, k=2) - expected).max() <= 1e-12
+    assert np.abs(prop.apply(x @ theta, 2) - expected).max() <= 1e-12
 
 
 # --- pooling -----------------------------------------------------------------
@@ -290,9 +289,13 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
     graphs = zero_tailed_graphs(rng, bucket_widths(27, 8), 27, count=3)
     batch = batch_graphs(graphs)
     n = batch.prop.n
-    layer_inputs, sgc_layer = [], cgnn.model.sgc_layer
-    monkeypatch.setattr(cgnn.model, "sgc_layer", lambda prop, x, *args:
-                        layer_inputs.append(x) or sgc_layer(prop, x, *args))
+    acts, relu = [], cgnn.model.relu
+
+    def spying_relu(x, out=None):  # what relu returns is the next input
+        acts.append(relu(x, out=out))
+        return acts[-1]
+
+    monkeypatch.setattr(cgnn.model, "relu", spying_relu)
     cache, pre_acts = forward_with_pre_acts(model, batch)
     # The first layer reads its input as uint8 buckets, widest first, one
     # per width bucket, that scatter back to the batch's bytes: not S X,
@@ -301,12 +304,12 @@ def test_forward_cache_holds_layer_intermediates(rng, monkeypatch):
     assert all(x.shape[0] < n for _, x in batch.buckets)
     rows = np.concatenate([graph_rows(graphs, i) for i in range(len(graphs))])
     assert np.array_equal(batch_rows(batch), rows)  # each row in one bucket
-    assert np.array_equal(bucket_product(batch, np.eye(27, dtype=np.float32)),
+    assert np.array_equal(batch.product(np.eye(27, dtype=np.float32)),
                           rows.astype(np.float32) / np.float32(255))
     assert len(cache.acts) == len(pre_acts) == 2
     assert cache.acts[0].shape == (n, 5)
     # Layer 2's input is layer 1's activation, one array held once.
-    assert len(layer_inputs) == 1 and layer_inputs[0] is cache.acts[0]
+    assert len(acts) == 2 and acts[0] is cache.acts[0]
     for act, pre_act in zip(cache.acts, pre_acts):
         assert np.array_equal(act, np.maximum(pre_act, 0))
     assert cache.pooled.shape == (3, 4)
@@ -323,13 +326,13 @@ def test_bucketed_products_match_the_dense_ones(rng, monkeypatch, p):
     assert len(batch.buckets) == -(-p // step)  # every bucket is reached
     theta = rng.standard_normal((p, 7)).astype(np.float32)
     want = dense @ theta
-    got = bucket_product(batch, theta)
+    got = batch.product(theta)
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
     g = rng.standard_normal((n, 7)).astype(np.float32)
     want = dense.T @ g
-    for part_rows in (cgnn.model.PART_ROWS, 100):  # 100 cuts 256-byte edges
-        monkeypatch.setattr(cgnn.model, "PART_ROWS", part_rows)
-        got = bucket_transpose_product(batch, g)
+    for part_rows in (cgnn.graph.PART_ROWS, 100):  # 100 cuts 256-byte edges
+        monkeypatch.setattr(cgnn.graph, "PART_ROWS", part_rows)
+        got = batch.transpose_product(g)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
