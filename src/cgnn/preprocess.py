@@ -7,10 +7,11 @@ bidirectional stream of packets sharing one 5-tuple (both directions
 map onto the same key). Each packet is cleaned before use: the Ethernet
 header is removed, the IP source and destination addresses are zeroed,
 the UDP header is padded with zeros to the 20-byte TCP header length,
-and packets with no transport payload are discarded. The surviving
-bytes are cut to a fixed length p, and each row is kept as those bytes
-alone: its zero padding to p is implied. A capture file is read twice
-through one reused block, never whole.
+and packets that sent no transport payload are discarded (one cut by the
+snap length keeps what was captured). The surviving bytes are cut to a
+fixed length p, and each row is kept as those bytes alone: its zero
+padding to p is implied. A capture file is read twice through one
+reused block, never whole.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass, fields
-from typing import BinaryIO, Callable
+from typing import BinaryIO
 
 import numpy as np
 
@@ -84,8 +85,8 @@ class IngestStats:
                 f"{self.dropped_dns} DNS packets")
 
 
-def _global_header(head: bytes) -> tuple[Callable, int]:
-    """The record headers' captured-length reader and the snaplen; raises
+def _global_header(head: bytes) -> tuple[str, int]:
+    """The header fields' byte order ("<" or ">") and the snaplen; raises
     CorruptFile for a short header, an unknown magic or non-Ethernet."""
     if len(head) < GLOBAL_HEADER_LEN:
         raise CorruptFile("file shorter than the 24-byte pcap global header")
@@ -97,14 +98,15 @@ def _global_header(head: bytes) -> tuple[Callable, int]:
     snaplen, network = struct.unpack_from(end + "II", head, 16)
     if network != LINKTYPE_ETHERNET:
         raise CorruptFile(f"link type {network}, expected Ethernet (1)")
-    return struct.Struct(end + "I").unpack_from, snaplen
+    return end, snaplen
 
 
-def _walk_records(data, captured_len: Callable, snaplen: int,
+def _walk_records(data, order: str, snaplen: int,
                   ) -> tuple[list[int], list[int], int, int]:
     """Starts and captured lengths of the whole records at the head of
     data, the offset past them, and the bytes the next needs (0 past
     snaplen)."""
+    captured_len = struct.Struct(order + "I").unpack_from
     starts, lengths, total, offset = [], [], len(data), 0
     while (start := offset + RECORD_HEADER_LEN) <= total:
         (incl_len,) = captured_len(data, offset + 8)
@@ -119,21 +121,22 @@ def _walk_records(data, captured_len: Callable, snaplen: int,
 
 
 def _decode_headers(buf: np.ndarray, start: np.ndarray, length: np.ndarray,
-                    stats: IngestStats, base: int,
+                    order: str, stats: IngestStats, base: int,
                     drop_dns: bool) -> list[np.ndarray]:
     """Decode the Ethernet, IPv4 and TCP/UDP headers of every frame at
     once. Returns five columns over the frames that can join a session,
     in file order: the IPv4 header's offset in buf + base (int64), the
     session key (int64 low and high << 1 | udp, low and high the smaller
     and larger endpoint, each ip << 16 | port), the IPv4 header length
-    (uint8), the transport length (uint16) and whether a payload follows.
-    The others are added to stats by the first check they fail, in this
-    order: Ethernet length, ethertype, IPv4 header (length, version,
-    IHL, options, total length), later fragment, protocol, then the TCP
-    header, data offset and options or the UDP header; the datagram ends
-    at min(total length, captured bytes). With drop_dns, a frame on port
-    53 that passes them all is dropped too. Reads are clipped to buf,
-    and a read past a frame's end is masked by the check that fails."""
+    (uint8), the captured transport length (uint16) and whether a payload
+    was sent. The others are added to stats by the first check they fail,
+    in this order: Ethernet length, ethertype, IPv4 header (length,
+    version, IHL, options, total length), later fragment, protocol, then
+    the TCP header, data offset and options or the UDP header; the
+    datagram ends at min(total length, captured bytes), and as sent at
+    min(total length, original length - 14). With drop_dns, a frame on
+    port 53 that passes them all is dropped too. Reads are clipped to
+    buf, and a read past a frame's end is masked by the check that fails."""
     last = buf.size - 1
 
     def u8(pos: np.ndarray) -> np.ndarray:
@@ -175,14 +178,16 @@ def _decode_headers(buf: np.ndarray, start: np.ndarray, length: np.ndarray,
         stats.dropped_dns += int(np.count_nonzero(dns))
         ok &= ~dns
 
-    ip, tp, transport_len = ip[ok], tp[ok], transport_len[ok]
+    ip, tp, header_len = ip[ok], tp[ok], header_len[ok]
     src = (u16(ip + 12) << 32) | (u16(ip + 14) << 16) | u16(tp)
     dst = (u16(ip + 16) << 32) | (u16(ip + 18) << 16) | u16(tp + 2)
     udp = protocol[ok] == PROTO_UDP
+    orig_len = buf[start[ok, None] + np.arange(-4, 0)].view(order + "u4")
+    sent = np.minimum(total_length[ok] + ETHERNET_HEADER_LEN, orig_len[:, 0])
     return [ip + base,
             np.stack([np.minimum(src, dst), np.maximum(src, dst) << 1 | udp]),
-            header_len[ok].astype(np.uint8), transport_len.astype(np.uint16),
-            transport_len > payload_offset[ok]]
+            header_len.astype(np.uint8), transport_len[ok].astype(np.uint16),
+            sent - ETHERNET_HEADER_LEN - header_len > payload_offset[ok]]
 
 
 def graphs_from_records(capture: BinaryIO, label: int, p: int,
@@ -194,7 +199,7 @@ def graphs_from_records(capture: BinaryIO, label: int, p: int,
     records (a capture cut mid-record keeps what parsed and counts in
     stats.truncated) and groups the frames into bidirectional sessions
     in order of first appearance. Pass 2 builds one graph per session
-    with a cleaned row per packet that carries a payload; only the first
+    with a cleaned row per packet that sent a payload; only the first
     ceil(fraction * n) of a session's n such packets are copied. The
     graphs share one buffer, their rows in session order. Row i of the
     int64 keys is graph i's session key: its low and high endpoints,
@@ -205,16 +210,16 @@ def graphs_from_records(capture: BinaryIO, label: int, p: int,
     """
     size = capture.seek(0, io.SEEK_END)
     capture.seek(0)
-    header = _global_header(capture.read(GLOBAL_HEADER_LEN))
+    order, snaplen = _global_header(capture.read(GLOBAL_HEADER_LEN))
     buf = np.empty(min(READ_BLOCK, size), dtype=np.uint8)
     base, spans, parts, stats = GLOBAL_HEADER_LEN, [], [], IngestStats()
     while True:  # pass 1: each block ends at its last whole record
         fill = capture.readinto(buf)
         starts, lengths, stop, need = _walk_records(memoryview(buf)[:fill],
-                                                    *header)
+                                                    order, snaplen)
         parts.append(_decode_headers(
-            buf[:fill], *np.array([starts, lengths], np.int64), stats, base,
-            drop_dns))
+            buf[:fill], *np.array([starts, lengths], np.int64), order, stats,
+            base, drop_dns))
         spans.append(stop)
         base += stop
         if fill < buf.size or not need or base + need > size:

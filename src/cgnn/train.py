@@ -34,8 +34,8 @@ from .model import (CgnnModel, ForwardCache, ModelDims, forward,
 
 LOSS_FLOOR = 1e-12  # keeps log() finite when a probability collapses
 GRAD_SCALE = 2.0 ** 64  # backward-pass gradient scale; see the docstring
-# adam_step makes its 12 passes over one chunk of a parameter at a time,
-# so the five arrays a chunk touches stay in L2 between passes.
+# adam_step makes its 10 passes over one chunk of a parameter at a time,
+# so the four arrays a chunk touches stay in L2 between passes.
 ADAM_CHUNK = 2 ** 15
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, 2015)
 
@@ -87,54 +87,48 @@ def backward(model: CgnnModel, batch: BatchedGraph,
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators, one pair per parameter,
-    and one ADAM_CHUNK-element scratch array the update reuses."""
+    """The moment sums, one pair per parameter: m = BETA1 m + g and
+    v = BETA2 v + g^2, Adam's moments over (1 - BETA1) and (1 - BETA2)."""
 
     step: int
     m: list[np.ndarray]
     v: list[np.ndarray]
-    scratch: np.ndarray
 
     @classmethod
     def for_model(cls, model: CgnnModel) -> "AdamState":
         params = model.params()
-        return cls(step=0,
-                   m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   scratch=np.empty(ADAM_CHUNK, dtype=params[0].dtype))
+        return cls(step=0, m=[np.zeros_like(p) for p in params],
+                   v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(model: CgnnModel, grads: list[np.ndarray], state: AdamState,
               lr: float = 1e-3) -> None:
     """One bias-corrected Adam update, applied to the model in place.
+    Consumes grads: each chunk of a gradient is its own scratch.
 
-    lr * m_hat / (sqrt(v_hat) + EPS) is computed as
-    step * m / (sqrt(v) + eps_hat), with the bias corrections folded
-    into the scalars step = lr * sqrt(1 - BETA2^t) / (1 - BETA1^t) and
-    eps_hat = EPS * sqrt(1 - BETA2^t).
+    lr * m_hat / (sqrt(v_hat) + EPS) is computed from the moment sums as
+    step * m / (sqrt(v) + eps_hat), the constants and bias corrections
+    folded into the scalars step = lr * (1 - BETA1) / (1 - BETA1^t) * r
+    and eps_hat = EPS * r, where r = sqrt((1 - BETA2^t) / (1 - BETA2)).
     """
     state.step += 1
     t = state.step
-    root = math.sqrt(1 - BETA2 ** t)
-    step = lr * root / (1 - BETA1 ** t)
-    eps_hat = EPS * root
+    r = math.sqrt((1 - BETA2 ** t) / (1 - BETA2))
+    step = lr * (1 - BETA1) / (1 - BETA1 ** t) * r
+    eps_hat = EPS * r
     for arrays in zip(model.params(), grads, state.m, state.v):
         flat = [a.reshape(-1) for a in arrays]  # C-contiguous, so views
         for lo in range(0, flat[0].size, ADAM_CHUNK):
             param, grad, m, v = (a[lo:lo + ADAM_CHUNK] for a in flat)
-            tmp = state.scratch[:param.size]
             m *= BETA1
-            np.multiply(grad, 1 - BETA1, out=tmp)
-            m += tmp
+            m += grad
             v *= BETA2
-            np.square(grad, out=tmp)
-            tmp *= 1 - BETA2
-            v += tmp
-            np.sqrt(v, out=tmp)
-            tmp += eps_hat
-            np.divide(m, tmp, out=tmp)
-            tmp *= step
-            param -= tmp
+            v += np.square(grad, out=grad)
+            np.sqrt(v, out=grad)
+            grad += eps_hat
+            np.divide(m, grad, out=grad)
+            grad *= step
+            param -= grad
 
 
 @dataclass(frozen=True)

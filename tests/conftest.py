@@ -66,13 +66,17 @@ def arp_frame() -> bytes:
 
 
 def pcap_bytes(frames: list[bytes], *, magic: int = 0xA1B2C3D4,
-               big_endian: bool = False, snaplen: int = 65535) -> bytes:
-    """Classic capture file holding the given frames, one second apart."""
+               big_endian: bool = False, snaplen: int = 65535,
+               orig_lens: list[int] | None = None) -> bytes:
+    """Classic capture file holding the given frames, one second apart;
+    orig_lens are the frames' lengths on the wire (default: as given)."""
     end = ">" if big_endian else "<"
     out = [struct.pack(end + "IHHiIII", magic, 2, 4, 0, 0, snaplen, 1)]
-    for i, frame in enumerate(frames):
+    if orig_lens is None:
+        orig_lens = [len(frame) for frame in frames]
+    for i, (frame, orig_len) in enumerate(zip(frames, orig_lens)):
         out.append(struct.pack(end + "IIII", 1700000000 + i, i,
-                               len(frame), len(frame)))
+                               len(frame), orig_len))
         out.append(frame)
     return b"".join(out)
 

@@ -3,10 +3,11 @@ session grouping and vectorizer that the columnar path in
 cgnn.preprocess replaced, kept here unchanged so tests can require the
 two to agree byte for byte.
 
-Two things are added: the skip reason of a frame the decoder returns
+Three things are added: the skip reason of a frame the decoder returns
 None for, so the oracle yields the same per-reason counts as
-IngestStats, and each row's width, min(cleaned length, p), the bytes
-its GraphSet stores.
+IngestStats; each row's width, min(cleaned length, p), the bytes its
+GraphSet stores; and each frame's length on the wire, which decides
+whether a frame the snaplen cut short sent a payload.
 """
 
 from __future__ import annotations
@@ -54,16 +55,18 @@ class DecodedPacket:
 
     five_tuple: tuple  # canonical()
     ip_header: bytes
-    transport: bytes  # whole segment (TCP) or datagram (UDP)
+    transport: bytes  # whole segment (TCP) or datagram (UDP), as captured
     payload_offset: int  # transport bytes before the payload starts
+    payload_sent: bool  # on the wire, even where the snaplen cut it off
 
     @property
     def payload(self) -> bytes:
         return self.transport[self.payload_offset:]
 
 
-def decode_frame(frame: bytes) -> DecodedPacket | None:
-    """Decode one Ethernet frame down to its transport payload.
+def decode_frame(frame: bytes, orig_len: int) -> DecodedPacket | None:
+    """Decode one Ethernet frame down to its transport payload; orig_len
+    is its length on the wire.
 
     Returns None for frames that cannot belong to any session (non-IPv4,
     non-TCP/UDP, later IP fragments). Raises DecodeError when a frame
@@ -94,6 +97,8 @@ def decode_frame(frame: bytes) -> DecodedPacket | None:
     # is the real datagram end. A capture cut by the snaplen can also
     # leave fewer bytes than total_length claims, so never read past it.
     datagram = datagram[:min(total_length, len(datagram))]
+    # Whether a payload was sent is judged from the datagram on the wire.
+    sent = min(total_length, orig_len - ETHERNET_HEADER_LEN)
 
     frag = int.from_bytes(datagram[6:8], "big")
     if frag & 0x1FFF:  # non-leading fragment: no transport header to read
@@ -127,6 +132,7 @@ def decode_frame(frame: bytes) -> DecodedPacket | None:
         ip_header=datagram[:header_len],
         transport=transport,
         payload_offset=payload_offset,
+        payload_sent=sent - header_len > payload_offset,
     )
 
 
@@ -144,10 +150,12 @@ def clean_bytes(packet: DecodedPacket) -> bytes | None:
 
     Returns [IP header, addresses zeroed] ++ [20-byte transport header
     region: TCP header as-is, or UDP header plus 12 zeros] ++ [payload],
-    or None when the packet carries no payload and is discarded. TCP
+    or None when the packet sent no payload and is discarded. TCP
     options are not stripped; they simply follow the 20-byte region.
+    Only captured bytes are kept: a packet cut at its headers by the
+    snaplen keeps just those.
     """
-    if not packet.payload:
+    if not packet.payload_sent:
         return None
     header = bytearray(packet.ip_header)
     header[12:20] = b"\x00" * 8  # anonymize source and destination
@@ -182,15 +190,16 @@ class SessionSplit:
     stats: IngestStats = field(default_factory=IngestStats)
 
 
-def split_sessions(frames: list[bytes], *,
+def split_sessions(frames: list[bytes], orig_lens: list[int], *,
                    drop_dns: bool = False) -> SessionSplit:
     """Decode and clean every frame once, grouping the cleaned packets
-    into bidirectional sessions in file order."""
+    into bidirectional sessions in file order; orig_lens are the frames'
+    lengths on the wire."""
     split = SessionSplit()
     stats = split.stats
-    for frame in frames:
+    for frame, orig_len in zip(frames, orig_lens):
         try:
-            packet = decode_frame(frame)
+            packet = decode_frame(frame, orig_len)
         except DecodeError:
             stats.malformed += 1
             continue
@@ -211,11 +220,13 @@ def split_sessions(frames: list[bytes], *,
     return split
 
 
-def graphs_from_frames(frames: list[bytes], label: int, p: int,
-                       fraction: float = 1.0, drop_dns: bool = False,
+def graphs_from_frames(frames: list[bytes], orig_lens: list[int],
+                       label: int, p: int, fraction: float = 1.0,
+                       drop_dns: bool = False,
                        ) -> tuple[GraphSet, list[tuple], IngestStats]:
-    """Full ingest of a frame list: sessions, cleaning, graphs."""
-    split = split_sessions(frames, drop_dns=drop_dns)
+    """Full ingest of a frame list and the frames' lengths on the wire:
+    sessions, cleaning, graphs."""
+    split = split_sessions(frames, orig_lens, drop_dns=drop_dns)
     stats = split.stats
     features: list[np.ndarray] = []
     widths: list[int] = []  # each row stores its cleaned bytes cut to p

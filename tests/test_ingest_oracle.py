@@ -2,8 +2,9 @@
 
 Random frame lists mix every kind of frame a capture can hold: TCP and
 UDP with IP and TCP options and Ethernet trailers, frames cut by the
-snaplen, later fragments, each malformed header, DNS, ARP, IPv6, VLAN,
-ICMP, arbitrary bytes, and random byte flips over any of them. Sessions
+snaplen (their record keeping the length on the wire, or not), later
+fragments, each malformed header, DNS, ARP, IPv6, VLAN, ICMP,
+arbitrary bytes, and random byte flips over any of them. Sessions
 share a few endpoints, so both directions and empty-payload openers
 occur. Keys, stats and graph bytes must be identical.
 """
@@ -61,7 +62,8 @@ FRAG_FIELDS = st.one_of(st.sampled_from([0x4000, 0x2000, 0x2010, 0x1FFF,
 
 
 @st.composite
-def frames(draw) -> bytes:
+def frames(draw) -> tuple[bytes, int]:
+    """A frame as captured and its record's original length."""
     src, dst = draw(st.sampled_from(IPS)), draw(st.sampled_from(IPS))
     sport, dport = draw(st.sampled_from(PORTS)), draw(st.sampled_from(PORTS))
     trailer = draw(st.sampled_from([b"", b"\x00" * 6, b"\xff\x5a"]))
@@ -92,21 +94,26 @@ def frames(draw) -> bytes:
         frame = ethernet(ipv4(b"\x08\x00\x00\x00", 1, src, dst))
     else:
         frame = draw(st.binary(max_size=80))
-    if frame and draw(st.booleans()):  # cut by the snaplen
-        frame = frame[:draw(st.integers(0, len(frame)))]
+    orig_len = len(frame)
+    if frame and draw(st.booleans()):  # cut by the snaplen, often at a
+        # UDP or TCP header's end, with or without options
+        frame = frame[:draw(st.integers(0, len(frame))
+                            | st.sampled_from([42, 54, 58, 66]))]
+        if draw(st.booleans()):  # a record that lost its length on the wire
+            orig_len = len(frame)
     out = bytearray(frame)
     for pos, mask in draw(st.lists(st.tuples(st.integers(0, 200),
                                              st.integers(1, 255)),
                                    max_size=2)):
         if pos < len(out):
             out[pos] ^= mask
-    return bytes(out)
+    return bytes(out), orig_len
 
 
 @given(capture=st.lists(frames(), max_size=24), label=st.integers(0, 3))
 @settings(deadline=None, max_examples=200)
 def test_columnar_ingest_matches_the_scalar_oracle(capture, label):
-    _assert_matches_oracle(pcap_bytes(capture), capture, label)
+    _assert_matches_oracle(capture, label)
 
 
 @given(capture=st.lists(frames(), max_size=24), label=st.integers(0, 3),
@@ -117,14 +124,17 @@ def test_block_reads_match_the_scalar_oracle(capture, label, block, at,
                                              snaplen):
     """Blocks of a few bytes to a few records, so records straddle block
     ends, and one record longer than any block, which grows it."""
-    capture = [*capture[:at], tcp_frame(bytes(range(1, 256)) * 2),
-               *capture[at:]]
+    long = tcp_frame(bytes(range(1, 256)) * 2)
+    capture = [*capture[:at], (long, len(long)), *capture[at:]]
     with mock.patch.object(preprocess, "READ_BLOCK", block):
-        _assert_matches_oracle(pcap_bytes(capture, snaplen=snaplen), capture,
-                               label)
+        _assert_matches_oracle(capture, label, snaplen)
 
 
-def _assert_matches_oracle(data: bytes, capture: list[bytes], label: int):
+def _assert_matches_oracle(capture: list[tuple[bytes, int]], label: int,
+                           snaplen: int = 65535):
+    frames = [frame for frame, _ in capture]
+    orig_lens = [orig_len for _, orig_len in capture]
+    data = pcap_bytes(frames, snaplen=snaplen, orig_lens=orig_lens)
     for p in (16, 64, 1500):
         for fraction in (1.0, 0.5):
             for drop_dns in (False, True):
@@ -132,8 +142,9 @@ def _assert_matches_oracle(data: bytes, capture: list[bytes], label: int):
                     io.BytesIO(data), label, p, fraction, drop_dns)
                 keys = [unpack_key(*row) for row in key_rows.tolist()]
                 want_graphs, want_keys, want_stats = \
-                    scalar_ingest.graphs_from_frames(capture, label, p,
-                                                     fraction, drop_dns)
+                    scalar_ingest.graphs_from_frames(frames, orig_lens,
+                                                     label, p, fraction,
+                                                     drop_dns)
                 assert keys == want_keys
                 assert stats == want_stats
                 # each row stored as its cleaned bytes cut to p, and

@@ -244,6 +244,35 @@ def test_last_frame_claiming_past_the_capture_end():
     assert len(graphs) == 1 and stats.malformed == 1
 
 
+def test_a_header_only_capture_keeps_header_rows():
+    """At snap length 54 each record holds the Ethernet, IPv4 and TCP
+    headers and, in its original length, the payload that was sent:
+    every packet that sent one stays as its 40 header bytes. A record
+    whose original length is its captured one sent no payload."""
+    payloads = [bytes(range(100)), b"0123456789"]
+    sent = [tcp_frame(payload, sport=40001 + i)
+            for i, payload in enumerate(payloads)]
+    for big_endian in (False, True):
+        data = pcap_bytes([frame[:54] for frame in sent], snaplen=54,
+                          big_endian=big_endian,
+                          orig_lens=[len(frame) for frame in sent])
+        graphs, _, stats = graphs_from_records(io.BytesIO(data), 0, 64)
+        assert len(graphs) == 2 and graphs.lengths.tolist() == [1, 1]
+        assert stats.discarded_empty == stats.dropped_sessions == 0
+        assert stats.skipped == 0
+        assert graphs.packed()[1].tolist() == [40, 40]
+        for i, payload in enumerate(payloads):
+            row = graph_rows(graphs, i)[0]
+            cleaned = expected_tcp_clean(payload, sport=40001 + i)
+            assert bytes(row[:40]) == cleaned[:40] and not row[40:].any()
+            assert not row[12:20].any()
+        data = pcap_bytes([frame[:54] for frame in sent], snaplen=54,
+                          big_endian=big_endian)
+        graphs, _, stats = graphs_from_records(io.BytesIO(data), 0, 64)
+        assert len(graphs) == 0
+        assert stats.discarded_empty == stats.dropped_sessions == 2
+
+
 # --- frame skipping by reason --------------------------------------------
 
 def test_non_ipv4_frames_skipped():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -13,15 +14,17 @@ import cgnn.model
 import cgnn.train
 from cgnn.errors import (ConfigError, DimsMismatch, EmptyDataset,
                          NonFiniteInput)
-from cgnn.graph import ChainPropagation, batch_graphs, split_dataset
+from cgnn.graph import (ChainPropagation, GraphSet, batch_graphs,
+                        split_dataset)
 from cgnn.model import (POOLING_KINDS, CgnnModel, ModelDims, forward,
                         init_model, predict_probs)
+from cgnn.preprocess import graphs_from_records
 from cgnn.train import (AdamState, TrainConfig, adam_step, backward,
                         cross_entropy, evaluate, fit)
 
-from conftest import (bucket_widths, forward_with_pre_acts, graph_rows,
-                      graph_set, random_graphs, traced_peak,
-                      zero_tailed_graphs)
+from conftest import (IP_A, IP_B, bucket_widths, forward_with_pre_acts,
+                      graph_rows, graph_set, pcap_bytes, random_graphs,
+                      tcp_frame, traced_peak, zero_tailed_graphs)
 
 TINY_DIMS = ModelDims(p=6, d1=5, d2=4, m=2)
 
@@ -323,7 +326,7 @@ def test_adam_first_step_is_signed_learning_rate():
     rng = np.random.default_rng(5)
     grads = [rng.standard_normal(p.shape) for p in model.params()]
     state = AdamState.for_model(model)
-    adam_step(model, grads, state, lr=1e-3)
+    adam_step(model, [g.copy() for g in grads], state, lr=1e-3)
     # With zero moments, one update reduces to lr * g / (|g| + eps).
     for before, after, grad in zip(start, model.params(), grads):
         expected = before - 1e-3 * grad / (np.abs(grad) + 1e-8)
@@ -349,14 +352,17 @@ def test_adam_matches_reference_over_many_steps():
     rng = np.random.default_rng(8)
     for t in range(1, 6):
         grads = [rng.standard_normal(p.shape) for p in reference]
-        adam_step(model, grads, state, lr=lr)
+        adam_step(model, [g.copy() for g in grads], state, lr=lr)
         for i, g in enumerate(grads):
             m[i] = b1 * m[i] + (1 - b1) * g
             v[i] = b2 * v[i] + (1 - b2) * g * g
             m_hat = m[i] / (1 - b1 ** t)
             v_hat = v[i] / (1 - b2 ** t)
             reference[i] = reference[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
-    for mine, ref in zip(model.params(), reference):
+    # state holds the moment sums: the moments over (1 - b1) and (1 - b2)
+    for mine, ref in zip([*model.params(), *state.m, *state.v],
+                         [*reference, *(mi / (1 - b1) for mi in m),
+                          *(vi / (1 - b2) for vi in v)]):
         assert np.abs(mine - ref).max() <= 1e-12
 
 
@@ -370,13 +376,25 @@ def test_adam_chunk_size_changes_no_bit(monkeypatch):
         monkeypatch.setattr(cgnn.train, "ADAM_CHUNK", chunk)
         model = init_model(dims, seed=2)
         state = AdamState.for_model(model)
-        assert state.scratch.shape == (chunk,)  # one chunk, not a copy
         for step_grads in grads:
-            adam_step(model, step_grads, state)
+            adam_step(model, [g.copy() for g in step_grads], state)
         results.append([a.tobytes() for a in
                         [*model.params(), *state.m, *state.v]])
     assert max(p.size for p in init_model(dims).params()) < 10 ** 6
     assert results[0] == results[1]
+
+
+def test_adam_step_allocates_less_than_one_chunk():
+    # Each gradient chunk is the update's scratch, so a step allocates
+    # nothing the size of a parameter, nor a chunk-sized scratch array.
+    model = init_model(ModelDims(), seed=0)
+    state = AdamState.for_model(model)
+    rng = np.random.default_rng(3)
+    grads = [rng.standard_normal(p.shape).astype(np.float32)
+             for p in model.params()]
+    assert max(p.size for p in model.params()) > cgnn.train.ADAM_CHUNK
+    _, peak = traced_peak(lambda: adam_step(model, grads, state))
+    assert peak < cgnn.train.ADAM_CHUNK * 4
 
 
 def test_train_config_validation():
@@ -610,6 +628,64 @@ def test_the_chain_reads_packet_order_a_bag_of_packets_cannot(seed):
                        TrainConfig(max_epochs=60, patience=10, seed=seed))
         _, accuracy[hops] = evaluate(model, graphs[test_idx])
     assert accuracy[1] >= 0.95 and accuracy[0] <= 0.65, accuracy
+
+
+ORDER_MOTIFS = ("CSCSCSCS", "CCCCSSSS", "CCSSCCSS", "CCSSSSCC")
+SERVER_PORTS = (443, 993, 5222, 8080, 8443, 9000)
+
+
+def order_only_capture(rng, motif: str, sessions: int) -> bytes:
+    """A capture of TCP sessions that each send motif once or twice: C a
+    client packet of 40-160 payload bytes, S a server packet of 900-1400.
+    Server ports come from one pool shared by every motif, client ports
+    are ephemeral, and payloads are random bytes; sequence numbers, IP
+    IDs and TTLs are the frame builders' fixed values."""
+    frames = []
+    clients = rng.choice(np.arange(49152, 65536), sessions, replace=False)
+    for client in clients.tolist():
+        server = int(rng.choice(SERVER_PORTS))
+        for side in motif * int(rng.integers(1, 3)):
+            if side == "C":
+                frames.append(tcp_frame(
+                    rng.bytes(int(rng.integers(40, 161))), sport=client,
+                    dport=server, src=IP_A, dst=IP_B))
+            else:
+                frames.append(tcp_frame(
+                    rng.bytes(int(rng.integers(900, 1401))), sport=server,
+                    dport=client, src=IP_B, dst=IP_A))
+    return pcap_bytes(frames)
+
+
+def order_only_graphs(seed: int, sessions: int = 100, p: int = 64):
+    """One class per motif, ingested from its capture. Every motif holds
+    four client and four server packets, so only their order differs."""
+    rng = np.random.default_rng(seed)
+    parts = [graphs_from_records(
+        io.BytesIO(order_only_capture(rng, motif, sessions)), label, p)[0]
+        for label, motif in enumerate(ORDER_MOTIFS)]
+    rows, widths = zip(*(part.packed() for part in parts))
+    return GraphSet.from_widths(
+        np.concatenate(rows), p, np.concatenate(widths),
+        np.concatenate([part.lengths for part in parts]),
+        np.concatenate([part.labels for part in parts]))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_an_order_only_capture_needs_the_chain(seed):
+    # Through the real ingest path: with hops = 0 the pooled rows form
+    # the same bag in every class, so chance (0.25) is its ceiling.
+    # Seeds 1-10 read 0.925-1.000 with hops = 1 and 0.200-0.350 with
+    # hops = 0, at 1 and 2 BLAS threads.
+    graphs = order_only_graphs(seed)
+    train_idx, valid_idx, test_idx = split_dataset(graphs, seed=seed)
+    accuracy = {}
+    for hops in (1, 0):
+        dims = ModelDims(p=64, d1=64, d2=32, m=4, hops=hops)
+        model, _ = fit(graphs[train_idx], graphs[valid_idx], dims,
+                       TrainConfig(lr=1e-2, max_epochs=100, patience=20,
+                                   seed=seed))
+        _, accuracy[hops] = evaluate(model, graphs[test_idx])
+    assert accuracy[1] >= 0.85 and accuracy[0] <= 0.5, accuracy
 
 
 def packet_like_graphs(seed: int, count: int, m: int, p: int = 1500):
